@@ -8,10 +8,10 @@ calibrated uncertainty.  Desk-scale benchmark drivers live behind the
 """
 
 from .exceptions import (BeliefDimensionMismatch, Breakdown, ConfigError,
-                         CovarianceBreakdown, DegenerateData, DimensionMismatch,
-                         DuplicateNode, InsufficientTrace, NoCandidates,
-                         NonFiniteField, NonPositiveEvaluation, PnumError,
-                         SingularGram, UnsortedNodes)
+                         CovarianceBreakdown, DimensionMismatch, DuplicateNode,
+                         InsufficientTrace, NoCandidates, NonFiniteField,
+                         NonPositiveEvaluation, PnumError, SingularGram,
+                         UnsortedNodes)
 from .gp import (FitResult, GPPosterior, Kernel, KernelFamily, exp_quadratic,
                  fit_hyperparameters, gp_condition, gram_matrix, kernel_eval,
                  linear_spline, log_marginal_likelihood, sample_path)

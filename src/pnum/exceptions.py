@@ -13,10 +13,6 @@ class DuplicateNode(PnumError):
     """Two evaluation abscissae coincide within tolerance."""
 
 
-class DegenerateData(PnumError):
-    """Observed values carry no usable signal (e.g. all identical)."""
-
-
 class UnsortedNodes(PnumError):
     """Node sequence is not strictly increasing."""
 

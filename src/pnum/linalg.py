@@ -10,6 +10,12 @@ The posterior mean is maintained as H0 + U diag(E) U' with orthonormal
 "skinny" U (at most 2M columns after M observations).  The posterior
 covariance over H is summarized by the scalar scale sigma calibrated from
 quantities already produced by the run.
+
+During a solve the belief is updated one observation at a time: after m
+steps an iteration costs O(N m + m^2) on top of its matvec.  The Cholesky
+factor of the diagonally scaled S'Y is grown by bordering; its jitter climbs
+the ladder 0, 1e-14, 1e-12, 1e-10, 1e-8 and never comes back down, and past
+the last rung an eigenvalue-clipped solve takes over.
 """
 
 from __future__ import annotations
@@ -19,6 +25,7 @@ from pathlib import Path
 from typing import Callable, List, Optional, Sequence, Tuple
 
 import numpy as np
+from scipy.linalg import solve_triangular
 
 from .exceptions import (BeliefDimensionMismatch, Breakdown, DimensionMismatch,
                          InsufficientTrace)
@@ -128,34 +135,105 @@ def _compress_factors(U: np.ndarray, E: np.ndarray,
     return Q @ P[:, keep], lam[keep]
 
 
-def _small_spd_solver(N: np.ndarray):
-    """Robust solver for the small SPD matrix S'Y of projection overlaps.
+_JITTER_LADDER = (0.0, 1e-14, 1e-12, 1e-10, 1e-8)
+_INITIAL_CAPACITY = 16
 
-    Diagonal scaling plus Cholesky with escalating jitter; eigenvalue-clipped
-    fallback when the matrix has drifted indefinite.
+
+def _reserve(a: np.ndarray, index: int, axes: Tuple[int, ...]) -> np.ndarray:
+    """Return ``a``, or a copy with the given axes doubled, so ``index`` fits."""
+    cap = a.shape[axes[0]]
+    if index < cap:
+        return a
+    shape = list(a.shape)
+    for ax in axes:
+        shape[ax] = 2 * cap
+    out = np.empty(shape)
+    out[tuple(slice(0, k) for k in a.shape)] = a
+    return out
+
+
+class _BorderedCholesky:
+    """Factor of the SPD matrix N = S'Y of projection overlaps, grown by bordering.
+
+    N is diagonally scaled to unit diagonal and factored as L L' with jitter
+    from the ladder 0, 1e-14, ..., 1e-8 on the scaled diagonal.  Each new
+    row and column of N costs one triangular solve, O(m^2).  The ladder only
+    moves up: a leading block that needs jitter j makes every larger matrix
+    need at least j.  When a bordering pivot is <= 0 the whole matrix is
+    refactored at the next rung that succeeds; when every rung fails, an
+    eigenvalue-clipped solve is used from then on.
     """
-    N = 0.5 * (N + N.T)
-    dd = np.sqrt(np.clip(np.diag(N), 1e-300, None))
-    Ns = N / dd[:, None] / dd[None, :]
-    eye = np.eye(N.shape[0])
-    for jit in (0.0, 1e-14, 1e-12, 1e-10, 1e-8):
-        try:
-            L = np.linalg.cholesky(Ns + jit * eye)
 
-            def solve(v, L=L):
-                z = np.linalg.solve(L, v / dd)
-                return np.linalg.solve(L.T, z) / dd
+    def __init__(self, capacity: int = _INITIAL_CAPACITY):
+        self.size = 0
+        self.rung = 0
+        self.eig_fallback = False
+        self._dd = np.empty(capacity)
+        self._ns = np.empty((capacity, capacity))
+        # kept contiguous at its exact size: solve_triangular would copy a
+        # strided view of a larger buffer on every call
+        self._l = np.empty((0, 0))
+        self._eig: Optional[Tuple[np.ndarray, np.ndarray]] = None
 
-            return solve
-        except np.linalg.LinAlgError:
-            continue
-    lam, P = np.linalg.eigh(Ns)
-    lam_safe = np.where(lam > 1e-12 * lam.max(), lam, np.inf)
+    @property
+    def jitter(self) -> float:
+        return _JITTER_LADDER[self.rung]
 
-    def solve(v):
-        return (P @ ((P.T @ (v / dd)) / lam_safe)) / dd
+    def append(self, col: np.ndarray) -> None:
+        """Border N with its new last column ``col`` (length size + 1)."""
+        m = self.size
+        self._dd = _reserve(self._dd, m, (0,))
+        self._ns = _reserve(self._ns, m, (0, 1))
+        dd = np.sqrt(max(col[m], 1e-300))
+        self._dd[m] = dd
+        c = col[:m] / self._dd[:m] / dd
+        self._ns[:m, m] = c
+        self._ns[m, :m] = c
+        self._ns[m, m] = col[m] / dd / dd
+        self.size = m + 1
+        if self.eig_fallback:
+            self._eigen()
+            return
+        lrow = solve_triangular(self._l, c, lower=True, check_finite=False)
+        pivot = self._ns[m, m] + self.jitter - lrow @ lrow
+        if pivot > 0.0:
+            L = np.zeros((m + 1, m + 1))
+            L[:m, :m] = self._l
+            L[m, :m] = lrow
+            L[m, m] = np.sqrt(pivot)
+            self._l = L
+        else:
+            self._refactor()
 
-    return solve
+    def _refactor(self) -> None:
+        m = self.size
+        ns = self._ns[:m, :m]
+        eye = np.eye(m)
+        for rung in range(self.rung + 1, len(_JITTER_LADDER)):
+            self.rung = rung
+            try:
+                self._l = np.linalg.cholesky(ns + self.jitter * eye)
+                return
+            except np.linalg.LinAlgError:
+                continue
+        self.eig_fallback = True
+        self._eigen()
+
+    def _eigen(self) -> None:
+        m = self.size
+        lam, P = np.linalg.eigh(self._ns[:m, :m])
+        self._eig = (np.where(lam > 1e-12 * lam.max(), lam, np.inf), P)
+
+    def solve(self, v: np.ndarray) -> np.ndarray:
+        """Apply N^-1 to a vector of length size."""
+        dd = self._dd[:self.size]
+        z = v / dd
+        if self.eig_fallback:
+            lam, P = self._eig
+            return (P @ ((P.T @ z) / lam)) / dd
+        z = solve_triangular(self._l, z, lower=True, check_finite=False)
+        return solve_triangular(self._l, z, lower=True, trans="T",
+                                check_finite=False) / dd
 
 
 def condition_on_observations(belief: MatrixBelief, S, Y) -> MatrixBelief:
@@ -247,7 +325,12 @@ def truncate_belief(belief: MatrixBelief, rank: int) -> MatrixBelief:
 
 @dataclass
 class SolveReport:
-    """Everything a solve produced: solution, trace and final belief."""
+    """Everything a solve produced: solution, trace and final belief.
+
+    ``jitter`` is the rung of the jitter ladder the factor of S'Y ended on
+    and ``eig_fallback`` whether its eigenvalue-clipped solve ran; classic CG
+    keeps no such factor and reports 0.0 and False.
+    """
 
     solution: np.ndarray
     iterations: int
@@ -257,6 +340,8 @@ class SolveReport:
     iterates: List[np.ndarray] = field(default_factory=list)
     rayleigh_quotients: List[float] = field(default_factory=list)
     matvecs: int = 0
+    jitter: float = 0.0
+    eig_fallback: bool = False
 
     @property
     def initial_residual(self) -> float:
@@ -271,8 +356,10 @@ def classic_cg(A: LinearOperator, b, x0=None, tol: float = 1e-8,
                maxiter: Optional[int] = None) -> SolveReport:
     """Plain conjugate gradients with the usual two-term recurrences.
 
-    Converged means ||r|| <= tol * ||b||.  Raises Breakdown if a direction
-    has <d, Ad> <= 0, which signals a non-SPD operator.
+    Converged means ||r|| <= tol * ||b||.  Stops early, at the current
+    iterate, once the direction or the step has vanished in floating point.
+    Raises Breakdown if a non-zero direction has <d, Ad> <= 0, which signals
+    a non-SPD operator.
     """
     b = np.asarray(b, dtype=float)
     if b.shape != (A.dim,):
@@ -294,7 +381,7 @@ def classic_cg(A: LinearOperator, b, x0=None, tol: float = 1e-8,
     iterates = [x.copy()]
     rayleigh: List[float] = []
     for _ in range(maxiter):
-        if res[-1] <= tol * nb:
+        if res[-1] <= tol * nb or float(d @ d) == 0.0:
             break
         Ad = A(d)
         matvecs += 1
@@ -302,10 +389,13 @@ def classic_cg(A: LinearOperator, b, x0=None, tol: float = 1e-8,
         if dAd <= 0.0:
             raise Breakdown(f"<d, Ad> = {dAd:.3e} <= 0; operator not SPD")
         alpha = float(d @ r) / dAd
-        x = x + alpha * d
         s = alpha * d
+        ss = float(s @ s)
+        if ss == 0.0:
+            break
+        x = x + s
         y = alpha * Ad
-        rayleigh.append(float(s @ y) / float(s @ s))
+        rayleigh.append(float(s @ y) / ss)
         r_new = r - y
         beta = float(r_new @ r_new) / float(r @ r)
         d = r_new + beta * d
@@ -327,6 +417,18 @@ def solve_probabilistic(A: LinearOperator, b, belief: Optional[MatrixBelief] = N
     the belief.  With a fresh identity belief the iterate sequence matches
     classic CG; starting from a recycled belief the initial iterate is
     x0 = H0 b and the prior mean preconditions the directions.
+
+    After m steps the direction costs O(N m + m^2): S, Y and D = S - H0 Y
+    sit in column blocks whose capacity doubles when full, S'Y and Y'D gain
+    one row and column per step, and the Cholesky factor of the scaled S'Y
+    is grown by bordering.  Its jitter climbs the ladder 0, 1e-14, ..., 1e-8
+    and never comes back down; past the last rung an eigenvalue-clipped
+    solve takes over.  Both are recorded in the report.
+
+    The solve stops early, at the current iterate, once the direction or the
+    step has vanished in floating point; ``converged`` is then the usual
+    residual test.  Raises Breakdown if a non-zero direction has
+    <d, Ad> <= 0.
     """
     b = np.asarray(b, dtype=float)
     if belief is None:
@@ -354,24 +456,21 @@ def solve_probabilistic(A: LinearOperator, b, belief: Optional[MatrixBelief] = N
     res = [float(np.linalg.norm(r))]
     iterates = [x.copy()]
     rayleigh: List[float] = []
-    S: List[np.ndarray] = []
-    Y: List[np.ndarray] = []
-    H0Y: List[np.ndarray] = []
+    # obs[:, i] = (s_i, y_i, d_i = s_i - H0 y_i) for the steps i < m taken
+    obs = np.empty((3, max(1, min(_INITIAL_CAPACITY, maxiter)), n))
+    ytd = np.empty((obs.shape[1],) * 2)
+    factor = _BorderedCholesky(obs.shape[1])
+    m = 0
     for _ in range(maxiter):
         if res[-1] <= tol * nb:
             break
-        h0r = _apply_prior_mean(belief, r)
-        if S:
-            Sm = np.stack(S, axis=1)
-            Ym = np.stack(Y, axis=1)
-            Dm = Sm - np.stack(H0Y, axis=1)
-            nsolve = _small_spd_solver(Sm.T @ Ym)
-            s_r = Sm.T @ r
-            d_r = Dm.T @ r
-            d = (h0r + Sm @ nsolve(d_r) + Dm @ nsolve(s_r)
-                 - Sm @ nsolve((Ym.T @ Dm) @ nsolve(s_r)))
-        else:
-            d = h0r
+        d = _apply_prior_mean(belief, r)
+        if m:
+            S, D = obs[0, :m], obs[2, :m]
+            g = factor.solve(S @ r)
+            d += D.T @ g + S.T @ factor.solve(D @ r - ytd[:m, :m] @ g)
+        if float(d @ d) == 0.0:
+            break
         Ad = A(d)
         matvecs += 1
         dAd = float(d @ Ad)
@@ -379,24 +478,32 @@ def solve_probabilistic(A: LinearOperator, b, belief: Optional[MatrixBelief] = N
             raise Breakdown(f"<d, Ad> = {dAd:.3e} <= 0; operator not SPD")
         alpha = float(d @ r) / dAd
         s = alpha * d
+        ss = float(s @ s)
+        if ss == 0.0:
+            break
         y = alpha * Ad
         x = x + s
         r = r - y
-        rayleigh.append(float(s @ y) / float(s @ s))
-        S.append(s)
-        Y.append(y)
-        H0Y.append(_apply_prior_mean(belief, y))
+        rayleigh.append(float(s @ y) / ss)
+        obs = _reserve(obs, m, (1,))
+        ytd = _reserve(ytd, m, (0, 1))
+        obs[:, m] = s, y, s - _apply_prior_mean(belief, y)
+        S, Y, D = obs[:, :m + 1]
+        factor.append(0.5 * (S @ y + Y @ s))
+        ytd[:m + 1, m] = Y @ D[m]
+        ytd[m, :m] = D[:m] @ y
+        m += 1
         res.append(float(np.linalg.norm(r)))
         iterates.append(x.copy())
-    if S:
-        final = condition_on_observations(belief, np.stack(S, axis=1),
-                                          np.stack(Y, axis=1))
+    if m:
+        final = condition_on_observations(belief, obs[0, :m].T, obs[1, :m].T)
     else:
         final = belief
     return SolveReport(solution=x, iterations=len(res) - 1, residual_norms=res,
                        converged=res[-1] <= tol * nb, belief=final,
                        iterates=iterates, rayleigh_quotients=rayleigh,
-                       matvecs=matvecs)
+                       matvecs=matvecs, jitter=factor.jitter,
+                       eig_fallback=factor.eig_fallback)
 
 
 def calibrate_scale(report: SolveReport) -> float:

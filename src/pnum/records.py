@@ -12,7 +12,7 @@ class ConvergenceRecord:
 
     ``budgets`` must be strictly increasing.  ``spreads`` holds the posterior
     standard deviation for Bayesian methods and the standard error for Monte
-    Carlo ones.  ``errors`` is filled once an oracle value is known.
+    Carlo ones.
     """
 
     method: str
@@ -20,7 +20,6 @@ class ConvergenceRecord:
     budgets: List[int] = field(default_factory=list)
     estimates: List[float] = field(default_factory=list)
     spreads: List[float] = field(default_factory=list)
-    errors: List[float] = field(default_factory=list)
     wall_ms: List[float] = field(default_factory=list)
 
     def append(self, budget: int, estimate: float, spread: float,
@@ -33,10 +32,6 @@ class ConvergenceRecord:
         self.estimates.append(float(estimate))
         self.spreads.append(float(spread))
         self.wall_ms.append(float(wall_ms))
-
-    def fill_errors(self, oracle: float) -> None:
-        """Compute |estimate - oracle| for every recorded budget."""
-        self.errors = [abs(e - oracle) for e in self.estimates]
 
     def __len__(self) -> int:
         return len(self.budgets)

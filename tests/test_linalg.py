@@ -8,6 +8,7 @@ from pnum import (BeliefDimensionMismatch, Breakdown, DimensionMismatch,
                   classic_cg, condition_on_observations, identity_belief,
                   load_operator, posterior_mean_apply, random_spd,
                   solve_probabilistic, truncate_belief, warm_start_sequence)
+from pnum.linalg import _BorderedCholesky
 
 
 def seeded_system(n, seed, cond=20.0):
@@ -89,6 +90,90 @@ class TestProbabilisticSolver:
         op, b = seeded_system(8, 0)
         with pytest.raises(BeliefDimensionMismatch):
             solve_probabilistic(op, b, identity_belief(9))
+
+    def test_past_floating_point_floor_stops_cleanly(self):
+        # run far below the attainable residual: the direction eventually
+        # vanishes in floating point, which must end the solve, not raise
+        for n in (16, 32):
+            for seed in range(15):
+                op, b = seeded_system(n, seed, cond=1e8)
+                for rep in (solve_probabilistic(op, b, tol=1e-300, maxiter=3 * n),
+                            classic_cg(op, b, tol=1e-300, maxiter=40 * n)):
+                    assert np.all(np.isfinite(rep.solution))
+                    assert rep.converged == (rep.final_residual
+                                             <= 1e-300 * np.linalg.norm(b))
+
+    def test_well_conditioned_solve_needs_no_jitter(self):
+        op, b = seeded_system(30, 2)
+        rep = solve_probabilistic(op, b, tol=1e-10)
+        assert rep.converged
+        assert rep.jitter == 0.0
+        assert rep.eig_fallback is False
+        cg = classic_cg(op, b, tol=1e-10)
+        assert (cg.jitter, cg.eig_fallback) == (0.0, False)
+
+    def test_solve_past_n_iterations_reports_jitter(self):
+        op, b = seeded_system(12, 3)
+        rep = solve_probabilistic(op, b, tol=1e-300, maxiter=36)
+        assert rep.iterations > 12
+        assert rep.jitter > 0.0
+
+
+def _rank_deficient_gram(rank, size, shifts, seed=0):
+    """Gram matrix of ``size`` vectors in R^rank, diagonal lowered from column
+    ``start`` on by ``delta`` relative for each (start, delta) in shifts."""
+    rng = np.random.default_rng(seed)
+    X = rng.standard_normal((rank, size)) * rng.uniform(0.5, 3.0, size)
+    G = X.T @ X
+    for start, delta in shifts:
+        idx = np.arange(start, size)
+        G[idx, idx] -= delta * G[idx, idx]
+    return G
+
+
+class TestBorderedCholesky:
+    SIZE = 40  # past the first two doublings of the initial capacity
+
+    def grow(self, G):
+        """Feed G column by column; yield (factor, leading block, rhs)."""
+        factor = _BorderedCholesky()
+        rng = np.random.default_rng(1)
+        for j in range(G.shape[0]):
+            factor.append(G[:j + 1, j])
+            yield factor, G[:j + 1, :j + 1], rng.standard_normal(j + 1)
+
+    def test_jitter_climbs_and_solves_match_fresh_factor(self):
+        # the leading 10 x 10 block is SPD; the later columns are linearly
+        # dependent on the first ten and lowered by 2e-9, so the matrix turns
+        # indefinite and only the top rung 1e-8 factors it
+        G = _rank_deficient_gram(10, self.SIZE, [(10, 2e-9)])
+        path = []
+        for factor, N, v in self.grow(G):
+            path.append(factor.jitter)
+            assert not factor.eig_fallback
+            dd = np.sqrt(np.diag(N))
+            Ns = N / dd[:, None] / dd[None, :]
+            L = np.linalg.cholesky(Ns + factor.jitter * np.eye(N.shape[0]))
+            ref = np.linalg.solve(L.T, np.linalg.solve(L, v / dd)) / dd
+            got = factor.solve(v)
+            assert np.linalg.norm(got - ref) <= 1e-6 * np.linalg.norm(ref)
+        assert path[:10] == [0.0] * 10
+        assert path == sorted(path)
+        assert path[-1] == 1e-8
+
+    def test_eigenvalue_clipped_solve_once_every_rung_fails(self):
+        G = _rank_deficient_gram(10, self.SIZE, [(10, 1e-6)])
+        for factor, N, v in self.grow(G):
+            m = N.shape[0]
+            assert factor.eig_fallback == (m > 10)
+            if m <= 10:
+                continue
+            dd = np.sqrt(np.diag(N))
+            lam, P = np.linalg.eigh(N / dd[:, None] / dd[None, :])
+            lam = np.where(lam > 1e-12 * lam.max(), lam, np.inf)
+            ref = (P @ ((P.T @ (v / dd)) / lam)) / dd
+            got = factor.solve(v)
+            assert np.linalg.norm(got - ref) <= 1e-10 * np.linalg.norm(ref)
 
 
 class TestBelief:
