@@ -11,6 +11,13 @@ rejected.  Every run is fully determined by (config, seed): under
 suppressed, making re-runs byte-identical.  Each CSV gets a JSON sidecar
 ``<out>.config.json`` with the resolved configuration.
 
+The ``linsolve`` table's ``cg_match`` column is ``true`` where the
+probabilistic and classic CG iterates agree to ``cg_match_tol`` (relative).
+Classic CG loses orthogonality in floating point and the probabilistic
+solver does not, so on ill-conditioned operators a ``false`` usually marks
+classic CG's drift from exact-arithmetic CG, not a fault of the
+probabilistic solver.
+
 Exit codes: 0 success, 2 configuration error, 3 numerical failure.
 """
 

@@ -3,7 +3,11 @@
 Closed-form kernel embeddings, the Gaussian posterior over an integral,
 equidistant and variance-minimizing node selection, and a square-root-warped
 variant for strictly positive integrands (with tensor-product
-exponentiated-quadratic kernels on boxes up to dimension 4).
+exponentiated-quadratic kernels on boxes up to dimension 4).  The warped
+variance is evaluated per dimension, in O(d (33^2 + 33 n) + n^2) memory for
+n nodes, so the dimension cap is a policy choice, not a memory limit; only
+the grid contraction that takes over for ill-conditioned Grams holds
+33^d + 33^(d-1) n values (12 MB at d = 4, n = 10).
 
 For the linear-spline kernel on an endpoint-inclusive grid, the posterior
 mean coincides with the trapezoid rule; the posterior variance is what the
@@ -32,6 +36,11 @@ SQRT_PI = np.sqrt(np.pi)
 NEG_VAR_REL_TOL = 1e-8
 
 DEFAULT_CANDIDATE_COUNT = 512
+
+# Largest rounding bound of the separable warped variance, relative to
+# theta^2 v' K_GG v, that is accepted without re-evaluating on the grid; the
+# grid evaluation itself errs by up to about 3e-13 of that term in 4-D.
+SEPARABLE_REL_TOL = 1e-12
 
 
 def trapezoid(nodes, values) -> float:
@@ -324,42 +333,83 @@ def _warped_moments(kern: ProductExpQuadratic, factor, X: np.ndarray,
     """Posterior mean and variance of the integral under the sqrt warp.
 
     Mean uses the exact pairwise embedding of the squared GP mean; variance
-    integrates the first-order (linearized) covariance m C m on a fixed
-    tensor quadrature grid.
+    integrates the first-order (linearized) covariance m C m by the
+    ``var_grid``-point trapezoid rule per dimension.  With v = u * m on the
+    tensor grid G (u the tensor trapezoid weights), the variance is
+    theta^2 v' K_GG v - (K_GX' v)' K^-1 (K_GX' v).  Kernel, mean and weights
+    all factor over dimensions, so with E_j[a, i] = exp(-(a_j - X_ij)^2 /
+    lam_j^2) on the grid axis a_j, W_j = diag(weights) and A_j the axis Gram,
+
+        theta^2 v' K_GG v = theta^6 w' (prod_j E_j' W_j A_j W_j E_j) w
+        K_GX' v           = theta^4 (prod_j E_j' W_j E_j) w
+
+    with elementwise products of n x n matrices: no grid is built and memory
+    does not grow with the dimension.  These forms are quadratic in w, so
+    their rounding error grows with |w|' M |w|, which an ill-conditioned Gram
+    makes far larger than w' M w.  When that bound exceeds
+    ``SEPARABLE_REL_TOL`` times theta^2 v' K_GG v, the mean is contracted
+    with w on the grid first (``_grid_terms``), which is accurate to rounding
+    in v.  The variance is returned unclamped and can be slightly negative.
     """
     w = cho_solve(factor, g)
     P = kern.pair_embed(X, X)
     mean = alpha_w * kern.volume + 0.5 * float(w @ (P @ w))
 
-    box = np.asarray(kern.box)
-    d = box.shape[0]
-    axes, weights = [], []
-    for lo, hi in box:
+    n = X.shape[0]
+    theta = kern.theta
+    kk = np.ones((n, n))
+    kx = np.ones((n, n))
+    Es, ws, As = [], [], []
+    for j, (lo, hi) in enumerate(kern.box):
+        lam = kern.lams[j]
         ax = np.linspace(lo, hi, var_grid)
         wq = np.full(var_grid, (hi - lo) / (var_grid - 1))
         wq[[0, -1]] *= 0.5
-        axes.append(ax)
-        weights.append(wq)
-    mesh = np.meshgrid(*axes, indexing="ij")
-    G = np.stack(mesh, axis=-1).reshape(-1, d)
-    K_gx = kern.gram(G, X)
-    m_grid = K_gx @ w
-    u = weights[0]
-    for wq in weights[1:]:
+        E = np.exp(-((ax[:, None] - X[None, :, j]) / lam) ** 2)
+        A = np.exp(-((ax[:, None] - ax[None, :]) / lam) ** 2)
+        WE = wq[:, None] * E
+        kk *= WE.T @ A @ WE
+        kx *= E.T @ WE
+        Es.append(E)
+        ws.append(wq)
+        As.append(A)
+    quad_kk = theta ** 6 * float(w @ kk @ w)
+    t2 = theta ** 4 * (kx @ w)
+    s = cho_solve(factor, t2)
+    # kk and kx are entrywise positive, so |w|' kk |w| bounds the terms
+    # that cancel in w' kk w (likewise for t2 and the projection t2' s)
+    aw = np.abs(w)
+    bound = np.finfo(float).eps * (
+        theta ** 6 * float(aw @ kk @ aw)
+        + 2.0 * theta ** 4 * float(np.abs(s) @ kx @ aw))
+    if bound > SEPARABLE_REL_TOL * quad_kk:
+        quad_kk, t2 = _grid_terms(theta, Es, ws, As, w)
+        s = cho_solve(factor, t2)
+    return mean, quad_kk - float(t2 @ s), w, P
+
+
+def _grid_terms(theta: float, Es, ws, As, w: np.ndarray):
+    """theta^2 v' K_GG v and K_GX' v with the mean m = K_GX w formed first.
+
+    The product over all but the last dimension, T[g', i] =
+    prod_{j<d} E_j[g'_j, i], is the largest array: var_grid^(d-1) x n.
+    The grid Gram K_GG is applied through its Kronecker factors.
+    """
+    n = w.size
+    T = np.ones((1, n))
+    for E in Es[:-1]:
+        T = (T[:, None, :] * E[None, :, :]).reshape(-1, n)
+    m = theta ** 2 * ((T * w) @ Es[-1].T)
+    u = ws[0]
+    for wq in ws[1:]:
         u = np.multiply.outer(u, wq)
-    v = (u.reshape(-1) * m_grid)
-    # v' K_GG v via the Kronecker structure of the tensor grid
-    per_dim = [np.exp(-((ax[:, None] - ax[None, :]) / lam) ** 2)
-               for ax, lam in zip(axes, kern.lams)]
-    t = v.reshape([var_grid] * d)
-    for j, A in enumerate(per_dim):
-        t = np.tensordot(A, t, axes=([1], [j]))
-        t = np.moveaxis(t, 0, j)
-    quad_kk = kern.theta ** 2 * float(v @ t.reshape(-1))
-    t2 = K_gx.T @ v
-    quad_proj = float(t2 @ cho_solve(factor, t2))
-    variance = max(quad_kk - quad_proj, 0.0)
-    return mean, variance, w, P
+    v = u.reshape(m.shape) * m
+    t = v.reshape(u.shape)
+    for j, A in enumerate(As):
+        t = np.moveaxis(np.tensordot(A, t, axes=([1], [j])), 0, j)
+    quad_kk = theta ** 2 * float(v.reshape(-1) @ t.reshape(-1))
+    t2 = theta ** 2 * np.sum(T * (v @ Es[-1]), axis=0)
+    return quad_kk, t2
 
 
 def warped_bq_integrate(f: Callable, domain, budget: int, seed: int,
@@ -404,13 +454,14 @@ def warped_bq_integrate(f: Callable, domain, budget: int, seed: int,
         theta, lams, _ = _profile_theta_fit(Xa, g, box)
         kern = ProductExpQuadratic(theta=theta, lams=lams,
                                    box=tuple(map(tuple, box)))
-        K = kern.gram(Xa, Xa)
-        K = K + 1e-10 * float(np.mean(np.diag(K))) * np.eye(len(X))
-        factor = cho_factor(K, lower=True)
+        factor, _ = _factorize(kern.gram(Xa, Xa))
         mean, variance, w, P = _warped_moments(kern, factor, Xa, g, alpha_w)
+        clamped = variance < 0.0
+        variance = max(variance, 0.0)
         record.append(budget=it + 1, estimate=mean, spread=np.sqrt(variance))
         estimate = QuadratureEstimate(mean=mean, variance=variance,
-                                      n_evals=it + 1, kernel=kern)
+                                      n_evals=it + 1, kernel=kern,
+                                      clamped=clamped)
         if it + 1 == budget:
             break
         # value-frozen variance reduction of each candidate

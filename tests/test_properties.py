@@ -1,14 +1,16 @@
-"""Property tests of the paper's linear-solver identities over random systems.
+"""Property tests of the paper's identities over random inputs.
 
-Each example draws a dimension, a condition number and a seed for a
-``random_spd`` operator and a right-hand side.
+Linear solver: each example draws a dimension, a condition number and a seed
+for a ``random_spd`` operator and a right-hand side.  Quadrature: each
+example draws a linear-spline kernel, an interval, nodes and values.
 """
 
 import numpy as np
 from hypothesis import given, settings, strategies as st
 
-from pnum import (LinearOperator, classic_cg, identity_belief,
-                  posterior_mean_apply, random_spd, solve_probabilistic)
+from pnum import (BQState, LinearOperator, bq_posterior, classic_cg,
+                  identity_belief, linear_spline, posterior_mean_apply,
+                  random_spd, solve_probabilistic, trapezoid)
 
 systems = st.tuples(st.integers(2, 48), st.floats(1.0, 1e4),
                     st.integers(0, 2**31 - 1))
@@ -84,3 +86,28 @@ def test_posterior_mean_maps_rhs_to_solution(system):
     assert rep.converged
     hb = posterior_mean_apply(rep.belief, b)
     assert np.linalg.norm(hb - rep.solution) <= 1e-6 * np.linalg.norm(rep.solution)
+
+
+quad_rules = st.tuples(
+    st.floats(0.1, 10.0), st.floats(0.1, 10.0),        # kernel c, b
+    st.floats(-5.0, 5.0), st.floats(0.1, 0.9),         # start, width fraction
+    st.lists(st.tuples(st.floats(0.05, 1.0), st.floats(-10.0, 10.0)),
+             min_size=2, max_size=40))                 # (gap, value) pairs
+
+
+@checks
+@given(quad_rules)
+def test_spline_bq_mean_is_trapezoid(rule):
+    # nodes include both endpoints; the gaps are relative, so the smallest
+    # spacing is at least 1/800 of the interval.  The width is a fraction of
+    # 3 (1 + b) / b, where the kernel c (1 + b - b |x - x'| / 3) reaches 0.
+    c, b, lo, frac, pairs = rule
+    width = frac * 3.0 * (1.0 + b) / b
+    gaps, values = (np.array(v) for v in zip(*pairs))
+    nodes = lo + width * np.concatenate(([0.0], np.cumsum(gaps[1:]))) / gaps[1:].sum()
+    nodes[-1] = lo + width
+    state = BQState.for_kernel(linear_spline(c, b, (lo, lo + width)))
+    for x, y in zip(nodes, values):
+        state = state.with_node(x, y)
+    mean = bq_posterior(state).mean
+    assert abs(mean - trapezoid(nodes, values)) <= 1e-9 * trapezoid(nodes, np.abs(values))

@@ -1,12 +1,49 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from scipy.integrate import dblquad, quad
+from scipy.linalg import cho_solve
 
-from pnum import (BQState, NoCandidates, NonPositiveEvaluation, UnsortedNodes,
-                  bq_posterior, exp_quadratic, kernel_embeddings, kernel_eval,
-                  linear_spline, select_node_active, select_nodes_grid,
-                  trapezoid, warped_bq_integrate)
-from pnum.quadrature import ProductExpQuadratic
+from pnum import (BQState, NoCandidates, NonPositiveEvaluation, SingularGram,
+                  UnsortedNodes, bq_posterior, exp_quadratic,
+                  kernel_embeddings, kernel_eval, linear_spline, quadrature,
+                  select_node_active, select_nodes_grid, trapezoid,
+                  warped_bq_integrate)
+from pnum.gp import _factorize
+from pnum.quadrature import ProductExpQuadratic, _warped_moments
+
+
+def grid_warped_moments(kern, factor, X, g, alpha_w, var_grid=33):
+    """Reference: the linearized warped variance on the explicit 33^d tensor
+    grid, as ``_warped_moments`` evaluated it before it became separable."""
+    w = cho_solve(factor, g)
+    P = kern.pair_embed(X, X)
+    mean = alpha_w * kern.volume + 0.5 * float(w @ (P @ w))
+    box = np.asarray(kern.box)
+    d = box.shape[0]
+    axes, weights = [], []
+    for lo, hi in box:
+        wq = np.full(var_grid, (hi - lo) / (var_grid - 1))
+        wq[[0, -1]] *= 0.5
+        axes.append(np.linspace(lo, hi, var_grid))
+        weights.append(wq)
+    G = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, d)
+    # kern.gram(G, X), summed one dimension at a time to hold only 33^d x n
+    d2 = sum(((G[:, j, None] - X[None, :, j]) / lam) ** 2
+             for j, lam in enumerate(kern.lams))
+    K_gx = kern.theta ** 2 * np.exp(-d2)
+    u = weights[0]
+    for wq in weights[1:]:
+        u = np.multiply.outer(u, wq)
+    v = u.reshape(-1) * (K_gx @ w)
+    t = v.reshape([var_grid] * d)
+    for j, (ax, lam) in enumerate(zip(axes, kern.lams)):
+        A = np.exp(-((ax[:, None] - ax[None, :]) / lam) ** 2)
+        t = np.moveaxis(np.tensordot(A, t, axes=([1], [j])), 0, j)
+    quad_kk = kern.theta ** 2 * float(v @ t.reshape(-1))
+    t2 = K_gx.T @ v
+    return mean, quad_kk - float(t2 @ cho_solve(factor, t2)), quad_kk
 
 
 def state_with(kernel, nodes, values):
@@ -244,9 +281,89 @@ class TestWarped:
         est, _ = warped_bq_integrate(f, [(-4, 4), (-4, 4)], 25, seed=0)
         assert est.mean == pytest.approx(1.0, abs=0.02)
 
+    def test_clamp_flagged(self, monkeypatch):
+        f = lambda x: float(np.exp(-x ** 2 / 2) / np.sqrt(2 * np.pi))
+        est, _ = warped_bq_integrate(f, (-5.0, 5.0), 15, seed=0)
+        assert est.variance > 0.0 and not est.clamped
+
+        def negative(*args, **kwargs):
+            mean, var, w, P = _warped_moments(*args, **kwargs)
+            return mean, -1e-3 * abs(var) - 1e-300, w, P
+
+        monkeypatch.setattr(quadrature, "_warped_moments", negative)
+        est, record = warped_bq_integrate(f, (-5.0, 5.0), 15, seed=0)
+        assert est.clamped and est.variance == 0.0
+        assert record.spreads[-1] == 0.0
+
+    def test_nonfinite_gram_raises_singular_gram(self, monkeypatch):
+        fit = quadrature._profile_theta_fit
+        monkeypatch.setattr(quadrature, "_profile_theta_fit",
+                            lambda *a: (np.nan,) + fit(*a)[1:])
+        with pytest.raises(SingularGram):
+            warped_bq_integrate(lambda x: 1.0 + x, (0.0, 1.0), 4, seed=0)
+
     def test_budget_too_small(self):
         with pytest.raises(ValueError):
             warped_bq_integrate(lambda x: 1.0, (0, 1), 2, seed=0)
+
+
+def draw_warped_inputs(rng, d, cond_range, clustered):
+    """Random box, nodes, theta, lengthscales and values for
+    ``_warped_moments`` whose Gram condition number lies in cond_range."""
+    while True:
+        n = int(rng.integers(2, 5 if d == 4 else 13))
+        lo = rng.uniform(-2.0, 2.0, d)
+        widths = rng.uniform(0.5, 4.0, d)
+        if clustered:
+            u = rng.uniform(0.3, 0.7, d) + 0.08 * rng.standard_normal((n, d))
+        else:
+            u = rng.uniform(size=(n, d))
+        X = lo + widths * np.clip(u, 0.0, 1.0)
+        kern = ProductExpQuadratic(
+            theta=float(10 ** rng.uniform(-1, 1)),
+            lams=tuple(widths * rng.uniform(0.1, 1.0, d)),
+            box=tuple(zip(lo, lo + widths)))
+        K = kern.gram(X, X)
+        if cond_range[0] <= np.linalg.cond(K) <= cond_range[1]:
+            return kern, X, K, rng.uniform(0.0, 2.0, n)
+
+
+class TestWarpedMoments:
+    @pytest.mark.parametrize("d", [1, 2, 3, 4])
+    def test_separable_variance_matches_grid(self, d):
+        rng = np.random.default_rng(100 + d)
+        for _ in range(8):
+            kern, X, K, g = draw_warped_inputs(rng, d, (1.0, 1e4), False)
+            factor, _ = _factorize(K)
+            mean, var, _, _ = _warped_moments(kern, factor, X, g, 0.1)
+            ref_mean, ref_var, quad_kk = grid_warped_moments(
+                kern, factor, X, g, 0.1)
+            assert mean == ref_mean
+            assert abs(var - ref_var) <= 1e-9 * quad_kk
+
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    def test_ill_conditioned_variance_matches_grid(self, d):
+        # w = K^-1 g has large cancelling entries here; quadratic forms in w
+        # lose up to 1e-2 of theta^2 v' K_GG v to rounding at cond 1e11, so
+        # the grid contraction must take over
+        rng = np.random.default_rng(200 + d)
+        for _ in range(6):
+            kern, X, K, g = draw_warped_inputs(rng, d, (1e8, 1e11), True)
+            factor, _ = _factorize(K)
+            _, var, _, _ = _warped_moments(kern, factor, X, g, 0.1)
+            _, ref_var, quad_kk = grid_warped_moments(kern, factor, X, g, 0.1)
+            assert abs(var - ref_var) <= 1e-9 * quad_kk
+
+    def test_4d_memory_does_not_grow_with_grid(self):
+        mu = np.array([0.3, -0.2, 0.1, 0.4])
+        f = lambda x: float(np.exp(-0.5 * np.sum((x - mu) ** 2)))
+        tracemalloc.start()
+        try:
+            warped_bq_integrate(f, [(-5.0, 5.0)] * 4, 10, seed=0)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 32e6
 
 
 class TestProductKernel:
