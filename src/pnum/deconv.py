@@ -9,9 +9,7 @@ sequence is a controlled testbed for belief recycling.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass, field
-from pathlib import Path
 from typing import List, Optional, Tuple
 
 import numpy as np
@@ -150,13 +148,6 @@ class RecyclingReport:
                             "final_residual": r.final_residual,
                             "matvecs": r.matvecs})
         return out
-
-    def to_csv(self, path) -> None:
-        rows = self.rows()
-        with open(Path(path), "w", newline="") as fh:
-            writer = csv.DictWriter(fh, fieldnames=list(rows[0].keys()))
-            writer.writeheader()
-            writer.writerows(rows)
 
 
 def run_recycling_benchmark(problem: ConvolutionProblem, rank: int = 64,

@@ -13,7 +13,7 @@ is linear in the number of steps.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from math import factorial
 from typing import Callable, List, Optional, Sequence, Tuple
 
@@ -258,19 +258,21 @@ def solve_ivp_filter(problem: IVProblem, q: int, h: float, rho2: float = 1.0,
     is not moved by updates, so uncertainty in the position only ever grows
     between observations.
 
-    With ``calibrate_diffusion`` the diffusion scale rho2 is chosen from a
-    16-point log grid by maximizing the one-step predictive likelihood of
-    the observed field values.
+    With ``calibrate_diffusion`` rho2 is the maximum-likelihood diffusion
+    scale of the observed field values.  The mean does not depend on rho2
+    and every covariance is linear in it, so one rho2 = 1 pass sums the
+    scaled residuals r' S^-1 r of the predicted derivatives, rho2 becomes
+    their mean per observed step and dimension, and the stored covariances
+    are rescaled by it.  If every residual is zero (a single step, or exact
+    predictions) the given rho2 is kept.
     """
     if q not in (1, 2):
         raise ValueError("prior order q must be 1 or 2")
     if h <= 0:
         raise ValueError("step size must be positive")
-    if calibrate_diffusion:
-        rho2 = _calibrate_rho2(problem, q, h)
     n = _step_count(problem, h)
     d = problem.dim
-    A1, Q1 = iwp_transition(q, h, rho2)
+    A1, Q1 = iwp_transition(q, h, 1.0 if calibrate_diffusion else rho2)
     eye_d = np.eye(d)
     A = np.kron(A1, eye_d)
     Q = np.kron(Q1, eye_d)
@@ -283,6 +285,7 @@ def solve_ivp_filter(problem: IVProblem, q: int, h: float, rho2: float = 1.0,
     t = problem.t0
     states = [FilterState(t=t, mean=m.copy(), cov=P.copy(), h=h, q=q, rho2=rho2)]
     evals = 0
+    residual = 0.0
     for _ in range(n):
         y = problem.eval_field(m[:d], t)
         evals += 1
@@ -290,8 +293,11 @@ def solve_ivp_filter(problem: IVProblem, q: int, h: float, rho2: float = 1.0,
         S = P[deriv, deriv]
         K = np.zeros((dim_s, d))
         if float(np.trace(S)) > 1e-300:
-            K = np.linalg.solve(S + 1e-14 * float(np.trace(S)) * eye_d,
-                                P[:, deriv].T).T
+            S = S + 1e-14 * float(np.trace(S)) * eye_d
+            K = np.linalg.solve(S, P[:, deriv].T).T
+            if calibrate_diffusion:
+                r = y - m[deriv]
+                residual += float(r @ np.linalg.solve(S, r))
         K[:d] = 0.0
         K[deriv] = eye_d
         m = m + K @ (y - m[deriv])
@@ -304,66 +310,17 @@ def solve_ivp_filter(problem: IVProblem, q: int, h: float, rho2: float = 1.0,
         t += h
         states.append(FilterState(t=t, mean=m.copy(), cov=P.copy(), h=h, q=q,
                                   rho2=rho2))
+    if calibrate_diffusion:
+        if residual > 0.0:
+            rho2 = residual / ((n - 1) * d)
+        for s in states:
+            s.cov[...] *= rho2      # in place: no second copy of the covariances
+        states = [replace(s, rho2=rho2) for s in states]
     ts = problem.t0 + h * np.arange(n + 1)
     mean = np.stack([s.position(d) for s in states])
     std = np.stack([s.position_std(d) for s in states])
     return FilterResult(states=states, ts=ts, mean=mean, std=std, rho2=rho2,
                         evaluations=evals)
-
-
-def _calibrate_rho2(problem: IVProblem, q: int, h: float,
-                    grid: Optional[np.ndarray] = None) -> float:
-    """One-step predictive likelihood of the observed derivatives, on a log grid."""
-    if grid is None:
-        grid = np.geomspace(1e-3, 1e3, 16)
-    best = (-np.inf, 1.0)
-    for rho2 in grid:
-        try:
-            score = _predictive_score(problem, q, h, float(rho2))
-        except (CovarianceBreakdown, NonFiniteField):
-            continue
-        if score > best[0]:
-            best = (score, float(rho2))
-    return best[1]
-
-
-def _predictive_score(problem: IVProblem, q: int, h: float, rho2: float) -> float:
-    n = _step_count(problem, h)
-    d = problem.dim
-    A1, Q1 = iwp_transition(q, h, rho2)
-    eye_d = np.eye(d)
-    A = np.kron(A1, eye_d)
-    Q = np.kron(Q1, eye_d)
-    dim_s = (q + 1) * d
-    deriv = slice(d, 2 * d)
-    m = np.zeros(dim_s)
-    m[:d] = problem.x0
-    P = np.zeros((dim_s, dim_s))
-    t = problem.t0
-    score = 0.0
-    for step in range(n):
-        y = problem.eval_field(m[:d], t)
-        if step > 0:
-            S = P[deriv, deriv] + 1e-300 * eye_d
-            diff = y - m[deriv]
-            sign, logdet = np.linalg.slogdet(2 * np.pi * S)
-            if sign <= 0:
-                return -np.inf
-            score += float(-0.5 * diff @ np.linalg.solve(S, diff) - 0.5 * logdet)
-        K = np.zeros((dim_s, d))
-        if float(np.trace(P[deriv, deriv])) > 1e-300:
-            K = np.linalg.solve(P[deriv, deriv] + 1e-14 * float(np.trace(P[deriv, deriv])) * eye_d,
-                                P[:, deriv].T).T
-        K[:d] = 0.0
-        K[deriv] = eye_d
-        m = m + K @ (y - m[deriv])
-        Z = np.eye(dim_s)
-        Z[:, deriv] -= K
-        P = Z @ P @ Z.T
-        m = A @ m
-        P = A @ P @ A.T + Q
-        t += h
-    return score
 
 
 # ---------------------------------------------------------------------------

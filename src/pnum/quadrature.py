@@ -20,7 +20,7 @@ from dataclasses import dataclass, replace
 from typing import Callable, Optional, Tuple
 
 import numpy as np
-from scipy.linalg import cho_factor, cho_solve
+from scipy.linalg import cho_solve
 from scipy.special import erf
 
 from .exceptions import (NoCandidates, NonPositiveEvaluation, SingularGram,
@@ -309,11 +309,9 @@ def _profile_theta_fit(X: np.ndarray, g: np.ndarray, box: np.ndarray,
         lams = tuple(float(m) for m in mult * widths)
         kern1 = ProductExpQuadratic(theta=1.0, lams=lams,
                                     box=tuple(map(tuple, box)))
-        K1 = kern1.gram(X, X)
-        K1 = K1 + 1e-10 * float(np.mean(np.diag(K1))) * np.eye(n)
         try:
-            factor = cho_factor(K1, lower=True)
-        except np.linalg.LinAlgError:
+            factor, _ = _factorize(kern1.gram(X, X))
+        except SingularGram:
             continue
         alpha = cho_solve(factor, g)
         theta2 = max(float(g @ alpha) / n, 1e-16)

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from pnum import SequenceConfig, generate_sequence, run_recycling_benchmark
+from pnum import SequenceConfig, cli, generate_sequence, run_recycling_benchmark
 
 
 class TestGenerate:
@@ -77,13 +77,11 @@ class TestRecyclingBenchmark:
             report = run_recycling_benchmark(problem, rank=48, tol=1e-8)
             assert report.warm_matvecs <= 1.05 * report.cold_matvecs
 
-    def test_csv_rows_schema(self, tmp_path):
+    def test_csv_rows_schema(self):
+        # the rows `pnum recycle` writes: one per system, cold then warm
         problem = generate_sequence(SequenceConfig(dim=16, length=3, drift=0.01),
                                     seed=0)
         report = run_recycling_benchmark(problem, rank=32, tol=1e-8)
-        path = tmp_path / "recycle.csv"
-        report.to_csv(path)
-        header = path.read_text().splitlines()[0]
-        assert header == ("variant,problem_index,iterations,initial_residual,"
-                          "final_residual,matvecs")
-        assert len(path.read_text().splitlines()) == 1 + 2 * 3
+        rows = report.rows()
+        assert len(rows) == 2 * 3
+        assert all(list(row) == cli._RECYCLE_FIELDS for row in rows)

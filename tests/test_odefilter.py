@@ -120,6 +120,41 @@ class TestFilter:
         res = solve_ivp_filter(prob, q=1, h=0.1, calibrate_diffusion=True)
         assert res.rho2 > 0
 
+    def test_calibrated_rho2_is_mean_scaled_residual(self):
+        # reference from the stored predictions of a plain rho2 = 1 run: the
+        # residual of each observed derivative against its predicted block
+        for name, q, h in (("logistic", 2, 0.05), ("linear", 1, 0.1),
+                           ("lotka-volterra", 2, 0.02)):
+            prob = named_problem(name, t_end=1.0)
+            d = prob.dim
+            plain = solve_ivp_filter(prob, q=q, h=h)
+            terms = []
+            for state in plain.states[1:-1]:
+                S = state.cov[d:2 * d, d:2 * d]
+                S = S + 1e-14 * np.trace(S) * np.eye(d)
+                r = prob.eval_field(state.mean[:d], state.t) - state.mean[d:2 * d]
+                terms.append(r @ np.linalg.solve(S, r) / d)
+            res = solve_ivp_filter(prob, q=q, h=h, calibrate_diffusion=True)
+            assert res.rho2 == pytest.approx(np.mean(terms), rel=1e-10)
+            assert all(state.rho2 == res.rho2 for state in res.states)
+            for cal, ref in zip(res.states, plain.states):
+                assert np.allclose(cal.cov, res.rho2 * ref.cov, rtol=1e-10,
+                                   atol=1e-12 * res.rho2 * np.abs(ref.cov).max())
+
+    def test_calibration_is_not_clipped(self):
+        prob = named_problem("stiff-linear")
+        res = solve_ivp_filter(prob, q=2, h=0.01, calibrate_diffusion=True)
+        assert res.rho2 > 1e3
+
+    def test_zero_residual_keeps_given_rho2(self):
+        prob = named_problem("linear", a=0.0)
+        res = solve_ivp_filter(prob, q=2, h=0.1, rho2=0.5,
+                               calibrate_diffusion=True)
+        plain = solve_ivp_filter(prob, q=2, h=0.1, rho2=0.5)
+        assert res.rho2 == 0.5
+        assert all(state.rho2 == 0.5 for state in res.states)
+        assert np.allclose(res.std, plain.std, rtol=1e-12, atol=0.0)
+
     def test_stiff_linear_problem(self):
         prob = named_problem("stiff-linear", lam=-20.0, t_end=0.5)
         res = solve_ivp_filter(prob, q=1, h=0.01)

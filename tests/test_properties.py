@@ -2,15 +2,18 @@
 
 Linear solver: each example draws a dimension, a condition number and a seed
 for a ``random_spd`` operator and a right-hand side.  Quadrature: each
-example draws a linear-spline kernel, an interval, nodes and values.
+example draws a linear-spline kernel, an interval, nodes and values.  ODE
+filter: each example draws a prior order, a problem, a step and a diffusion
+scale.
 """
 
 import numpy as np
 from hypothesis import given, settings, strategies as st
 
 from pnum import (BQState, LinearOperator, bq_posterior, classic_cg,
-                  identity_belief, linear_spline, posterior_mean_apply,
-                  random_spd, solve_probabilistic, trapezoid)
+                  identity_belief, linear_spline, named_problem,
+                  posterior_mean_apply, random_spd, rk_method, rk_reference,
+                  solve_ivp_filter, solve_probabilistic, trapezoid)
 
 systems = st.tuples(st.integers(2, 48), st.floats(1.0, 1e4),
                     st.integers(0, 2**31 - 1))
@@ -111,3 +114,35 @@ def test_spline_bq_mean_is_trapezoid(rule):
         state = state.with_node(x, y)
     mean = bq_posterior(state).mean
     assert abs(mean - trapezoid(nodes, values)) <= 1e-9 * trapezoid(nodes, np.abs(values))
+
+
+filter_runs = st.tuples(
+    st.sampled_from((1, 2)),
+    st.one_of(st.tuples(st.just("linear"), st.floats(-2.0, 2.0),
+                        st.floats(0.5, 2.0)),                  # a, x0
+              st.tuples(st.just("logistic"), st.floats(0.5, 3.0),
+                        st.floats(0.05, 0.9))),                # r, x0
+    st.integers(1, 50),                                        # steps on [0, 1]
+    st.floats(-3.0, 3.0))                                      # log10 rho2
+
+
+@checks
+@given(filter_runs)
+def test_filter_mean_free_of_rho2_and_covariance_linear_in_it(run):
+    # these identities make the closed-form diffusion calibration exact
+    q, (name, rate, x0), steps, log_rho2 = run
+    rate_key = "a" if name == "linear" else "r"
+    prob = named_problem(name, x0=x0, t_end=1.0, **{rate_key: rate})
+    h = 1.0 / steps
+    rho2 = 10.0 ** log_rho2
+    unit = solve_ivp_filter(prob, q=q, h=h)
+    scaled = solve_ivp_filter(prob, q=q, h=h, rho2=rho2)
+    for ref, state in zip(unit.states, scaled.states):
+        assert np.all(np.abs(state.mean - ref.mean)
+                      <= 1e-12 * (1.0 + np.abs(ref.mean)))
+        assert (np.abs(state.cov - rho2 * ref.cov).max()
+                <= 1e-12 * rho2 * np.abs(ref.cov).max())
+    if q == 1:
+        _, euler = rk_reference(prob, rk_method("euler"), h)
+        assert np.all(np.abs(scaled.mean - euler)
+                      <= 1e-10 * (1.0 + np.abs(euler)))
