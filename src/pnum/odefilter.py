@@ -6,14 +6,20 @@ evaluates the vector field at the current position mean, conditions the
 derivative block of the state on that value (the position coordinate is
 deliberately left untouched by the update, which is what makes the q = 1
 mean trajectory coincide with explicit Euler exactly), then extrapolates
-with the closed-form transition.  Per-step cost is constant, so total cost
-is linear in the number of steps.
+with the closed-form transition.
+
+Every covariance of a d-dimensional problem is P1 (x) I_d for a
+(q+1) x (q+1) factor P1, and neither P1 nor the gain depends on the vector
+field.  So the filter runs in two passes: a data-free covariance pass on P1
+with one batched PSD check, then a mean pass, the only loop that evaluates
+the field, which updates the (q+1) x d mean.  Both cost a constant per step,
+so total cost is linear in the number of steps.
 """
 
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from math import factorial
 from typing import Callable, List, Optional, Sequence, Tuple
 
@@ -44,9 +50,7 @@ class IVProblem:
         object.__setattr__(self, "x0", np.atleast_1d(np.asarray(self.x0, dtype=float)))
         if not self.t_end > self.t0:
             raise ValueError("t_end must exceed t0")
-        probe = self.eval_field(self.x0, self.t0)
-        if not np.all(np.isfinite(probe)):
-            raise NonFiniteField("vector field not finite at the initial point")
+        self.eval_field(self.x0, self.t0)
 
     @property
     def dim(self) -> int:
@@ -54,7 +58,7 @@ class IVProblem:
 
     def eval_field(self, x: np.ndarray, t: float) -> np.ndarray:
         y = np.atleast_1d(np.asarray(self.f(x, t), dtype=float))
-        if not np.all(np.isfinite(y)):
+        if not np.isfinite(y).all():
             raise NonFiniteField(f"vector field returned non-finite value at t={t}")
         return y
 
@@ -227,7 +231,13 @@ class FilterState:
 
 @dataclass
 class FilterResult:
-    """Full filtering run: per-step states plus convenience trajectories."""
+    """Full filtering run: per-step states plus convenience trajectories.
+
+    ``psd_slack`` is the smallest min-eigenvalue / trace over every
+    covariance the PSD check saw (the zero prior, each update and each
+    prediction); the run raises ``CovarianceBreakdown`` below
+    -PSD_SLACK_REL.
+    """
 
     states: List[FilterState]
     ts: np.ndarray
@@ -235,36 +245,87 @@ class FilterResult:
     std: np.ndarray           # (n_steps + 1, dim) position standard deviations
     rho2: float
     evaluations: int = 0
+    psd_slack: float = 0.0
 
 
-def _check_psd(P: np.ndarray) -> np.ndarray:
-    P = 0.5 * (P + P.T)
-    eig = np.linalg.eigvalsh(P)
-    tr = max(float(np.trace(P)), 1e-300)
-    if eig[0] < -PSD_SLACK_REL * tr:
+def _check_psd(factors: np.ndarray, d: int) -> float:
+    """Worst min-eigenvalue / trace of the covariances P1 (x) I_d.
+
+    eig(P1 (x) I_d) = eig(P1) and tr(P1 (x) I_d) = d tr(P1), so one batched
+    eigvalsh over the factors checks them all.  ``factors`` is in step order
+    (the prior, then each step's update and prediction), and the first one
+    below -PSD_SLACK_REL raises ``CovarianceBreakdown``.
+    """
+    eig = np.linalg.eigvalsh(factors)[:, 0]
+    tr = np.maximum(d * np.trace(factors, axis1=1, axis2=2), 1e-300)
+    slack = eig / tr
+    bad = np.flatnonzero(slack < -PSD_SLACK_REL)
+    if bad.size:
+        j = bad[0]
         raise CovarianceBreakdown(
-            f"covariance eigenvalue {eig[0]:.3e} below -{PSD_SLACK_REL} * trace")
-    return P
+            f"covariance eigenvalue {eig[j]:.3e} below -{PSD_SLACK_REL} * trace "
+            f"in step {(j - 1) // 2}")
+    return float(slack.min())
+
+
+def _covariance_pass(A1: np.ndarray, Q1: np.ndarray, n: int, d: int):
+    """Data-free half of the filter, on the factor P1 of P = P1 (x) I_d.
+
+    Returns the predicted factors Ps (n + 1, q + 1, q + 1), the gain vectors
+    (n, q + 1, 1), the jittered derivative variances s (0 where the gain
+    guard skipped the solve) and the PSD slack.
+    """
+    q1 = A1.shape[0]
+    # factors[2k] is the prediction for step k, factors[2k + 1] its update
+    factors = np.zeros((2 * n + 1, q1, q1))
+    gains = np.zeros((n, q1, 1))
+    s = np.zeros(n)
+    eye = np.eye(q1)
+    P = factors[0]
+    for k in range(n):
+        g = gains[k, :, 0]
+        tr = d * P[1, 1]           # trace of the derivative block P1[1, 1] I_d
+        if tr > 1e-300:
+            s[k] = P[1, 1] + 1e-14 * tr
+            g[:] = P[:, 1] / s[k]
+        g[0] = 0.0
+        g[1] = 1.0
+        Z = eye.copy()
+        Z[:, 1] -= g
+        P = Z.dot(P).dot(Z.T)
+        P = factors[2 * k + 1] = 0.5 * (P + P.T)
+        P = A1.dot(P).dot(A1.T) + Q1
+        P = factors[2 * k + 2] = 0.5 * (P + P.T)
+    return factors[::2], gains, s, _check_psd(factors, d)
 
 
 def solve_ivp_filter(problem: IVProblem, q: int, h: float, rho2: float = 1.0,
                      calibrate_diffusion: bool = False) -> FilterResult:
     """Filter the IVP on a fixed grid with the integrated-Wiener prior.
 
-    One vector-field evaluation per step, taken at the step start at the
-    current position mean.  The update pins the first-derivative block to
-    the observed field value (Dirac likelihood) and conditions the higher
-    derivative blocks through their covariance with it; the position block
-    is not moved by updates, so uncertainty in the position only ever grows
-    between observations.
+    One vector-field evaluation per step, taken at the step start
+    ``ts[k]`` at the current position mean.  The update pins the
+    first-derivative block to the observed field value (Dirac likelihood)
+    and conditions the higher derivative blocks through their covariance
+    with it; the position block is not moved by updates, so uncertainty in
+    the position only ever grows between observations.
+
+    The covariances and gains do not depend on the field, and each is
+    P1 (x) I_d.  A covariance pass therefore runs the recursion once on the
+    (q+1) x (q+1) factor P1 and checks every factor for PSD in one batch,
+    before the field is evaluated at all.  The mean pass then keeps the
+    mean as a (q+1) x d array M; a step evaluates the field, forms the
+    residual r = y - M[1] of the predicted derivative and sets
+    M = A1 (M + g_k r').  Every ``FilterState.cov`` is a view of one array
+    built from the factors.
 
     With ``calibrate_diffusion`` rho2 is the maximum-likelihood diffusion
     scale of the observed field values.  The mean does not depend on rho2
     and every covariance is linear in it, so one rho2 = 1 pass sums the
-    scaled residuals r' S^-1 r of the predicted derivatives, rho2 becomes
-    their mean per observed step and dimension, and the stored covariances
-    are rescaled by it.  If every residual is zero (a single step, or exact
-    predictions) the given rho2 is kept.
+    scaled residuals r' S^-1 r = r'r / s_k of the predicted derivatives,
+    rho2 becomes their mean per observed step and dimension, and the stored
+    covariances are rescaled by it.  If every residual is zero (a single
+    step, or exact predictions) the given rho2 is kept.
     """
     if q not in (1, 2):
         raise ValueError("prior order q must be 1 or 2")
@@ -273,54 +334,34 @@ def solve_ivp_filter(problem: IVProblem, q: int, h: float, rho2: float = 1.0,
     n = _step_count(problem, h)
     d = problem.dim
     A1, Q1 = iwp_transition(q, h, 1.0 if calibrate_diffusion else rho2)
-    eye_d = np.eye(d)
-    A = np.kron(A1, eye_d)
-    Q = np.kron(Q1, eye_d)
-    dim_s = (q + 1) * d
-    deriv = slice(d, 2 * d)
+    Ps, gains, s, psd_slack = _covariance_pass(A1, Q1, n, d)
 
-    m = np.zeros(dim_s)
-    m[:d] = problem.x0
-    P = np.zeros((dim_s, dim_s))
-    t = problem.t0
-    states = [FilterState(t=t, mean=m.copy(), cov=P.copy(), h=h, q=q, rho2=rho2)]
-    evals = 0
+    ts = problem.t0 + h * np.arange(n + 1)
+    times = ts.tolist()
+    Ms = np.zeros((n + 1, q + 1, d))
+    Ms[0, 0] = problem.x0
+    M = Ms[0]
     residual = 0.0
-    for _ in range(n):
-        y = problem.eval_field(m[:d], t)
-        evals += 1
-        # restricted-gain conditioning on the derivative block
-        S = P[deriv, deriv]
-        K = np.zeros((dim_s, d))
-        if float(np.trace(S)) > 1e-300:
-            S = S + 1e-14 * float(np.trace(S)) * eye_d
-            K = np.linalg.solve(S, P[:, deriv].T).T
-            if calibrate_diffusion:
-                r = y - m[deriv]
-                residual += float(r @ np.linalg.solve(S, r))
-        K[:d] = 0.0
-        K[deriv] = eye_d
-        m = m + K @ (y - m[deriv])
-        Z = np.eye(dim_s)
-        Z[:, deriv] -= K
-        P = _check_psd(Z @ P @ Z.T)
-        # extrapolate
-        m = A @ m
-        P = _check_psd(A @ P @ A.T + Q)
-        t += h
-        states.append(FilterState(t=t, mean=m.copy(), cov=P.copy(), h=h, q=q,
-                                  rho2=rho2))
+    for k in range(n):
+        y = problem.eval_field(M[0], times[k])
+        r = y - M[1]
+        if calibrate_diffusion and s[k] > 0.0:
+            residual += float(r @ r) / s[k]
+        M = np.dot(A1, M + gains[k] * r, out=Ms[k + 1])
+
+    dim_s = (q + 1) * d
+    # covs[k] = Ps[k] (x) I_d, in the derivative-major order of the mean
+    covs = (Ps[:, :, None, :, None] * np.eye(d)[:, None, :]).reshape(
+        n + 1, dim_s, dim_s)
     if calibrate_diffusion:
         if residual > 0.0:
             rho2 = residual / ((n - 1) * d)
-        for s in states:
-            s.cov[...] *= rho2      # in place: no second copy of the covariances
-        states = [replace(s, rho2=rho2) for s in states]
-    ts = problem.t0 + h * np.arange(n + 1)
-    mean = np.stack([s.position(d) for s in states])
-    std = np.stack([s.position_std(d) for s in states])
-    return FilterResult(states=states, ts=ts, mean=mean, std=std, rho2=rho2,
-                        evaluations=evals)
+        covs *= rho2
+    states = [FilterState(t=t, mean=m, cov=c, h=h, q=q, rho2=rho2)
+              for t, m, c in zip(times, Ms.reshape(n + 1, dim_s), covs)]
+    std = np.sqrt(np.clip(np.diagonal(covs, axis1=1, axis2=2)[:, :d], 0.0, None))
+    return FilterResult(states=states, ts=ts, mean=Ms[:, 0].copy(), std=std,
+                        rho2=rho2, evaluations=n, psd_slack=psd_slack)
 
 
 # ---------------------------------------------------------------------------

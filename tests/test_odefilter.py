@@ -1,10 +1,11 @@
 import numpy as np
 import pytest
 
-from pnum import (IVProblem, NonFiniteField,
+from pnum import (CovarianceBreakdown, IVProblem, NonFiniteField,
                   convergence_order_estimate, filter_solver, iwp_transition,
-                  named_problem, rk_method, rk_reference, rk_solver,
+                  named_problem, odefilter, rk_method, rk_reference, rk_solver,
                   solve_ivp_filter)
+from pnum.odefilter import PSD_SLACK_REL
 
 
 class TestRKReference:
@@ -41,6 +42,15 @@ class TestRKReference:
         prob = named_problem("linear")
         with pytest.raises(ValueError):
             rk_reference(prob, rk_method("euler"), 0.3)
+
+    def test_field_finiteness_check(self):
+        prob = IVProblem(f=lambda x, t: x, x0=[1.0, 1.0, 1.0], t0=0.0, t_end=1.0)
+        for bad in (np.inf, -np.inf, np.nan):
+            with pytest.raises(NonFiniteField):
+                prob.eval_field(np.array([1.0, bad, 1.0]), 0.0)
+        # finite values whose sum overflows are still finite
+        big = np.array([1.7e308, 1.7e308, -1.7e308])
+        assert np.array_equal(prob.eval_field(big, 0.0), big)
 
     def test_tableau_consistency(self):
         for name, order in (("euler", 1), ("midpoint", 2), ("rk4", 4)):
@@ -93,9 +103,41 @@ class TestFilter:
     def test_covariance_psd_every_step(self):
         prob = named_problem("logistic")
         res = solve_ivp_filter(prob, q=2, h=0.05)
+        slacks = []
         for state in res.states:
             eig = np.linalg.eigvalsh(state.cov)
-            assert eig[0] >= -1e-8 * max(np.trace(state.cov), 1e-300)
+            slacks.append(eig[0] / max(np.trace(state.cov), 1e-300))
+        assert min(slacks) >= -PSD_SLACK_REL
+        # the reported slack also covers the conditioned covariances
+        assert np.isfinite(res.psd_slack)
+        assert -PSD_SLACK_REL <= res.psd_slack <= min(slacks) + 1e-15
+
+    def test_breakdown_raised_before_any_field_evaluation(self, monkeypatch):
+        calls = []
+        prob = IVProblem(f=lambda x, t: calls.append(t) or -x, x0=[1.0],
+                         t0=0.0, t_end=1.0)
+        calls.clear()
+        iwp = odefilter.iwp_transition
+
+        def indefinite_noise(q, h, rho2):
+            A, Q = iwp(q, h, rho2)
+            return A, -Q
+
+        monkeypatch.setattr(odefilter, "iwp_transition", indefinite_noise)
+        with pytest.raises(CovarianceBreakdown):
+            solve_ivp_filter(prob, q=2, h=0.1)
+        assert calls == []
+
+    def test_states_sit_on_the_time_grid(self):
+        # 200 steps of t += 0.01 drift off t0 + k h; the grid does not
+        calls = []
+        base = named_problem("logistic")
+        prob = IVProblem(f=lambda x, t: calls.append(t) or base.f(x, t),
+                         x0=base.x0, t0=0.0, t_end=base.t_end)
+        calls.clear()
+        res = solve_ivp_filter(prob, q=2, h=0.01)
+        assert [s.t for s in res.states] == list(res.ts)
+        assert calls == list(res.ts[:-1])
 
     def test_diffusion_scaling(self):
         prob = IVProblem(f=lambda x, t: np.zeros_like(x), x0=[0.0], t0=0.0,
@@ -155,6 +197,24 @@ class TestFilter:
         assert all(state.rho2 == 0.5 for state in res.states)
         assert np.allclose(res.std, plain.std, rtol=1e-12, atol=0.0)
 
+    @pytest.mark.parametrize("name,params,q,h,rho2,calibrate", [
+        ("lotka-volterra", {}, 1, 0.01, 1.0, False),
+        ("lotka-volterra", {}, 2, 0.01, 0.37, False),
+        ("lotka-volterra", {}, 2, 0.01, 1.0, True),
+        ("logistic", {}, 2, 0.01, 0.37, True),
+        ("stiff-linear", {}, 2, 0.01, 1.0, True),
+        ("linear", {"a": 0.0}, 2, 0.1, 0.37, True),
+    ])
+    def test_matches_full_size_filter(self, name, params, q, h, rho2, calibrate):
+        prob = named_problem(name, **params)
+        res = solve_ivp_filter(prob, q=q, h=h, rho2=rho2,
+                               calibrate_diffusion=calibrate)
+        means, covs, ref_rho2 = full_size_filter(prob, q, h, rho2, calibrate)
+        assert res.rho2 == pytest.approx(ref_rho2, rel=1e-13, abs=0.0)
+        for state, m, P in zip(res.states, means, covs):
+            assert np.all(np.abs(state.mean - m) <= 1e-10 * (1.0 + np.abs(m)))
+            assert np.abs(state.cov - P).max() <= 1e-13 * np.abs(P).max()
+
     def test_stiff_linear_problem(self):
         prob = named_problem("stiff-linear", lam=-20.0, t_end=0.5)
         res = solve_ivp_filter(prob, q=1, h=0.01)
@@ -162,6 +222,46 @@ class TestFilter:
         assert abs(res.mean[-1, 0] - prob.exact(0.5)[0]) < 0.01
         with pytest.raises(ValueError):
             named_problem("stiff-linear", lam=1.0)
+
+
+def full_size_filter(problem, q, h, rho2=1.0, calibrate=False):
+    """The filter as one loop over the full (q+1)d state: the reference for
+    the two-pass solver, whose arithmetic differs only in rounding."""
+    d = problem.dim
+    n = int(round((problem.t_end - problem.t0) / h))
+    A1, Q1 = iwp_transition(q, h, 1.0 if calibrate else rho2)
+    eye_d = np.eye(d)
+    A, Q = np.kron(A1, eye_d), np.kron(Q1, eye_d)
+    dim_s = (q + 1) * d
+    deriv = slice(d, 2 * d)
+    m = np.zeros(dim_s)
+    m[:d] = problem.x0
+    P = np.zeros((dim_s, dim_s))
+    means, covs, residual = [m], [P], 0.0
+    for k in range(n):
+        y = problem.eval_field(m[:d], problem.t0 + k * h)
+        S = P[deriv, deriv]
+        K = np.zeros((dim_s, d))
+        if np.trace(S) > 1e-300:
+            S = S + 1e-14 * np.trace(S) * eye_d
+            K = np.linalg.solve(S, P[:, deriv].T).T
+            r = y - m[deriv]
+            residual += r @ np.linalg.solve(S, r)
+        K[:d] = 0.0
+        K[deriv] = eye_d
+        m = A @ (m + K @ (y - m[deriv]))
+        Z = np.eye(dim_s)
+        Z[:, deriv] -= K
+        P = Z @ P @ Z.T
+        P = 0.5 * (P + P.T)
+        P = A @ P @ A.T + Q
+        P = 0.5 * (P + P.T)
+        means.append(m)
+        covs.append(P)
+    if calibrate and residual > 0.0:
+        rho2 = residual / ((n - 1) * d)
+    scale = rho2 if calibrate else 1.0
+    return np.array(means), scale * np.array(covs), rho2
 
 
 class TestIWPTransition:

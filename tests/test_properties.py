@@ -4,14 +4,14 @@ Linear solver: each example draws a dimension, a condition number and a seed
 for a ``random_spd`` operator and a right-hand side.  Quadrature: each
 example draws a linear-spline kernel, an interval, nodes and values.  ODE
 filter: each example draws a prior order, a problem, a step and a diffusion
-scale.
+scale, or two vector fields of one dimension.
 """
 
 import numpy as np
 from hypothesis import given, settings, strategies as st
 
-from pnum import (BQState, LinearOperator, bq_posterior, classic_cg,
-                  identity_belief, linear_spline, named_problem,
+from pnum import (BQState, IVProblem, LinearOperator, bq_posterior,
+                  classic_cg, identity_belief, linear_spline, named_problem,
                   posterior_mean_apply, random_spd, rk_method, rk_reference,
                   solve_ivp_filter, solve_probabilistic, trapezoid)
 
@@ -146,3 +146,30 @@ def test_filter_mean_free_of_rho2_and_covariance_linear_in_it(run):
         _, euler = rk_reference(prob, rk_method("euler"), h)
         assert np.all(np.abs(scaled.mean - euler)
                       <= 1e-10 * (1.0 + np.abs(euler)))
+
+
+field_pairs = st.tuples(
+    st.sampled_from((1, 2)),
+    st.integers(1, 3),                                         # dimension
+    st.floats(-2.0, 2.0), st.floats(0.5, 3.0),                 # linear a, logistic r
+    st.floats(0.05, 0.9),                                      # x0 scale
+    st.integers(1, 50),                                        # steps on [0, 1]
+    st.floats(-3.0, 3.0))                                      # log10 rho2
+
+
+@checks
+@given(field_pairs)
+def test_filter_covariance_free_of_the_field_and_kronecker(run):
+    # the covariance pass never sees the field: any two fields of one
+    # dimension give the same covariances, each P1 (x) I_d
+    q, d, a, r, x0, steps, log_rho2 = run
+    linear = IVProblem(f=lambda x, t: a * x, x0=np.full(d, x0), t0=0.0,
+                       t_end=1.0)
+    nonlinear = IVProblem(f=lambda x, t: r * x * (1.0 - x) + t,
+                         x0=np.linspace(x0, 1.0, d), t0=0.0, t_end=1.0)
+    kw = dict(q=q, h=1.0 / steps, rho2=10.0 ** log_rho2)
+    first = solve_ivp_filter(linear, **kw)
+    second = solve_ivp_filter(nonlinear, **kw)
+    for s1, s2 in zip(first.states, second.states):
+        assert np.array_equal(s1.cov, s2.cov)
+        assert np.array_equal(s1.cov, np.kron(s1.cov[::d, ::d], np.eye(d)))
