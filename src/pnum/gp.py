@@ -1,7 +1,9 @@
 """Gaussian process machinery on a closed interval.
 
-Kernels, noise-free conditioning, marginal-likelihood hyperparameter fitting
-and prior sampling.  Two covariance families are supported:
+Kernels, noise-free conditioning, prior sampling and marginal-likelihood
+hyperparameter fitting.  The scale multiplies the Gram (by c, or theta^2), so
+its optimum given the shape is closed-form and fits search the shape alone on
+this profiled likelihood.  Two covariance families are supported:
 
 * ``linear_spline``: k(x, x') = c * (1 + b - b/3 * |x - x'|), a stationary
   relative of the Wiener process whose sample paths are continuous but rough.
@@ -21,6 +23,7 @@ from typing import Dict, Optional, Tuple
 
 import numpy as np
 from scipy.linalg import cho_factor, cho_solve
+from scipy.optimize import minimize_scalar
 
 from .exceptions import DuplicateNode, SingularGram
 
@@ -98,6 +101,18 @@ def _check_in_domain(kernel: Kernel, *arrays) -> None:
                 f"abscissa outside kernel domain [{lo}, {hi}]")
 
 
+# (scale name, shape name, power of the scale in the Gram multiplier)
+_PARAMS = {KernelFamily.LINEAR_SPLINE: ("c", "b", 1),
+           KernelFamily.EXP_QUADRATIC: ("theta", "lam", 2)}
+
+
+def _unit_kernel(family: KernelFamily, shape: float, r: np.ndarray) -> np.ndarray:
+    """k at distance r with the scale multiplier (c, or theta^2) set to 1."""
+    if family is KernelFamily.LINEAR_SPLINE:
+        return 1.0 + shape - (shape / 3.0) * r
+    return np.exp(-(r / shape) ** 2)
+
+
 def kernel_eval(kernel: Kernel, x, xp) -> np.ndarray:
     """Evaluate k(x, x') elementwise (inputs broadcast together).
 
@@ -107,10 +122,8 @@ def kernel_eval(kernel: Kernel, x, xp) -> np.ndarray:
     xp = np.asarray(xp, dtype=float)
     _check_in_domain(kernel, x, xp)
     p = kernel.param_dict
-    r = np.abs(x - xp)
-    if kernel.family is KernelFamily.LINEAR_SPLINE:
-        return p["c"] * (1.0 + p["b"] - (p["b"] / 3.0) * r)
-    return p["theta"] ** 2 * np.exp(-(r / p["lam"]) ** 2)
+    s_name, h_name, power = _PARAMS[kernel.family]
+    return p[s_name] ** power * _unit_kernel(kernel.family, p[h_name], np.abs(x - xp))
 
 
 def gram_matrix(kernel: Kernel, nodes) -> np.ndarray:
@@ -136,11 +149,11 @@ def _factorize(K: np.ndarray):
     """Cholesky-factorize K + jitter*I, escalating jitter on failure.
 
     Returns (cho_factor result, jitter actually used).  Raises SingularGram
-    once the jitter ceiling is passed.
+    for a non-finite Gram and once the jitter ceiling is passed.
     """
     scale = float(np.mean(np.diag(K)))
-    if not np.isfinite(scale) or scale <= 0:
-        raise SingularGram("Gram diagonal is not positive")
+    if not (scale > 0 and np.isfinite(K).all()):
+        raise SingularGram("Gram is not finite with a positive diagonal")
     jitter = JITTER_REL_START * scale
     eye = np.eye(K.shape[0])
     while jitter <= JITTER_REL_MAX * scale * (1 + 1e-9):
@@ -218,16 +231,29 @@ def gp_condition(kernel: Kernel, nodes, values) -> GPPosterior:
                        weights=weights, factor=factor, jitter=jitter)
 
 
+def _profiled_likelihood(K1: np.ndarray, y: np.ndarray, m_lo: float,
+                         m_hi: float = np.inf):
+    """Log evidence of y under m * K1 at its maximizer m = clip(y' K1^-1 y / n).
+
+    Returns (log evidence, m, jittered factor of K1); sqrt(m) times that
+    factor is the factor of m * K1.  Raises SingularGram if the Gram or the
+    quadratic form is not finite.
+    """
+    factor, _ = _factorize(K1)
+    q = float(y @ cho_solve(factor, y, check_finite=False))
+    if not np.isfinite(q):
+        raise SingularGram(f"profiled quadratic form y' K1^-1 y = {q}")
+    n = y.size
+    m = min(max(q / n, m_lo), m_hi)
+    logdet = 2.0 * float(np.sum(np.log(np.diag(factor[0]))))
+    ll = -0.5 * q / m - 0.5 * n * log(m) - 0.5 * logdet - 0.5 * n * log(2 * pi)
+    return ll, m, factor
+
+
 def log_marginal_likelihood(kernel: Kernel, nodes, values) -> float:
     """Gaussian log evidence of (nodes, values) under the kernel prior."""
-    nodes = np.asarray(nodes, dtype=float)
-    values = np.asarray(values, dtype=float)
     K = gram_matrix(kernel, nodes)
-    factor, _ = _factorize(K)
-    alpha = cho_solve(factor, values)
-    logdet = 2.0 * float(np.sum(np.log(np.diag(factor[0]))))
-    n = nodes.size
-    return float(-0.5 * values @ alpha - 0.5 * logdet - 0.5 * n * log(2 * pi))
+    return _profiled_likelihood(K, np.asarray(values, dtype=float), 1.0, 1.0)[0]
 
 
 @dataclass(frozen=True)
@@ -239,15 +265,12 @@ class FitResult:
     degenerate: bool = False
 
 
-_SCALE_PARAM = {KernelFamily.LINEAR_SPLINE: "c", KernelFamily.EXP_QUADRATIC: "theta"}
-_SHAPE_PARAM = {KernelFamily.LINEAR_SPLINE: "b", KernelFamily.EXP_QUADRATIC: "lam"}
-
-
-def _make_kernel(family: KernelFamily, scale: float, shape: float,
+def _make_kernel(family: KernelFamily, mult: float, shape: float,
                  domain: Tuple[float, float]) -> Kernel:
+    """Kernel whose scale multiplier (c, or theta^2) is ``mult``."""
     if family is KernelFamily.LINEAR_SPLINE:
-        return linear_spline(c=scale, b=shape, domain=domain)
-    return exp_quadratic(theta=scale, lam=shape, domain=domain)
+        return linear_spline(c=mult, b=shape, domain=domain)
+    return exp_quadratic(theta=np.sqrt(mult), lam=shape, domain=domain)
 
 
 def default_bounds(family: KernelFamily, nodes, values) -> Dict[str, Tuple[float, float]]:
@@ -268,14 +291,14 @@ def default_bounds(family: KernelFamily, nodes, values) -> Dict[str, Tuple[float
 
 def fit_hyperparameters(family: KernelFamily, nodes, values,
                         bounds: Optional[Dict[str, Tuple[float, float]]] = None,
-                        domain: Optional[Tuple[float, float]] = None,
-                        grid_size: int = 16, max_iter: int = 50) -> FitResult:
-    """Maximize the log marginal likelihood over a log grid plus local search.
+                        domain: Optional[Tuple[float, float]] = None) -> FitResult:
+    """Maximize the log marginal likelihood over the kernel's scale and shape.
 
-    A ``grid_size``-point logarithmic grid per parameter is scanned, then the
-    best point is refined by multiplicative coordinate descent (at most
-    ``max_iter`` sweeps, relative tolerance 1e-4).  The refined likelihood is
-    never below the best grid candidate.
+    Given the shape, the scale's optimum within ``bounds`` is closed-form
+    (y' K1^-1 y / n for the unit-scale Gram K1), so only the shape is
+    searched: a 16-point log grid, then a bounded scalar search in log-shape
+    between the best grid point's neighbours.  The result is never below
+    the best candidate of the 16 x 16 (scale, shape) log grid.
 
     All-identical values leave the scale unidentifiable; in that case the
     scale is pinned to its lower bound and ``degenerate`` is flagged.
@@ -288,54 +311,38 @@ def fit_hyperparameters(family: KernelFamily, nodes, values,
         domain = (float(nodes.min()), float(nodes.max()))
     if bounds is None:
         bounds = default_bounds(family, nodes, values)
-    s_name, h_name = _SCALE_PARAM[family], _SHAPE_PARAM[family]
-    s_lo, s_hi = bounds[s_name]
-    h_lo, h_hi = bounds[h_name]
+    s_name, h_name, power = _PARAMS[family]
+    (s_lo, s_hi), (h_lo, h_hi) = bounds[s_name], bounds[h_name]
     if min(s_lo, h_lo) <= 0:
         raise ValueError("parameter bounds must be positive")
+    m_lo, m_hi = s_lo ** power, s_hi ** power
 
     if np.ptp(values) == 0.0:
         shape = float(np.sqrt(h_lo * h_hi))
-        kern = _make_kernel(family, s_lo, shape, domain)
+        kern = _make_kernel(family, m_lo, shape, domain)
         return FitResult(kernel=kern, degenerate=True,
                          log_marginal=log_marginal_likelihood(kern, nodes, values))
 
-    def objective(scale, shape):
+    r = np.abs(nodes[:, None] - nodes[None, :])
+    best = (-np.inf, m_lo, h_lo)
+
+    def neg_profiled(shape):
+        nonlocal best
         try:
-            return log_marginal_likelihood(
-                _make_kernel(family, scale, shape, domain), nodes, values)
+            ll, m, _ = _profiled_likelihood(_unit_kernel(family, shape, r),
+                                            values, m_lo, m_hi)
         except SingularGram:
-            return -np.inf
+            return np.inf
+        best = max(best, (ll, m, shape))
+        return -ll
 
-    scales = np.geomspace(s_lo, s_hi, grid_size)
-    shapes = np.geomspace(h_lo, h_hi, grid_size)
-    best_ll, best = -np.inf, (scales[0], shapes[0])
-    for s in scales:
-        for h in shapes:
-            ll = objective(s, h)
-            if ll > best_ll:
-                best_ll, best = ll, (s, h)
-
-    # multiplicative coordinate descent from the best grid point
-    step = np.array([scales[1] / scales[0], shapes[1] / shapes[0]])
-    params = np.array(best)
-    lo_hi = [(s_lo, s_hi), (h_lo, h_hi)]
-    for _ in range(max_iter):
-        improved = False
-        for ci in range(2):
-            for fac in (step[ci], 1.0 / step[ci]):
-                trial = params.copy()
-                trial[ci] = float(np.clip(trial[ci] * fac, *lo_hi[ci]))
-                ll = objective(trial[0], trial[1])
-                if ll > best_ll:
-                    best_ll, params = ll, trial
-                    improved = True
-        if not improved:
-            step = np.sqrt(step)
-            if np.all(step < 1.0 + 1e-4):
-                break
-    kern = _make_kernel(family, float(params[0]), float(params[1]), domain)
-    return FitResult(kernel=kern, log_marginal=best_ll, degenerate=False)
+    shapes = np.geomspace(h_lo, h_hi, 16)
+    i = int(np.argmin([neg_profiled(h) for h in shapes]))
+    minimize_scalar(lambda t: neg_profiled(float(np.exp(t))), method="bounded",
+                    bounds=np.log(shapes[[max(i - 1, 0), min(i + 1, 15)]]))
+    kern = _make_kernel(family, best[1], float(best[2]), domain)
+    return FitResult(kernel=kern, degenerate=False,
+                     log_marginal=log_marginal_likelihood(kern, nodes, values))
 
 
 # Cholesky factors of recently used Gram matrices; sample_path on a fixed

@@ -197,17 +197,24 @@ def iwp_transition(q: int, h: float, rho2: float) -> Tuple[np.ndarray, np.ndarra
     """Exact discrete transition and process noise of the q-times IWP.
 
     State order is (x, x', ..., x^(q)); A[i, j] = h^(j-i) / (j-i)! and
-    Q[i, j] = rho2 * h^(2q+1-i-j) / ((2q+1-i-j) (q-i)! (q-j)!).
+    Q[i, j] = rho2 * h^(2q+1-i-j) / ((2q+1-i-j) (q-i)! (q-j)!).  A step
+    whose power h^(2q+1) overflows raises ``CovarianceBreakdown``.
     """
+    try:
+        hp = [float(h) ** p for p in range(2 * q + 2)]
+    except OverflowError:
+        raise CovarianceBreakdown(
+            f"step h = {h:g} overflows the q = {q} process noise: "
+            f"h^{2 * q + 1} exceeds the float range") from None
     A = np.zeros((q + 1, q + 1))
     Q = np.zeros((q + 1, q + 1))
     for i in range(q + 1):
         for j in range(i, q + 1):
-            A[i, j] = h ** (j - i) / factorial(j - i)
+            A[i, j] = hp[j - i] / factorial(j - i)
     for i in range(q + 1):
         for j in range(q + 1):
             p = 2 * q + 1 - i - j
-            Q[i, j] = rho2 * h ** p / (p * factorial(q - i) * factorial(q - j))
+            Q[i, j] = rho2 * hp[p] / (p * factorial(q - i) * factorial(q - j))
     return A, Q
 
 

@@ -25,8 +25,8 @@ from scipy.special import erf
 
 from .exceptions import (NoCandidates, NonPositiveEvaluation, SingularGram,
                          UnsortedNodes)
-from .gp import (Kernel, KernelFamily, _factorize, _solve_refined,
-                 gram_matrix, kernel_eval)
+from .gp import (Kernel, KernelFamily, _factorize, _profiled_likelihood,
+                 _solve_refined, gram_matrix, kernel_eval)
 from .records import ConvergenceRecord
 
 SQRT_PI = np.sqrt(np.pi)
@@ -294,36 +294,28 @@ def _candidate_grid(box: np.ndarray) -> np.ndarray:
     return np.stack(mesh, axis=-1).reshape(-1, d)
 
 
-def _profile_theta_fit(X: np.ndarray, g: np.ndarray, box: np.ndarray,
-                       n_scales: int = 16):
-    """Fit an isotropic-in-scale product-EQ kernel to g by marginal likelihood.
+def _profile_theta_fit(X: np.ndarray, g: np.ndarray, widths: np.ndarray):
+    """Fit a product-EQ kernel to g by profiled marginal likelihood.
 
-    The output scale theta has a closed-form optimum given the lengthscales
-    (theta^2 = g' K1^-1 g / n for the unit-scale Gram K1), so only a log grid
-    of lengthscale multipliers is scanned.
+    The lengthscales are a common multiple of the box widths on a 16-point
+    log grid, each with its closed-form theta.  Returns theta, the
+    lengthscales and the jittered factor of theta^2 K1 (theta times K1's).
     """
-    n = X.shape[0]
-    widths = box[:, 1] - box[:, 0]
+    S = X / widths
+    D = np.sum((S[:, None, :] - S[None, :, :]) ** 2, axis=-1)
     best = None
-    for mult in np.geomspace(0.05, 2.0, n_scales):
-        lams = tuple(float(m) for m in mult * widths)
-        kern1 = ProductExpQuadratic(theta=1.0, lams=lams,
-                                    box=tuple(map(tuple, box)))
+    for mult in np.geomspace(0.05, 2.0, 16):
         try:
-            factor, _ = _factorize(kern1.gram(X, X))
+            fit = _profiled_likelihood(np.exp(-D / mult ** 2), g, 1e-16) + (mult,)
         except SingularGram:
             continue
-        alpha = cho_solve(factor, g)
-        theta2 = max(float(g @ alpha) / n, 1e-16)
-        logdet1 = 2.0 * float(np.sum(np.log(np.diag(factor[0]))))
-        # profile log marginal likelihood up to constants
-        ll = -0.5 * n * np.log(theta2) - 0.5 * logdet1 - 0.5 * n
-        if best is None or ll > best[0]:
-            best = (ll, np.sqrt(theta2), lams, factor)
+        if best is None or fit[0] > best[0]:
+            best = fit
     if best is None:
         raise SingularGram("no lengthscale candidate factorized")
-    _, theta, lams, factor = best
-    return theta, lams, factor
+    _, theta2, (L1, lower), mult = best
+    theta = float(np.sqrt(theta2))
+    return theta, tuple(float(m) for m in mult * widths), (theta * L1, lower)
 
 
 def _warped_moments(kern: ProductExpQuadratic, factor, X: np.ndarray,
@@ -449,10 +441,9 @@ def warped_bq_integrate(f: Callable, domain, budget: int, seed: int,
         fa = np.asarray(fv)
         alpha_w = alpha_factor * float(fa.min())
         g = np.sqrt(2.0 * (fa - alpha_w))
-        theta, lams, _ = _profile_theta_fit(Xa, g, box)
+        theta, lams, factor = _profile_theta_fit(Xa, g, widths)
         kern = ProductExpQuadratic(theta=theta, lams=lams,
                                    box=tuple(map(tuple, box)))
-        factor, _ = _factorize(kern.gram(Xa, Xa))
         mean, variance, w, P = _warped_moments(kern, factor, Xa, g, alpha_w)
         clamped = variance < 0.0
         variance = max(variance, 0.0)

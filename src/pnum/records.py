@@ -20,10 +20,8 @@ class ConvergenceRecord:
     budgets: List[int] = field(default_factory=list)
     estimates: List[float] = field(default_factory=list)
     spreads: List[float] = field(default_factory=list)
-    wall_ms: List[float] = field(default_factory=list)
 
-    def append(self, budget: int, estimate: float, spread: float,
-               wall_ms: float = 0.0) -> None:
+    def append(self, budget: int, estimate: float, spread: float) -> None:
         if self.budgets and budget <= self.budgets[-1]:
             raise ValueError(
                 f"budgets must be strictly increasing, got {budget} after "
@@ -31,7 +29,6 @@ class ConvergenceRecord:
         self.budgets.append(int(budget))
         self.estimates.append(float(estimate))
         self.spreads.append(float(spread))
-        self.wall_ms.append(float(wall_ms))
 
     def __len__(self) -> int:
         return len(self.budgets)

@@ -170,6 +170,17 @@ class TestOdeCommand:
         assert list(rows[0].keys()) == ["t", "mean_0", "std_0"]
         assert len(rows) == 21
 
+    def test_overflowing_step_exit_code(self, tmp_path):
+        # h^5 overflows the q = 2 process noise: a typed failure, not a traceback
+        code, _ = run_cli(tmp_path, "ode", {
+            "mode": "trajectory",
+            "problem": "logistic",
+            "problem_params": {"t_end": 4e100},
+            "solver": "filter-q2",
+            "h": 1e100,
+        })
+        assert code == 3
+
 
 class TestDeterminism:
     @pytest.mark.parametrize("command,config", [

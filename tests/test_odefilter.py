@@ -276,6 +276,13 @@ class TestIWPTransition:
         _, Q = iwp_transition(2, 0.3, 1.0)
         assert np.all(np.linalg.eigvalsh(Q) >= -1e-15)
 
+    def test_overflowing_step_raises_typed_error(self):
+        # h^3 = 1e300 still fits a float; h^5 = 1e500 does not
+        _, Q = iwp_transition(1, 1e100, 1.0)
+        assert np.all(np.isfinite(Q))
+        with pytest.raises(CovarianceBreakdown, match=r"h = 1e\+100.*q = 2"):
+            iwp_transition(2, 1e100, 1.0)
+
 
 class TestConvergenceOrder:
     HS = (0.1, 0.05, 0.025, 0.0125)

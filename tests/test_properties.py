@@ -2,18 +2,22 @@
 
 Linear solver: each example draws a dimension, a condition number and a seed
 for a ``random_spd`` operator and a right-hand side.  Quadrature: each
-example draws a linear-spline kernel, an interval, nodes and values.  ODE
-filter: each example draws a prior order, a problem, a step and a diffusion
-scale, or two vector fields of one dimension.
+example draws a linear-spline kernel, an interval, nodes and values.
+Hyperparameter fit: each example draws a kernel family, an interval, nodes
+and values.  ODE filter: each example draws a prior order, a problem, a step
+and a diffusion scale, or two vector fields of one dimension.
 """
 
 import numpy as np
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
-from pnum import (BQState, IVProblem, LinearOperator, bq_posterior,
-                  classic_cg, identity_belief, linear_spline, named_problem,
-                  posterior_mean_apply, random_spd, rk_method, rk_reference,
-                  solve_ivp_filter, solve_probabilistic, trapezoid)
+from pnum import (BQState, IVProblem, KernelFamily, LinearOperator,
+                  SingularGram, bq_posterior, classic_cg, exp_quadratic,
+                  fit_hyperparameters, identity_belief, linear_spline,
+                  log_marginal_likelihood, named_problem, posterior_mean_apply,
+                  random_spd, rk_method, rk_reference, solve_ivp_filter,
+                  solve_probabilistic, trapezoid)
+from pnum.gp import default_bounds
 
 systems = st.tuples(st.integers(2, 48), st.floats(1.0, 1e4),
                     st.integers(0, 2**31 - 1))
@@ -114,6 +118,41 @@ def test_spline_bq_mean_is_trapezoid(rule):
         state = state.with_node(x, y)
     mean = bq_posterior(state).mean
     assert abs(mean - trapezoid(nodes, values)) <= 1e-9 * trapezoid(nodes, np.abs(values))
+
+
+hyper_fits = st.tuples(
+    st.sampled_from(tuple(KernelFamily)),
+    st.floats(-5.0, 5.0), st.floats(0.5, 6.0),         # start, width
+    st.lists(st.tuples(st.floats(0.05, 1.0), st.floats(-10.0, 10.0)),
+             min_size=3, max_size=40))                 # (gap, value) pairs
+
+
+def grid_log_marginal(make, scale, shape, domain, nodes, values):
+    try:
+        return log_marginal_likelihood(make(scale, shape, domain), nodes, values)
+    except SingularGram:
+        return -np.inf
+
+
+@checks
+@given(hyper_fits)
+def test_profiled_fit_is_never_below_the_scale_shape_grid(fit_input):
+    # the scale's closed-form optimum given each shape dominates every scale
+    # on the grid, so the shape search cannot end below the 16 x 16 grid
+    family, lo, width, pairs = fit_input
+    gaps, values = (np.array(v) for v in zip(*pairs))
+    assume(np.ptp(values) > 0.0)      # equal values take the degenerate path
+    nodes = lo + width * np.concatenate(([0.0], np.cumsum(gaps[1:]))) / gaps[1:].sum()
+    nodes[-1] = lo + width
+    res = fit_hyperparameters(family, nodes, values)
+    assert res.log_marginal == log_marginal_likelihood(res.kernel, nodes, values)
+    (s_name, s_bounds), (_, h_bounds) = default_bounds(family, nodes, values).items()
+    assert s_bounds[0] <= res.kernel.param_dict[s_name] <= s_bounds[1]
+    make = linear_spline if family is KernelFamily.LINEAR_SPLINE else exp_quadratic
+    best = max(grid_log_marginal(make, s, h, res.kernel.domain, nodes, values)
+               for s in np.geomspace(*s_bounds, 16)
+               for h in np.geomspace(*h_bounds, 16))
+    assert res.log_marginal >= best - 1e-8 * (1.0 + abs(best))
 
 
 filter_runs = st.tuples(

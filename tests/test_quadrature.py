@@ -296,11 +296,21 @@ class TestWarped:
         assert record.spreads[-1] == 0.0
 
     def test_nonfinite_gram_raises_singular_gram(self, monkeypatch):
-        fit = quadrature._profile_theta_fit
-        monkeypatch.setattr(quadrature, "_profile_theta_fit",
-                            lambda *a: (np.nan,) + fit(*a)[1:])
-        with pytest.raises(SingularGram):
-            warped_bq_integrate(lambda x: 1.0 + x, (0.0, 1.0), 4, seed=0)
+        # a NaN that reaches the fit through an off-diagonal entry of the
+        # unit Gram, or through the values (and so theta), is a SingularGram
+        profiled = quadrature._profiled_likelihood
+
+        def nan_off_diagonal(K1, g, m_lo):
+            K1 = K1.copy()
+            if K1.shape[0] > 1:
+                K1[0, 1] = K1[1, 0] = np.nan
+            return profiled(K1, g, m_lo)
+
+        for poisoned in (nan_off_diagonal,
+                         lambda K1, g, m_lo: profiled(K1, g * np.nan, m_lo)):
+            monkeypatch.setattr(quadrature, "_profiled_likelihood", poisoned)
+            with pytest.raises(SingularGram):
+                warped_bq_integrate(lambda x: 1.0 + x, (0.0, 1.0), 4, seed=0)
 
     def test_budget_too_small(self):
         with pytest.raises(ValueError):
