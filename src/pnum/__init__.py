@@ -24,8 +24,8 @@ from .odefilter import (FilterResult, FilterState, IVProblem, OrderEstimate,
                         RKMethod, convergence_order_estimate, filter_solver,
                         iwp_transition, named_problem, rk_method, rk_reference,
                         rk_solver, solve_ivp_filter)
-from .quadrature import (BQState, ProductExpQuadratic, QuadratureEstimate,
-                         bq_posterior, kernel_embeddings, select_node_active,
+from .quadrature import (BQState, QuadratureEstimate, bq_posterior,
+                         kernel_embeddings, select_node_active,
                          select_nodes_grid, trapezoid, warped_bq_integrate)
 from .records import ConvergenceRecord
 from .deconv import (ConvolutionProblem, RecyclingReport, SequenceConfig,

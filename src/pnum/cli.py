@@ -443,6 +443,14 @@ def _named_solver(name: str, rho2: float):
 
 
 def cmd_ode(cfg: dict, out: str, seeds: List[int], reproducible: bool) -> None:
+    try:
+        fields, rows = _ode_rows(cfg)
+    except ValueError as exc:   # a name, step size or step list odefilter rejects
+        raise ConfigError(str(exc)) from exc
+    _write_csv(out, fields, rows)
+
+
+def _ode_rows(cfg: dict):
     problem = odefilter.named_problem(cfg["problem"], **cfg["problem_params"])
     if cfg["mode"] == "order-study":
         rows = []
@@ -454,8 +462,7 @@ def cmd_ode(cfg: dict, out: str, seeds: List[int], reproducible: bool) -> None:
                 rows.append(dict(solver=name, h=h, abs_error=err,
                                  slope="" if est.slope is None else est.slope,
                                  zero_error=str(est.zero_error).lower()))
-        _write_csv(out, _ODE_ORDER_FIELDS, rows)
-        return
+        return _ODE_ORDER_FIELDS, rows
     if cfg["mode"] == "trajectory":
         name = cfg["solver"]
         h = float(cfg["h"])
@@ -478,8 +485,7 @@ def cmd_ode(cfg: dict, out: str, seeds: List[int], reproducible: bool) -> None:
                 row.update({f"mean_{i}": float(xs[k, i]) for i in range(d)})
                 row.update({f"std_{i}": 0.0 for i in range(d)})
                 rows.append(row)
-        _write_csv(out, fields, rows)
-        return
+        return fields, rows
     raise ConfigError(f"unknown ode mode {cfg['mode']!r}")
 
 

@@ -1,4 +1,4 @@
-"""Gaussian process machinery on a closed interval.
+"""Gaussian process machinery on a box.
 
 Kernels, noise-free conditioning, prior sampling and marginal-likelihood
 hyperparameter fitting.  The scale multiplies the Gram (by c, or theta^2), so
@@ -7,8 +7,10 @@ this profiled likelihood.  Two covariance families are supported:
 
 * ``linear_spline``: k(x, x') = c * (1 + b - b/3 * |x - x'|), a stationary
   relative of the Wiener process whose sample paths are continuous but rough.
-* ``exp_quadratic``: k(x, x') = theta^2 * exp(-(x - x')^2 / lambda^2), whose
-  sample paths are extremely smooth.
+  It is defined on an interval only.
+* ``exp_quadratic``: k(x, x') = theta^2 * exp(-sum_j (x_j - x'_j)^2 / lambda_j^2)
+  on a box of any dimension, one lengthscale per dimension; its sample paths
+  are extremely smooth.  The interval is the d = 1 case.
 
 All types are immutable after construction; operations are pure given their
 inputs plus an explicit seed.
@@ -41,36 +43,48 @@ class KernelFamily(Enum):
     EXP_QUADRATIC = "exp_quadratic"
 
 
+def _as_box(domain) -> np.ndarray:
+    """(lo, hi), or a sequence of such pairs, as a (d, 2) array of finite
+    bounds with lo < hi in every row."""
+    box = np.atleast_2d(np.asarray(domain, dtype=float))
+    if box.ndim != 2 or box.shape[1] != 2 or not all(
+            -np.inf < lo < hi < np.inf for lo, hi in box.tolist()):
+        raise ValueError(
+            f"domain must be a finite (lo, hi) or a sequence of such pairs, got {domain}")
+    return box
+
+
 @dataclass(frozen=True)
 class Kernel:
-    """Covariance-function descriptor.
+    """Covariance function on a box: k = m * u(x - x') for the scale
+    multiplier m (c, or theta^2) and the family's unit kernel u.
 
-    Parameters are stored as a (name -> value) mapping; use the
-    :func:`linear_spline` / :func:`exp_quadratic` helpers rather than
-    constructing directly.  ``domain`` is the closed interval on which the
-    kernel (and any integral against it) is defined; evaluation outside it is
-    an error, not extrapolation.
+    ``scale`` is c or theta, ``shape`` holds b or one lengthscale per
+    dimension, and ``box`` the (lo, hi) pair of each dimension.  The kernel,
+    and any integral against it, is defined on the box; evaluation outside
+    it is an error, not extrapolation.  Use the :func:`linear_spline` /
+    :func:`exp_quadratic` helpers rather than constructing directly.
     """
 
     family: KernelFamily
-    params: Tuple[Tuple[str, float], ...]
-    domain: Tuple[float, float]
+    scale: float
+    shape: Tuple[float, ...]
+    box: Tuple[Tuple[float, float], ...]
 
     def __post_init__(self):
-        lo, hi = self.domain
-        if not (np.isfinite(lo) and np.isfinite(hi) and lo < hi):
-            raise ValueError(f"domain must be a finite interval, got {self.domain}")
-        for name, value in self.params:
-            if not (np.isfinite(value) and value > 0):
-                raise ValueError(f"kernel parameter {name} must be > 0, got {value}")
-
-    @property
-    def param_dict(self) -> Dict[str, float]:
-        return dict(self.params)
-
-    @property
-    def width(self) -> float:
-        return self.domain[1] - self.domain[0]
+        box = tuple(map(tuple, _as_box(self.box).tolist()))
+        shape = tuple(np.broadcast_to(np.asarray(self.shape, dtype=float),
+                                      len(box)).tolist())
+        scale = float(self.scale)
+        if self.family is KernelFamily.LINEAR_SPLINE and len(box) != 1:
+            raise ValueError("the linear-spline kernel is defined on an interval only")
+        if not all(0.0 < v < np.inf for v in (scale,) + shape):
+            raise ValueError(f"kernel scale {scale} and shape {shape} must be "
+                             "finite and > 0")
+        # stored normalized, so that equal kernels hash equal
+        object.__setattr__(self, "scale", scale)
+        object.__setattr__(self, "shape", shape)
+        object.__setattr__(self, "box", box)
 
     def prior_variance(self, x) -> np.ndarray:
         """k(x, x), the prior marginal variance."""
@@ -80,25 +94,28 @@ class Kernel:
 def linear_spline(c: float = 1.0, b: float = 1.0,
                   domain: Tuple[float, float] = (-3.0, 3.0)) -> Kernel:
     """Stationary linear-spline kernel c * (1 + b - b/3 * |x - x'|)."""
-    return Kernel(KernelFamily.LINEAR_SPLINE, (("c", float(c)), ("b", float(b))),
-                  (float(domain[0]), float(domain[1])))
+    return Kernel(KernelFamily.LINEAR_SPLINE, c, b, domain)
 
 
-def exp_quadratic(theta: float = 1.0, lam: float = 1.0,
-                  domain: Tuple[float, float] = (-3.0, 3.0)) -> Kernel:
-    """Exponentiated-quadratic kernel theta^2 * exp(-(x - x')^2 / lambda^2)."""
-    return Kernel(KernelFamily.EXP_QUADRATIC, (("theta", float(theta)), ("lam", float(lam))),
-                  (float(domain[0]), float(domain[1])))
+def exp_quadratic(theta: float = 1.0, lam=1.0, domain=(-3.0, 3.0)) -> Kernel:
+    """Exponentiated-quadratic kernel theta^2 * exp(-sum_j (x_j - x'_j)^2 / lambda_j^2).
+
+    ``domain`` is an interval or a sequence of intervals, one per dimension;
+    ``lam`` is one lengthscale for every dimension or one per dimension.
+    """
+    return Kernel(KernelFamily.EXP_QUADRATIC, theta, lam, domain)
 
 
-def _check_in_domain(kernel: Kernel, *arrays) -> None:
-    lo, hi = kernel.domain
-    for a in arrays:
-        if np.any(np.isnan(a)):
-            raise ValueError("NaN abscissa passed to kernel evaluation")
-        if np.any(a < lo) or np.any(a > hi):
-            raise ValueError(
-                f"abscissa outside kernel domain [{lo}, {hi}]")
+def _points(kernel: Kernel, x) -> np.ndarray:
+    """x with the coordinates of each point on a trailing axis.  At d = 1 that
+    axis is left out of the input: every entry of x is an abscissa."""
+    x = np.asarray(x, dtype=float)
+    d = len(kernel.box)
+    if d == 1:
+        return x[..., None]
+    if x.shape[-1:] != (d,):
+        raise ValueError(f"points of shape {x.shape} lack the {d} coordinates")
+    return x
 
 
 # (scale name, shape name, power of the scale in the Gram multiplier)
@@ -106,30 +123,40 @@ _PARAMS = {KernelFamily.LINEAR_SPLINE: ("c", "b", 1),
            KernelFamily.EXP_QUADRATIC: ("theta", "lam", 2)}
 
 
-def _unit_kernel(family: KernelFamily, shape: float, r: np.ndarray) -> np.ndarray:
-    """k at distance r with the scale multiplier (c, or theta^2) set to 1."""
+def _unit_kernel(family: KernelFamily, shape, diffs) -> np.ndarray:
+    """k at the offsets x_j - x'_j given per dimension in ``diffs``, with the
+    scale multiplier (c, or theta^2) set to 1."""
     if family is KernelFamily.LINEAR_SPLINE:
-        return 1.0 + shape - (shape / 3.0) * r
-    return np.exp(-(r / shape) ** 2)
+        (b,), (diff,) = shape, diffs
+        return 1.0 + b - (b / 3.0) * np.abs(diff)
+    return np.exp(-sum((diff / lam) ** 2 for diff, lam in zip(diffs, shape)))
 
 
 def kernel_eval(kernel: Kernel, x, xp) -> np.ndarray:
-    """Evaluate k(x, x') elementwise (inputs broadcast together).
+    """Evaluate k(x, x') pointwise; the points broadcast together.
 
-    Symmetric in its arguments; rejects NaNs and points outside the domain.
+    Each point holds its d coordinates on the last axis, which at d = 1 is
+    left out.  Symmetric in its arguments; rejects NaNs and points outside
+    the box.
     """
-    x = np.asarray(x, dtype=float)
-    xp = np.asarray(xp, dtype=float)
-    _check_in_domain(kernel, x, xp)
-    p = kernel.param_dict
-    s_name, h_name, power = _PARAMS[kernel.family]
-    return p[s_name] ** power * _unit_kernel(kernel.family, p[h_name], np.abs(x - xp))
+    x, xp = _points(kernel, x), _points(kernel, xp)
+    lo, hi = np.asarray(kernel.box).T
+    for a in (x, xp):
+        if not ((lo <= a) & (a <= hi)).all():
+            raise ValueError(f"abscissa is NaN or outside the kernel box {kernel.box}")
+    power = _PARAMS[kernel.family][2]
+    return kernel.scale ** power * _unit_kernel(kernel.family, kernel.shape,
+                                                np.moveaxis(x - xp, -1, 0))
 
 
-def gram_matrix(kernel: Kernel, nodes) -> np.ndarray:
-    """Covariance matrix K with K[i, j] = k(x_i, x_j)."""
-    nodes = np.asarray(nodes, dtype=float)
-    return kernel_eval(kernel, nodes[:, None], nodes[None, :])
+def gram_matrix(kernel: Kernel, nodes, other=None) -> np.ndarray:
+    """Covariance matrix K[i, j] = k(x_i, y_j) between the rows of ``nodes``
+    and of ``other`` (default: ``nodes``), each (n, d) or, at d = 1, (n,)."""
+    X = np.asarray(nodes, dtype=float)
+    Y = X if other is None else np.asarray(other, dtype=float)
+    if len(kernel.box) == 1:
+        X, Y = X.reshape(-1), Y.reshape(-1)
+    return kernel_eval(kernel, X[:, None], Y[None, :])
 
 
 def _solve_refined(factor, K: np.ndarray, b: np.ndarray,
@@ -168,7 +195,8 @@ def _factorize(K: np.ndarray):
 def _check_distinct(kernel: Kernel, nodes: np.ndarray) -> None:
     if nodes.size < 2:
         return
-    tol = DUPLICATE_REL_TOL * kernel.width
+    ((lo, hi),) = kernel.box
+    tol = DUPLICATE_REL_TOL * (hi - lo)
     s = np.sort(nodes)
     gaps = np.diff(s)
     if np.any(gaps < tol):
@@ -213,8 +241,9 @@ class GPPosterior:
 def gp_condition(kernel: Kernel, nodes, values) -> GPPosterior:
     """Condition a zero-mean GP on exact function values.
 
-    Nodes must be distinct (within 1e-12 of the domain width) and inside the
-    kernel domain.  Raises SingularGram if the jittered factorization fails.
+    The kernel must be 1-D.  Nodes must be distinct (within 1e-12 of the
+    interval width) and inside the interval.  Raises SingularGram if the
+    jittered factorization fails.
     """
     nodes = np.atleast_1d(np.asarray(nodes, dtype=float))
     values = np.atleast_1d(np.asarray(values, dtype=float))
@@ -222,9 +251,8 @@ def gp_condition(kernel: Kernel, nodes, values) -> GPPosterior:
         raise ValueError("nodes and values must be 1-D and the same length")
     if nodes.size < 1:
         raise ValueError("need at least one node")
-    _check_in_domain(kernel, nodes)
-    _check_distinct(kernel, nodes)
     K = gram_matrix(kernel, nodes)
+    _check_distinct(kernel, nodes)
     factor, jitter = _factorize(K)
     weights = _solve_refined(factor, K, values)
     return GPPosterior(kernel=kernel, nodes=nodes, values=values,
@@ -265,8 +293,7 @@ class FitResult:
     degenerate: bool = False
 
 
-def _make_kernel(family: KernelFamily, mult: float, shape: float,
-                 domain: Tuple[float, float]) -> Kernel:
+def _make_kernel(family: KernelFamily, mult: float, shape, domain) -> Kernel:
     """Kernel whose scale multiplier (c, or theta^2) is ``mult``."""
     if family is KernelFamily.LINEAR_SPLINE:
         return linear_spline(c=mult, b=shape, domain=domain)
@@ -323,13 +350,13 @@ def fit_hyperparameters(family: KernelFamily, nodes, values,
         return FitResult(kernel=kern, degenerate=True,
                          log_marginal=log_marginal_likelihood(kern, nodes, values))
 
-    r = np.abs(nodes[:, None] - nodes[None, :])
+    diff = nodes[:, None] - nodes[None, :]
     best = (-np.inf, m_lo, h_lo)
 
     def neg_profiled(shape):
         nonlocal best
         try:
-            ll, m, _ = _profiled_likelihood(_unit_kernel(family, shape, r),
+            ll, m, _ = _profiled_likelihood(_unit_kernel(family, (shape,), (diff,)),
                                             values, m_lo, m_hi)
         except SingularGram:
             return np.inf
@@ -373,7 +400,6 @@ def sample_path(kernel: Kernel, grid, seed: int) -> np.ndarray:
         raise ValueError("grid must be a non-empty 1-D array")
     if np.any(np.diff(grid) <= 0):
         raise ValueError("grid must be sorted and distinct")
-    _check_in_domain(kernel, grid)
     L = _cached_cholesky(kernel, grid)
     z = np.random.default_rng(seed).standard_normal(grid.size)
     return L @ z

@@ -58,13 +58,6 @@ class LinearOperator:
             op.spd_probe()
         return op
 
-    @classmethod
-    def from_callable(cls, dim: int, matvec: Callable, check: bool = True) -> "LinearOperator":
-        op = cls(dim=int(dim), matvec=matvec)
-        if check:
-            op.spd_probe()
-        return op
-
     def spd_probe(self, n_probes: int = _SPD_PROBE_COUNT) -> None:
         rng = np.random.default_rng(0)
         for _ in range(n_probes):

@@ -229,12 +229,6 @@ class FilterState:
     q: int
     rho2: float
 
-    def position(self, dim: int) -> np.ndarray:
-        return self.mean[:dim]
-
-    def position_std(self, dim: int) -> np.ndarray:
-        return np.sqrt(np.clip(np.diag(self.cov)[:dim], 0.0, None))
-
 
 @dataclass
 class FilterResult:

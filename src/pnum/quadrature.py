@@ -2,8 +2,9 @@
 
 Closed-form kernel embeddings, the Gaussian posterior over an integral,
 equidistant and variance-minimizing node selection, and a square-root-warped
-variant for strictly positive integrands (with tensor-product
-exponentiated-quadratic kernels on boxes up to dimension 4).  The warped
+variant for strictly positive integrands on boxes up to dimension 4.  The
+exponentiated-quadratic kernel factors over the dimensions of its box, so its
+embeddings are products of one-dimensional erf forms.  The warped
 variance is evaluated per dimension, in O(d (33^2 + 33 n) + n^2) memory for
 n nodes, so the dimension cap is a policy choice, not a memory limit; only
 the grid contraction that takes over for ill-conditioned Grams holds
@@ -25,8 +26,9 @@ from scipy.special import erf
 
 from .exceptions import (NoCandidates, NonPositiveEvaluation, SingularGram,
                          UnsortedNodes)
-from .gp import (Kernel, KernelFamily, _factorize, _profiled_likelihood,
-                 _solve_refined, gram_matrix, kernel_eval)
+from .gp import (Kernel, KernelFamily, _as_box, _factorize, _make_kernel,
+                 _points, _profiled_likelihood, _solve_refined, _unit_kernel,
+                 gram_matrix, kernel_eval)
 from .records import ConvergenceRecord
 
 SQRT_PI = np.sqrt(np.pi)
@@ -59,14 +61,14 @@ def kernel_embeddings(kernel: Kernel) -> Tuple[Callable[[np.ndarray], np.ndarray
     """Closed forms of z(x_i) = int k(x, x_i) dx and Z0 = double int k.
 
     For the linear-spline kernel both are piecewise polynomials in x_i and
-    the interval endpoints; for the exponentiated quadratic both involve the
-    Gaussian error function.
+    the interval endpoints; for the exponentiated quadratic both are
+    products over the dimensions of the box of Gaussian error function
+    forms.  z takes points as :func:`gp.kernel_eval` does.
     """
-    lo, hi = kernel.domain
-    width = hi - lo
-    p = kernel.param_dict
     if kernel.family is KernelFamily.LINEAR_SPLINE:
-        c, b = p["c"], p["b"]
+        c, (b,) = kernel.scale, kernel.shape
+        ((lo, hi),) = kernel.box
+        width = hi - lo
 
         def z_func(x):
             x = np.asarray(x, dtype=float)
@@ -76,15 +78,18 @@ def kernel_embeddings(kernel: Kernel) -> Tuple[Callable[[np.ndarray], np.ndarray
         z0 = c * (1.0 + b) * width ** 2 - (c * b / 9.0) * width ** 3
         return z_func, float(z0)
 
-    theta, lam = p["theta"], p["lam"]
-
     def z_func(x):
-        x = np.asarray(x, dtype=float)
-        return (theta ** 2 * lam * SQRT_PI / 2.0
-                * (erf((hi - x) / lam) - erf((lo - x) / lam)))
+        z = kernel.scale ** 2
+        coords = np.moveaxis(_points(kernel, x), -1, 0)
+        for (lo, hi), lam, xj in zip(kernel.box, kernel.shape, coords):
+            z = z * lam * SQRT_PI / 2.0 * (erf((hi - xj) / lam) - erf((lo - xj) / lam))
+        return z
 
-    z0 = theta ** 2 * (SQRT_PI * width * lam * erf(width / lam)
-                       + lam ** 2 * (np.exp(-(width / lam) ** 2) - 1.0))
+    z0 = kernel.scale ** 2
+    for (lo, hi), lam in zip(kernel.box, kernel.shape):
+        width = hi - lo
+        z0 = z0 * (SQRT_PI * width * lam * erf(width / lam)
+                   + lam ** 2 * (np.exp(-(width / lam) ** 2) - 1.0))
     return z_func, float(z0)
 
 
@@ -95,7 +100,7 @@ class QuadratureEstimate:
     mean: float
     variance: float
     n_evals: int
-    kernel: object
+    kernel: Kernel
     clamped: bool = False
 
     @property
@@ -178,7 +183,7 @@ def select_nodes_grid(domain: Tuple[float, float], n: int) -> np.ndarray:
 
 
 def _default_candidates(state: BQState) -> np.ndarray:
-    lo, hi = state.kernel.domain
+    ((lo, hi),) = state.kernel.box
     cand = np.linspace(lo, hi, DEFAULT_CANDIDATE_COUNT)
     # force exact mirror symmetry about the midpoint so that a symmetric
     # state produces bitwise-equal variances at mirrored candidates and the
@@ -187,7 +192,7 @@ def _default_candidates(state: BQState) -> np.ndarray:
     offsets = cand - mid
     cand = mid + 0.5 * (offsets - offsets[::-1])
     if state.nodes:
-        tol = 1e-12 * state.kernel.width
+        tol = 1e-12 * (hi - lo)
         keep = np.all(np.abs(cand[:, None] - state.node_array[None, :]) > tol, axis=1)
         cand = cand[keep]
     return cand
@@ -226,64 +231,20 @@ def select_node_active(state: BQState, candidates=None) -> float:
     return float(candidates[int(np.argmax(reduction))])
 
 
-# ---------------------------------------------------------------------------
-# tensor-product exponentiated-quadratic kernels on boxes (dimension <= 4)
-# ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class ProductExpQuadratic:
-    """Separable EQ kernel theta^2 * prod_j exp(-(x_j - x'_j)^2 / lam_j^2)."""
-
-    theta: float
-    lams: Tuple[float, ...]
-    box: Tuple[Tuple[float, float], ...]
-
-    @property
-    def dim(self) -> int:
-        return len(self.box)
-
-    @property
-    def volume(self) -> float:
-        return float(np.prod([hi - lo for lo, hi in self.box]))
-
-    def gram(self, X: np.ndarray, Y: np.ndarray) -> np.ndarray:
-        lams = np.asarray(self.lams)
-        d2 = ((X[:, None, :] - Y[None, :, :]) / lams) ** 2
-        return self.theta ** 2 * np.exp(-d2.sum(axis=-1))
-
-    def embed(self, X: np.ndarray) -> np.ndarray:
-        """z(x_i) = int_box k(x, x_i) dx."""
-        z = np.full(X.shape[0], self.theta ** 2)
-        for j, (lo, hi) in enumerate(self.box):
-            lam = self.lams[j]
-            z = z * (lam * SQRT_PI / 2.0
-                     * (erf((hi - X[:, j]) / lam) - erf((lo - X[:, j]) / lam)))
-        return z
-
-    def pair_embed(self, X: np.ndarray, Y: np.ndarray) -> np.ndarray:
-        """P[i, j] = int_box k(x, X_i) k(x, Y_j) dx (per-dimension erf forms)."""
-        P = np.full((X.shape[0], Y.shape[0]), self.theta ** 4)
-        for j, (lo, hi) in enumerate(self.box):
-            lam = self.lams[j]
-            a = X[:, j][:, None]
-            b = Y[None, :, j]
-            mid = 0.5 * (a + b)
-            fac = (np.exp(-(a - b) ** 2 / (2.0 * lam ** 2))
-                   * (lam / np.sqrt(2.0)) * (SQRT_PI / 2.0)
-                   * (erf(np.sqrt(2.0) * (hi - mid) / lam)
-                      - erf(np.sqrt(2.0) * (lo - mid) / lam)))
-            P = P * fac
-        return P
-
-
-def _as_box(domain) -> np.ndarray:
-    box = np.atleast_2d(np.asarray(domain, dtype=float))
-    if box.shape[1] != 2 or np.any(box[:, 0] >= box[:, 1]):
-        raise ValueError("domain must be (lo, hi) or a sequence of such pairs")
-    if box.shape[0] > 4:
-        raise ValueError("warped integration supports dimension <= 4")
-    return box
+def _pair_embed(kernel: Kernel, X: np.ndarray, Y: np.ndarray) -> np.ndarray:
+    """P[i, j] = int_box k(x, X_i) k(x, Y_j) dx of the exponentiated
+    quadratic, a product of per-dimension erf forms; X, Y are (n, d)."""
+    P = np.full((X.shape[0], Y.shape[0]), kernel.scale ** 4)
+    for j, ((lo, hi), lam) in enumerate(zip(kernel.box, kernel.shape)):
+        a = X[:, j][:, None]
+        b = Y[None, :, j]
+        mid = 0.5 * (a + b)
+        fac = (np.exp(-(a - b) ** 2 / (2.0 * lam ** 2))
+               * (lam / np.sqrt(2.0)) * (SQRT_PI / 2.0)
+               * (erf(np.sqrt(2.0) * (hi - mid) / lam)
+                  - erf(np.sqrt(2.0) * (lo - mid) / lam)))
+        P = P * fac
+    return P
 
 
 def _candidate_grid(box: np.ndarray) -> np.ndarray:
@@ -294,13 +255,15 @@ def _candidate_grid(box: np.ndarray) -> np.ndarray:
     return np.stack(mesh, axis=-1).reshape(-1, d)
 
 
-def _profile_theta_fit(X: np.ndarray, g: np.ndarray, widths: np.ndarray):
-    """Fit a product-EQ kernel to g by profiled marginal likelihood.
+def _profile_theta_fit(X: np.ndarray, g: np.ndarray, box: np.ndarray):
+    """Fit an exponentiated-quadratic kernel on the box to g by profiled
+    marginal likelihood.
 
     The lengthscales are a common multiple of the box widths on a 16-point
-    log grid, each with its closed-form theta.  Returns theta, the
-    lengthscales and the jittered factor of theta^2 K1 (theta times K1's).
+    log grid, each with its closed-form theta.  Returns the kernel and the
+    jittered factor of its Gram, theta^2 K1 (theta times K1's).
     """
+    widths = box[:, 1] - box[:, 0]
     S = X / widths
     D = np.sum((S[:, None, :] - S[None, :, :]) ** 2, axis=-1)
     best = None
@@ -314,11 +277,11 @@ def _profile_theta_fit(X: np.ndarray, g: np.ndarray, widths: np.ndarray):
     if best is None:
         raise SingularGram("no lengthscale candidate factorized")
     _, theta2, (L1, lower), mult = best
-    theta = float(np.sqrt(theta2))
-    return theta, tuple(float(m) for m in mult * widths), (theta * L1, lower)
+    kern = _make_kernel(KernelFamily.EXP_QUADRATIC, theta2, mult * widths, box)
+    return kern, (kern.scale * L1, lower)
 
 
-def _warped_moments(kern: ProductExpQuadratic, factor, X: np.ndarray,
+def _warped_moments(kern: Kernel, factor, X: np.ndarray,
                     g: np.ndarray, alpha_w: float, var_grid: int = 33):
     """Posterior mean and variance of the integral under the sqrt warp.
 
@@ -342,21 +305,21 @@ def _warped_moments(kern: ProductExpQuadratic, factor, X: np.ndarray,
     in v.  The variance is returned unclamped and can be slightly negative.
     """
     w = cho_solve(factor, g)
-    P = kern.pair_embed(X, X)
-    mean = alpha_w * kern.volume + 0.5 * float(w @ (P @ w))
+    P = _pair_embed(kern, X, X)
+    volume = float(np.prod([hi - lo for lo, hi in kern.box]))
+    mean = alpha_w * volume + 0.5 * float(w @ (P @ w))
 
     n = X.shape[0]
-    theta = kern.theta
+    theta = kern.scale
     kk = np.ones((n, n))
     kx = np.ones((n, n))
     Es, ws, As = [], [], []
-    for j, (lo, hi) in enumerate(kern.box):
-        lam = kern.lams[j]
+    for j, ((lo, hi), lam) in enumerate(zip(kern.box, kern.shape)):
         ax = np.linspace(lo, hi, var_grid)
         wq = np.full(var_grid, (hi - lo) / (var_grid - 1))
         wq[[0, -1]] *= 0.5
-        E = np.exp(-((ax[:, None] - X[None, :, j]) / lam) ** 2)
-        A = np.exp(-((ax[:, None] - ax[None, :]) / lam) ** 2)
+        E = _unit_kernel(kern.family, (lam,), (ax[:, None] - X[None, :, j],))
+        A = _unit_kernel(kern.family, (lam,), (ax[:, None] - ax[None, :],))
         WE = wq[:, None] * E
         kk *= WE.T @ A @ WE
         kx *= E.T @ WE
@@ -419,6 +382,8 @@ def warped_bq_integrate(f: Callable, domain, budget: int, seed: int,
         raise ValueError("budget must be >= 3")
     box = _as_box(domain)
     d = box.shape[0]
+    if d > 4:
+        raise ValueError("warped integration supports dimension <= 4")
     widths = box[:, 1] - box[:, 0]
     rng = np.random.default_rng(seed)
 
@@ -441,9 +406,7 @@ def warped_bq_integrate(f: Callable, domain, budget: int, seed: int,
         fa = np.asarray(fv)
         alpha_w = alpha_factor * float(fa.min())
         g = np.sqrt(2.0 * (fa - alpha_w))
-        theta, lams, factor = _profile_theta_fit(Xa, g, widths)
-        kern = ProductExpQuadratic(theta=theta, lams=lams,
-                                   box=tuple(map(tuple, box)))
+        kern, factor = _profile_theta_fit(Xa, g, box)
         mean, variance, w, P = _warped_moments(kern, factor, Xa, g, alpha_w)
         clamped = variance < 0.0
         variance = max(variance, 0.0)
@@ -455,13 +418,13 @@ def warped_bq_integrate(f: Callable, domain, budget: int, seed: int,
             break
         # value-frozen variance reduction of each candidate
         q = P @ w
-        k_cx = kern.gram(candidates, Xa)
-        p_c = kern.pair_embed(candidates, Xa) @ w
+        k_cx = gram_matrix(kern, candidates, Xa)
+        p_c = _pair_embed(kern, candidates, Xa) @ w
         solved = cho_solve(factor, k_cx.T)
         proj = q @ solved
         cand_var = np.maximum(
-            kern.theta ** 2 - np.einsum("ij,ji->i", k_cx, solved),
-            1e-12 * kern.theta ** 2)
+            kern.scale ** 2 - np.einsum("ij,ji->i", k_cx, solved),
+            1e-12 * kern.scale ** 2)
         gain = (p_c - proj) ** 2 / cand_var
         taken = np.min(
             np.max(np.abs(candidates[:, None, :] - Xa[None, :, :]), axis=2),

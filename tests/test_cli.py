@@ -181,6 +181,18 @@ class TestOdeCommand:
         })
         assert code == 3
 
+    @pytest.mark.parametrize("config,message", [
+        ({"mode": "trajectory", "problem": "logistic", "solver": "filter-q2",
+          "h": 0.3}, "does not divide the horizon"),
+        ({"mode": "order-study", "problem": "linear", "solvers": ["euler"],
+          "h_values": [0.1, 0.05, 0.025]}, "need at least 4 step sizes"),
+    ])
+    def test_rejected_step_sizes_exit_code(self, tmp_path, capsys, config,
+                                           message):
+        code, _ = run_cli(tmp_path, "ode", config)
+        assert code == 2
+        assert message in capsys.readouterr().err
+
 
 class TestDeterminism:
     @pytest.mark.parametrize("command,config", [

@@ -149,7 +149,7 @@ class TestFit:
         res = fit_hyperparameters(KernelFamily.EXP_QUADRATIC, nodes, np.zeros(10))
         assert res.degenerate
         bounds = default_bounds(KernelFamily.EXP_QUADRATIC, nodes, np.zeros(10))
-        assert res.kernel.param_dict["theta"] == pytest.approx(bounds["theta"][0])
+        assert res.kernel.scale == pytest.approx(bounds["theta"][0])
 
     def test_lengthscale_recovery(self):
         # sampling oracle: draws from a known kernel, fitted lengthscale
@@ -160,7 +160,7 @@ class TestFit:
         for seed in range(50):
             values = sample_path(truth, nodes, seed=seed)
             res = fit_hyperparameters(KernelFamily.EXP_QUADRATIC, nodes, values)
-            lam = res.kernel.param_dict["lam"]
+            lam = res.kernel.shape[0]
             hits += 0.25 <= lam <= 1.0
         assert hits >= 45
 

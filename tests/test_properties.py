@@ -2,21 +2,25 @@
 
 Linear solver: each example draws a dimension, a condition number and a seed
 for a ``random_spd`` operator and a right-hand side.  Quadrature: each
-example draws a linear-spline kernel, an interval, nodes and values.
-Hyperparameter fit: each example draws a kernel family, an interval, nodes
-and values.  ODE filter: each example draws a prior order, a problem, a step
-and a diffusion scale, or two vector fields of one dimension.
+example draws a linear-spline kernel, an interval, nodes and values.  Kernel:
+each example draws an exponentiated-quadratic kernel on a box of dimension
+1-4 and points in it.  Hyperparameter fit: each example draws a kernel
+family, an interval, nodes and values.  ODE filter: each example draws a
+prior order, a problem, a step and a diffusion scale, or two vector fields
+of one dimension.
 """
 
 import numpy as np
 from hypothesis import assume, given, settings, strategies as st
+from scipy.special import erf
 
 from pnum import (BQState, IVProblem, KernelFamily, LinearOperator,
                   SingularGram, bq_posterior, classic_cg, exp_quadratic,
-                  fit_hyperparameters, identity_belief, linear_spline,
-                  log_marginal_likelihood, named_problem, posterior_mean_apply,
-                  random_spd, rk_method, rk_reference, solve_ivp_filter,
-                  solve_probabilistic, trapezoid)
+                  fit_hyperparameters, gram_matrix, identity_belief,
+                  kernel_embeddings, linear_spline, log_marginal_likelihood,
+                  named_problem, posterior_mean_apply, random_spd, rk_method,
+                  rk_reference, solve_ivp_filter, solve_probabilistic,
+                  trapezoid)
 from pnum.gp import default_bounds
 
 systems = st.tuples(st.integers(2, 48), st.floats(1.0, 1e4),
@@ -108,6 +112,8 @@ def test_spline_bq_mean_is_trapezoid(rule):
     # nodes include both endpoints; the gaps are relative, so the smallest
     # spacing is at least 1/800 of the interval.  The width is a fraction of
     # 3 (1 + b) / b, where the kernel c (1 + b - b |x - x'| / 3) reaches 0.
+    # The posterior is then a chain of Brownian bridges of rate 2 c b / 3,
+    # whose integral variance is (c b / 18) sum_i h_i^3 exactly.
     c, b, lo, frac, pairs = rule
     width = frac * 3.0 * (1.0 + b) / b
     gaps, values = (np.array(v) for v in zip(*pairs))
@@ -116,8 +122,56 @@ def test_spline_bq_mean_is_trapezoid(rule):
     state = BQState.for_kernel(linear_spline(c, b, (lo, lo + width)))
     for x, y in zip(nodes, values):
         state = state.with_node(x, y)
-    mean = bq_posterior(state).mean
-    assert abs(mean - trapezoid(nodes, values)) <= 1e-9 * trapezoid(nodes, np.abs(values))
+    est = bq_posterior(state)
+    assert abs(est.mean - trapezoid(nodes, values)) <= 1e-9 * trapezoid(nodes, np.abs(values))
+    bridges = c * b / 18.0 * np.sum(np.diff(nodes) ** 3)
+    assert abs(est.variance - bridges) <= 1e-12 * state.z0
+
+
+eq_kernels = st.tuples(
+    st.integers(1, 4), st.floats(0.1, 10.0),           # dimension, theta
+    st.lists(st.tuples(st.floats(-5.0, 5.0), st.floats(0.5, 6.0),
+                       st.floats(0.1, 3.0)),
+             min_size=4, max_size=4),                  # (start, width, lam / width)
+    st.lists(st.lists(st.floats(0.0, 1.0), min_size=4, max_size=4),
+             min_size=1, max_size=20))                 # points in the unit cube
+
+
+@checks
+@given(eq_kernels)
+def test_box_kernel_is_the_interval_kernel_and_its_products(draw):
+    # at d = 1 the box kernel reproduces the interval closed forms bit for
+    # bit; at d > 1 its Gram and embeddings are products of d = 1 factors
+    d, theta, dims, unit = draw
+    box = [(lo, lo + width) for lo, width, _ in dims[:d]]
+    lams = [frac * width for _, width, frac in dims[:d]]
+    lo, hi = np.array(box).T
+    X = np.clip(lo + np.array(unit)[:, :d] * (hi - lo), lo, hi)
+    kern = exp_quadratic(theta, lams, box)
+    K = gram_matrix(kern, X)
+    z_func, z0 = kernel_embeddings(kern)
+    if d == 1:
+        (lo, hi), (lam,), x = box[0], lams, X[:, 0]
+        width = hi - lo
+        sqrt_pi = np.sqrt(np.pi)
+        assert np.array_equal(
+            K, theta ** 2 * np.exp(-(np.abs(x[:, None] - x[None, :]) / lam) ** 2))
+        assert np.array_equal(
+            z_func(x), theta ** 2 * lam * sqrt_pi / 2.0
+            * (erf((hi - x) / lam) - erf((lo - x) / lam)))
+        assert z0 == theta ** 2 * (sqrt_pi * width * lam * erf(width / lam)
+                                   + lam ** 2 * (np.exp(-(width / lam) ** 2) - 1.0))
+        return
+    factors = [exp_quadratic(1.0, lam, interval) for lam, interval in zip(lams, box)]
+    embeddings = [kernel_embeddings(k) for k in factors]
+    ref_K = theta ** 2 * np.prod(
+        [gram_matrix(k, X[:, j]) for j, k in enumerate(factors)], axis=0)
+    ref_z = theta ** 2 * np.prod(
+        [z_j(X[:, j]) for j, (z_j, _) in enumerate(embeddings)], axis=0)
+    ref_z0 = theta ** 2 * np.prod([z0_j for _, z0_j in embeddings])
+    assert np.allclose(K, ref_K, rtol=1e-12, atol=0.0)
+    assert np.allclose(z_func(X), ref_z, rtol=1e-12, atol=0.0)
+    assert abs(z0 - ref_z0) <= 1e-12 * ref_z0
 
 
 hyper_fits = st.tuples(
@@ -146,10 +200,10 @@ def test_profiled_fit_is_never_below_the_scale_shape_grid(fit_input):
     nodes[-1] = lo + width
     res = fit_hyperparameters(family, nodes, values)
     assert res.log_marginal == log_marginal_likelihood(res.kernel, nodes, values)
-    (s_name, s_bounds), (_, h_bounds) = default_bounds(family, nodes, values).items()
-    assert s_bounds[0] <= res.kernel.param_dict[s_name] <= s_bounds[1]
+    s_bounds, h_bounds = default_bounds(family, nodes, values).values()
+    assert s_bounds[0] <= res.kernel.scale <= s_bounds[1]
     make = linear_spline if family is KernelFamily.LINEAR_SPLINE else exp_quadratic
-    best = max(grid_log_marginal(make, s, h, res.kernel.domain, nodes, values)
+    best = max(grid_log_marginal(make, s, h, res.kernel.box[0], nodes, values)
                for s in np.geomspace(*s_bounds, 16)
                for h in np.geomspace(*h_bounds, 16))
     assert res.log_marginal >= best - 1e-8 * (1.0 + abs(best))

@@ -6,20 +6,21 @@ from scipy.integrate import dblquad, quad
 from scipy.linalg import cho_solve
 
 from pnum import (BQState, NoCandidates, NonPositiveEvaluation, SingularGram,
-                  UnsortedNodes, bq_posterior, exp_quadratic,
+                  UnsortedNodes, bq_posterior, exp_quadratic, gram_matrix,
                   kernel_embeddings, kernel_eval, linear_spline, quadrature,
                   select_node_active, select_nodes_grid, trapezoid,
                   warped_bq_integrate)
 from pnum.gp import _factorize
-from pnum.quadrature import ProductExpQuadratic, _warped_moments
+from pnum.quadrature import _pair_embed, _warped_moments
 
 
 def grid_warped_moments(kern, factor, X, g, alpha_w, var_grid=33):
     """Reference: the linearized warped variance on the explicit 33^d tensor
     grid, as ``_warped_moments`` evaluated it before it became separable."""
     w = cho_solve(factor, g)
-    P = kern.pair_embed(X, X)
-    mean = alpha_w * kern.volume + 0.5 * float(w @ (P @ w))
+    P = _pair_embed(kern, X, X)
+    volume = float(np.prod([hi - lo for lo, hi in kern.box]))
+    mean = alpha_w * volume + 0.5 * float(w @ (P @ w))
     box = np.asarray(kern.box)
     d = box.shape[0]
     axes, weights = [], []
@@ -29,19 +30,20 @@ def grid_warped_moments(kern, factor, X, g, alpha_w, var_grid=33):
         axes.append(np.linspace(lo, hi, var_grid))
         weights.append(wq)
     G = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, d)
-    # kern.gram(G, X), summed one dimension at a time to hold only 33^d x n
+    # gram_matrix(kern, G, X), summed one dimension at a time to hold only
+    # 33^d x n
     d2 = sum(((G[:, j, None] - X[None, :, j]) / lam) ** 2
-             for j, lam in enumerate(kern.lams))
-    K_gx = kern.theta ** 2 * np.exp(-d2)
+             for j, lam in enumerate(kern.shape))
+    K_gx = kern.scale ** 2 * np.exp(-d2)
     u = weights[0]
     for wq in weights[1:]:
         u = np.multiply.outer(u, wq)
     v = u.reshape(-1) * (K_gx @ w)
     t = v.reshape([var_grid] * d)
-    for j, (ax, lam) in enumerate(zip(axes, kern.lams)):
+    for j, (ax, lam) in enumerate(zip(axes, kern.shape)):
         A = np.exp(-((ax[:, None] - ax[None, :]) / lam) ** 2)
         t = np.moveaxis(np.tensordot(A, t, axes=([1], [j])), 0, j)
-    quad_kk = kern.theta ** 2 * float(v @ t.reshape(-1))
+    quad_kk = kern.scale ** 2 * float(v @ t.reshape(-1))
     t2 = K_gx.T @ v
     return mean, quad_kk - float(t2 @ cho_solve(factor, t2)), quad_kk
 
@@ -78,7 +80,7 @@ def double_integral_oracle(kernel) -> float:
     The square is split along the diagonal so the integrand is smooth on
     each region (the spline kernel has a kink at x = x').
     """
-    lo, hi = kernel.domain
+    ((lo, hi),) = kernel.box
     lower, _ = dblquad(lambda y, x: kernel_eval(kernel, x, y), lo, hi,
                        lambda x: lo, lambda x: x, epsabs=1e-12, epsrel=1e-12)
     upper, _ = dblquad(lambda y, x: kernel_eval(kernel, x, y), lo, hi,
@@ -329,11 +331,11 @@ def draw_warped_inputs(rng, d, cond_range, clustered):
         else:
             u = rng.uniform(size=(n, d))
         X = lo + widths * np.clip(u, 0.0, 1.0)
-        kern = ProductExpQuadratic(
+        kern = exp_quadratic(
             theta=float(10 ** rng.uniform(-1, 1)),
-            lams=tuple(widths * rng.uniform(0.1, 1.0, d)),
-            box=tuple(zip(lo, lo + widths)))
-        K = kern.gram(X, X)
+            lam=tuple(widths * rng.uniform(0.1, 1.0, d)),
+            domain=tuple(zip(lo, lo + widths)))
+        K = gram_matrix(kern, X)
         if cond_range[0] <= np.linalg.cond(K) <= cond_range[1]:
             return kern, X, K, rng.uniform(0.0, 2.0, n)
 
@@ -379,22 +381,23 @@ class TestWarpedMoments:
 class TestProductKernel:
     def test_pair_embed_matches_quad(self):
         # oracle integrates k(x, X_i) * k(x, X_j): theta^2 appears twice
-        k = ProductExpQuadratic(theta=1.2, lams=(0.8,), box=((-2.0, 2.0),))
+        k = exp_quadratic(theta=1.2, lam=0.8, domain=(-2.0, 2.0))
         X = np.array([[-0.5], [1.0]])
-        P = k.pair_embed(X, X)
+        P = _pair_embed(k, X, X)
         for i in range(2):
             for j in range(2):
                 oracle, _ = quad(
-                    lambda x: (k.theta ** 4
-                               * np.exp(-(x - X[i, 0]) ** 2 / k.lams[0] ** 2)
-                               * np.exp(-(x - X[j, 0]) ** 2 / k.lams[0] ** 2)),
+                    lambda x: (k.scale ** 4
+                               * np.exp(-(x - X[i, 0]) ** 2 / k.shape[0] ** 2)
+                               * np.exp(-(x - X[j, 0]) ** 2 / k.shape[0] ** 2)),
                     -2, 2, epsabs=1e-12)
                 assert P[i, j] == pytest.approx(oracle, rel=1e-8)
 
     def test_embed_matches_quad(self):
-        k = ProductExpQuadratic(theta=0.9, lams=(1.1,), box=((-2.0, 2.0),))
-        X = np.array([[0.3]])
+        k = exp_quadratic(theta=0.9, lam=1.1, domain=(-2.0, 2.0))
+        X = np.array([0.3])
         oracle, _ = quad(
-            lambda x: k.theta ** 2 * np.exp(-(x - 0.3) ** 2 / k.lams[0] ** 2),
+            lambda x: k.scale ** 2 * np.exp(-(x - 0.3) ** 2 / k.shape[0] ** 2),
             -2, 2, epsabs=1e-12)
-        assert k.embed(X)[0] == pytest.approx(oracle, rel=1e-10)
+        z_func, _ = kernel_embeddings(k)
+        assert z_func(X)[0] == pytest.approx(oracle, rel=1e-10)
