@@ -8,13 +8,13 @@ calibrated uncertainty.  Desk-scale benchmark drivers live behind the
 """
 
 from .exceptions import (BeliefDimensionMismatch, Breakdown, ConfigError,
-                         CovarianceBreakdown, DimensionMismatch, DuplicateNode,
+                         CovarianceBreakdown, DimensionMismatch,
                          InsufficientTrace, NoCandidates, NonFiniteField,
                          NonPositiveEvaluation, PnumError, SingularGram,
                          UnsortedNodes)
-from .gp import (FitResult, GPPosterior, Kernel, KernelFamily, exp_quadratic,
-                 fit_hyperparameters, gp_condition, gram_matrix, kernel_eval,
-                 linear_spline, log_marginal_likelihood, sample_path)
+from .gp import (FitResult, Kernel, KernelFamily, exp_quadratic,
+                 fit_hyperparameters, gram_matrix, kernel_eval, linear_spline,
+                 log_marginal_likelihood, sample_path)
 from .linalg import (LinearOperator, MatrixBelief, SolveReport, calibrate_scale,
                      classic_cg, condition_on_observations, identity_belief,
                      load_operator, posterior_mean_apply, random_spd,

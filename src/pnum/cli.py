@@ -195,6 +195,8 @@ def _quad_methods_on_values(cfg, domain, nodes, values, est_rows, common, clock)
 
 def cmd_quad(cfg: dict, out: str, seeds: List[int], reproducible: bool) -> None:
     domain = (float(cfg["domain"][0]), float(cfg["domain"][1]))
+    if not domain[0] < domain[1]:
+        raise ConfigError(f"domain must be (lo, hi) with lo < hi, got {cfg['domain']}")
     budgets = [int(n) for n in cfg["budgets"]]
     clock = _Clock(reproducible)
     rows: List[dict] = []
@@ -277,6 +279,14 @@ _EVIDENCE_FIELDS = ["method", "seed", "evaluations", "log_z", "oracle_log_z",
 
 
 def cmd_evidence(cfg: dict, out: str, seeds: List[int], reproducible: bool) -> None:
+    try:
+        rows = _evidence_rows(cfg, seeds, reproducible)
+    except ValueError as exc:   # a problem name or budget mc or quadrature rejects
+        raise ConfigError(str(exc)) from exc
+    _write_csv(out, _EVIDENCE_FIELDS, rows)
+
+
+def _evidence_rows(cfg: dict, seeds: List[int], reproducible: bool) -> List[dict]:
     problem = mc.make_evidence_problem(cfg["problem"], **cfg["problem_params"])
     if problem.true_log_z is None:
         raise ConfigError("evidence experiments need a problem with analytic Z")
@@ -330,7 +340,7 @@ def cmd_evidence(cfg: dict, out: str, seeds: List[int], reproducible: bool) -> N
                                  spread=result.record.spreads[-1],
                                  wall_ms=clock.ms()))
     rows.sort(key=lambda r: (r["method"], r["seed"], r["evaluations"]))
-    _write_csv(out, _EVIDENCE_FIELDS, rows)
+    return rows
 
 
 # ---------------------------------------------------------------------------

@@ -9,10 +9,6 @@ class SingularGram(PnumError):
     """Gram matrix could not be factorized even after jitter escalation."""
 
 
-class DuplicateNode(PnumError):
-    """Two evaluation abscissae coincide within tolerance."""
-
-
 class UnsortedNodes(PnumError):
     """Node sequence is not strictly increasing."""
 

@@ -1,6 +1,6 @@
 """Gaussian process machinery on a box.
 
-Kernels, noise-free conditioning, prior sampling and marginal-likelihood
+Kernels, Gram factorization, prior sampling and marginal-likelihood
 hyperparameter fitting.  The scale multiplies the Gram (by c, or theta^2), so
 its optimum given the shape is closed-form and fits search the shape alone on
 this profiled likelihood.  Two covariance families are supported:
@@ -27,15 +27,13 @@ import numpy as np
 from scipy.linalg import cho_factor, cho_solve
 from scipy.optimize import minimize_scalar
 
-from .exceptions import DuplicateNode, SingularGram
+from .exceptions import SingularGram
 
 # Jitter policy: start at 1e-10 * mean(diag), escalate x10 up to 1e-6, then
 # give up.  Exact conditioning is assumed by the model; finite precision
 # requires this small regularization.
 JITTER_REL_START = 1e-10
 JITTER_REL_MAX = 1e-6
-
-DUPLICATE_REL_TOL = 1e-12
 
 
 class KernelFamily(Enum):
@@ -85,10 +83,6 @@ class Kernel:
         object.__setattr__(self, "scale", scale)
         object.__setattr__(self, "shape", shape)
         object.__setattr__(self, "box", box)
-
-    def prior_variance(self, x) -> np.ndarray:
-        """k(x, x), the prior marginal variance."""
-        return kernel_eval(self, x, x)
 
 
 def linear_spline(c: float = 1.0, b: float = 1.0,
@@ -190,73 +184,6 @@ def _factorize(K: np.ndarray):
             jitter *= 10.0
     raise SingularGram(
         f"Cholesky failed up to jitter {JITTER_REL_MAX * scale:.2e}")
-
-
-def _check_distinct(kernel: Kernel, nodes: np.ndarray) -> None:
-    if nodes.size < 2:
-        return
-    ((lo, hi),) = kernel.box
-    tol = DUPLICATE_REL_TOL * (hi - lo)
-    s = np.sort(nodes)
-    gaps = np.diff(s)
-    if np.any(gaps < tol):
-        i = int(np.argmin(gaps))
-        raise DuplicateNode(
-            f"nodes {s[i]} and {s[i + 1]} coincide within {tol:.2e}")
-
-
-@dataclass(frozen=True)
-class GPPosterior:
-    """Noise-free GP conditioned on (nodes, values).
-
-    ``weights`` caches K^-1 y; ``factor`` the jittered Cholesky factor of K.
-    The posterior mean interpolates the data and the posterior variance at
-    the nodes is numerically zero.
-    """
-
-    kernel: Kernel
-    nodes: np.ndarray
-    values: np.ndarray
-    weights: np.ndarray
-    factor: tuple
-    jitter: float
-
-    def mean(self, x) -> np.ndarray:
-        """Posterior mean k(x, X) K^-1 y."""
-        x = np.atleast_1d(np.asarray(x, dtype=float))
-        kx = kernel_eval(self.kernel, x[:, None], self.nodes[None, :])
-        out = kx @ self.weights
-        return out if out.size > 1 else float(out[0])
-
-    def var(self, x) -> np.ndarray:
-        """Posterior variance k(x,x) - k(x,X) K^-1 k(X,x), clipped at zero."""
-        x = np.atleast_1d(np.asarray(x, dtype=float))
-        kx = kernel_eval(self.kernel, x[:, None], self.nodes[None, :])
-        solved = cho_solve(self.factor, kx.T)
-        v = self.kernel.prior_variance(x) - np.einsum("ij,ji->i", kx, solved)
-        v = np.maximum(v, 0.0)
-        return v if v.size > 1 else float(v[0])
-
-
-def gp_condition(kernel: Kernel, nodes, values) -> GPPosterior:
-    """Condition a zero-mean GP on exact function values.
-
-    The kernel must be 1-D.  Nodes must be distinct (within 1e-12 of the
-    interval width) and inside the interval.  Raises SingularGram if the
-    jittered factorization fails.
-    """
-    nodes = np.atleast_1d(np.asarray(nodes, dtype=float))
-    values = np.atleast_1d(np.asarray(values, dtype=float))
-    if nodes.ndim != 1 or nodes.shape != values.shape:
-        raise ValueError("nodes and values must be 1-D and the same length")
-    if nodes.size < 1:
-        raise ValueError("need at least one node")
-    K = gram_matrix(kernel, nodes)
-    _check_distinct(kernel, nodes)
-    factor, jitter = _factorize(K)
-    weights = _solve_refined(factor, K, values)
-    return GPPosterior(kernel=kernel, nodes=nodes, values=values,
-                       weights=weights, factor=factor, jitter=jitter)
 
 
 def _profiled_likelihood(K1: np.ndarray, y: np.ndarray, m_lo: float,

@@ -2,14 +2,14 @@
 
 A Gaussian belief over the unknown inverse H = A^-1 is conditioned on
 noise-free projection observations (s_i, y_i = A s_i).  With an identity
-prior mean the posterior-mean iteration reproduces conjugate gradients; the
-belief itself can be carried to the next, related system (warm starting /
-subspace recycling).
-
-The posterior mean is maintained as H0 + U diag(E) U' with orthonormal
-"skinny" U (at most 2M columns after M observations).  The posterior
-covariance over H is summarized by the scalar scale sigma calibrated from
-quantities already produced by the run.
+prior mean the posterior-mean iteration reproduces conjugate gradients.  A
+belief has one form, before and after a solve: its mean is
+I + U diag(E) U' with orthonormal "skinny" U, so the belief a solve ends
+with is the prior of the next, related solve (warm starting / subspace
+recycling).  Each conditioning adds at most 2M columns to U after M
+observations; ``truncate_belief`` caps the rank.  The covariance over H is
+summarized by the scalar scale sigma calibrated from quantities already
+produced by the run.
 
 During a solve the belief is updated one observation at a time: after m
 steps an iteration costs O(N m + m^2) on top of its matvec.  The Cholesky
@@ -25,7 +25,7 @@ from pathlib import Path
 from typing import Callable, List, Optional, Sequence, Tuple
 
 import numpy as np
-from scipy.linalg import solve_triangular
+from scipy.linalg import block_diag, solve_triangular
 
 from .exceptions import (BeliefDimensionMismatch, Breakdown, DimensionMismatch,
                          InsufficientTrace)
@@ -71,61 +71,40 @@ class LinearOperator:
 class MatrixBelief:
     """Gaussian belief over an SPD inverse, summarized by its mean and scale.
 
-    The mean applies as H v = v + Up diag(Ep) Up' v + U diag(E) U' v where
-    (Up, Ep) is the low-rank part of the prior mean (empty for a fresh
-    identity prior) and (U, E) are the posterior factors accumulated from
-    ``m`` projection observations.  All factor matrices have orthonormal
-    columns, so E holds the eigenvalues of the posterior update.
+    The mean is H = I + U diag(E) U' with orthonormal columns in U, so E
+    holds the eigenvalues of H - I; ``u is None`` means H = I.  The same
+    form serves as the prior of a solve and as its posterior.
     """
 
     dim: int
     sigma: float = 1.0
-    prior_u: Optional[np.ndarray] = None
-    prior_e: Optional[np.ndarray] = None
     u: Optional[np.ndarray] = None
     e: Optional[np.ndarray] = None
-    m: int = 0
 
     @property
-    def posterior_rank(self) -> int:
+    def rank(self) -> int:
         return 0 if self.e is None else int(self.e.size)
 
 
 def identity_belief(dim: int, sigma: float = 1.0) -> MatrixBelief:
-    """Fresh belief with prior mean I and no observations."""
+    """Fresh belief with mean I."""
     return MatrixBelief(dim=int(dim), sigma=float(sigma))
 
 
-def _apply_prior_mean(belief: MatrixBelief, v: np.ndarray) -> np.ndarray:
-    out = v.copy()
-    if belief.prior_u is not None:
-        out += belief.prior_u @ (belief.prior_e * (belief.prior_u.T @ v))
-    return out
+def _mean_apply(belief: MatrixBelief, v: np.ndarray) -> np.ndarray:
+    """H v for a vector, or H V for the columns of a matrix, unchecked."""
+    if belief.u is None:
+        return v.copy()
+    return v + belief.u @ (belief.e * (belief.u.T @ v).T).T
 
 
 def posterior_mean_apply(belief: MatrixBelief, v) -> np.ndarray:
-    """Apply the posterior mean H_M to a vector in O(N * rank)."""
+    """Apply the mean H of the belief to a vector in O(N * rank)."""
     v = np.asarray(v, dtype=float)
     if v.shape != (belief.dim,):
         raise DimensionMismatch(
             f"vector of shape {v.shape} does not match belief dim {belief.dim}")
-    out = _apply_prior_mean(belief, v)
-    if belief.u is not None:
-        out += belief.u @ (belief.e * (belief.u.T @ v))
-    return out
-
-
-def _compress_factors(U: np.ndarray, E: np.ndarray,
-                      drop_tol: float = 0.0) -> Tuple[np.ndarray, np.ndarray]:
-    """Re-express U diag(E) U' with orthonormal U and eigenvalue E."""
-    if U.size == 0:
-        return U.reshape(U.shape[0], 0), E[:0]
-    Q, R = np.linalg.qr(U)
-    T = R @ np.diag(E) @ R.T
-    T = 0.5 * (T + T.T)
-    lam, P = np.linalg.eigh(T)
-    keep = np.abs(lam) > drop_tol
-    return Q @ P[:, keep], lam[keep]
+    return _mean_apply(belief, v)
 
 
 _JITTER_LADDER = (0.0, 1e-14, 1e-12, 1e-10, 1e-8)
@@ -232,14 +211,16 @@ class _BorderedCholesky:
 def condition_on_observations(belief: MatrixBelief, S, Y) -> MatrixBelief:
     """Condition the belief on projections S with observations Y = A S.
 
-    The Dirac likelihood (H y_i = s_i exactly) combined with the symmetric
-    prior of scale sigma gives a posterior mean
+    The belief's mean H0 = I + U0 diag(E0) U0' is the prior.  The Dirac
+    likelihood (H y_i = s_i exactly) combined with the symmetric prior of
+    scale sigma gives a posterior mean
 
         H_M = H0 + S N^-1 D' + D N^-1 S' - S N^-1 (Y' D) N^-1 S'
 
     with D = S - H0 Y and N = S' Y; sigma cancels, so the whole scale family
-    shares this mean.  The low-rank update is re-expressed with orthonormal
-    factors and a diagonal E of length at most 2M.
+    shares this mean.  H_M - I = [U0 S D] diag(E0, C) [U0 S D]' is brought
+    back to the belief's form by one QR and one symmetric eigensolve, so the
+    rank grows by at most 2M.
     """
     S = np.atleast_2d(np.asarray(S, dtype=float))
     Y = np.atleast_2d(np.asarray(Y, dtype=float))
@@ -248,9 +229,6 @@ def condition_on_observations(belief: MatrixBelief, S, Y) -> MatrixBelief:
     if S.shape != Y.shape or S.shape[0] != belief.dim:
         raise BeliefDimensionMismatch(
             f"observations of shape {S.shape} do not match dim {belief.dim}")
-    if belief.m > 0:
-        belief = as_prior(belief)
-    mcount = S.shape[1]
     # The posterior mean is invariant under invertible recombination of the
     # observation columns (N^-1 transforms contravariantly), so work in the
     # eigenbasis of N = S'Y: normalize the pairs, rotate, and drop numerical
@@ -266,48 +244,37 @@ def condition_on_observations(belief: MatrixBelief, S, Y) -> MatrixBelief:
     lam_n, P_n = np.linalg.eigh(N)
     keep = lam_n > 1e-12 * max(lam_n.max(), 0.0)
     if not np.any(keep):
-        return replace(belief, u=None, e=None, m=mcount)
+        return belief
     S = S @ P_n[:, keep]
     Y = Y @ P_n[:, keep]
     lam_n = lam_n[keep]
     kcount = int(lam_n.size)
-    H0Y = np.column_stack([_apply_prior_mean(belief, Y[:, i]) for i in range(kcount)])
-    D = S - H0Y
+    D = S - _mean_apply(belief, Y)
     Ninv = np.diag(1.0 / lam_n)
     C = np.block([[-Ninv @ (Y.T @ D) @ Ninv, Ninv],
                   [Ninv, np.zeros((kcount, kcount))]])
     C = 0.5 * (C + C.T)
     V = np.hstack([S, D])
+    if belief.u is not None:
+        C = block_diag(np.diag(belief.e), C)
+        V = np.hstack([belief.u, V])
     Q, R = np.linalg.qr(V)
     T = R @ C @ R.T
     T = 0.5 * (T + T.T)
     lam, P = np.linalg.eigh(T)
-    return replace(belief, u=Q @ P, e=lam, m=mcount)
-
-
-def as_prior(belief: MatrixBelief) -> MatrixBelief:
-    """Fold posterior factors into the prior-mean descriptor (m resets to 0)."""
-    if belief.u is None:
-        return belief
-    if belief.prior_u is None:
-        U, E = _compress_factors(belief.u, belief.e)
-    else:
-        U = np.hstack([belief.prior_u, belief.u])
-        E = np.concatenate([belief.prior_e, belief.e])
-        U, E = _compress_factors(U, E)
-    return replace(belief, prior_u=U, prior_e=E, u=None, e=None, m=0)
+    return replace(belief, u=Q @ P, e=lam)
 
 
 def truncate_belief(belief: MatrixBelief, rank: int) -> MatrixBelief:
-    """Keep the ``rank`` posterior eigencomponents largest in |eigenvalue|.
+    """Keep the ``rank`` eigencomponents of H - I largest in |eigenvalue|.
 
-    rank 0 resets the belief to its prior mean; rank >= 2M is the identity
-    operation.  The discarded spectrum bounds the change of the posterior
-    mean application on unit vectors.
+    rank 0 gives the identity belief; rank >= ``belief.rank`` is the
+    identity operation.  For every unit vector v, ||H v - H_r v|| is at most
+    the sum of the discarded |eigenvalues|.
     """
     if rank < 0:
         raise ValueError("rank must be >= 0")
-    if belief.u is None or rank >= belief.posterior_rank:
+    if belief.u is None or rank >= belief.rank:
         return belief
     if rank == 0:
         return replace(belief, u=None, e=None)
@@ -432,14 +399,11 @@ def solve_probabilistic(A: LinearOperator, b, belief: Optional[MatrixBelief] = N
         raise BeliefDimensionMismatch("belief does not match operator dimension")
     if tol <= 0:
         raise ValueError("tol must be positive")
-    if belief.m > 0:
-        belief = as_prior(belief)
     n = A.dim
     maxiter = 2 * n if maxiter is None else int(maxiter)
-    warm = belief.prior_u is not None
     matvecs = 0
-    if warm:
-        x = _apply_prior_mean(belief, b)
+    if belief.u is not None:
+        x = _mean_apply(belief, b)
         r = b - A(x)
         matvecs += 1
     else:
@@ -457,7 +421,7 @@ def solve_probabilistic(A: LinearOperator, b, belief: Optional[MatrixBelief] = N
     for _ in range(maxiter):
         if res[-1] <= tol * nb:
             break
-        d = _apply_prior_mean(belief, r)
+        d = _mean_apply(belief, r)
         if m:
             S, D = obs[0, :m], obs[2, :m]
             g = factor.solve(S @ r)
@@ -480,7 +444,7 @@ def solve_probabilistic(A: LinearOperator, b, belief: Optional[MatrixBelief] = N
         rayleigh.append(float(s @ y) / ss)
         obs = _reserve(obs, m, (1,))
         ytd = _reserve(ytd, m, (0, 1))
-        obs[:, m] = s, y, s - _apply_prior_mean(belief, y)
+        obs[:, m] = s, y, s - _mean_apply(belief, y)
         S, Y, D = obs[:, :m + 1]
         factor.append(0.5 * (S @ y + Y @ s))
         ytd[:m + 1, m] = Y @ D[m]
@@ -517,32 +481,20 @@ def warm_start_sequence(problems: Sequence[Tuple[LinearOperator, np.ndarray]],
                         maxiter: Optional[int] = None) -> List[SolveReport]:
     """Solve related systems in order, carrying the truncated belief forward.
 
-    The first problem starts cold (identity prior, x0 = 0).  Each subsequent
-    problem uses the previous truncated posterior mean as its prior mean and
-    seeds x0 = H0 b.  ``rank`` defaults to twice the first problem's
+    The first problem starts cold (identity prior, x0 = 0).  The belief each
+    solve ends with, truncated to ``rank``, is the prior of the next one,
+    which seeds x0 = H0 b.  ``rank`` defaults to twice the first problem's
     iteration count, capped at 64; rank 0 disables recycling entirely.
     """
     reports: List[SolveReport] = []
     belief: Optional[MatrixBelief] = None
     for A, b in problems:
-        if belief is None or (rank is not None and rank == 0):
-            current = identity_belief(A.dim)
-        else:
-            current = belief
-        report = solve_probabilistic(A, b, current, tol=tol, maxiter=maxiter)
+        report = solve_probabilistic(A, b, belief, tol=tol, maxiter=maxiter)
         reports.append(report)
         if rank is None:
             rank = min(64, 2 * max(report.iterations, 1))
         if rank > 0:
-            carried = truncate_belief(report.belief, rank)
-            carried = as_prior(carried)
-            # keep the merged prior itself at the same fixed rank
-            if carried.prior_e is not None and carried.prior_e.size > rank:
-                order = np.argsort(-np.abs(carried.prior_e))[:rank]
-                carried = replace(carried,
-                                  prior_u=np.ascontiguousarray(carried.prior_u[:, order]),
-                                  prior_e=carried.prior_e[order])
-            belief = carried
+            belief = truncate_belief(report.belief, rank)
     return reports
 
 

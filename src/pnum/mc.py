@@ -54,13 +54,6 @@ class EvidenceProblem:
     def sample_prior(self, rng: np.random.Generator, n: int) -> np.ndarray:
         return rng.uniform(self.box[:, 0], self.box[:, 1], size=(n, self.dim))
 
-    def log_prior(self, theta: np.ndarray) -> np.ndarray:
-        theta = np.atleast_2d(theta)
-        inside = np.all((theta >= self.box[:, 0]) & (theta <= self.box[:, 1]),
-                        axis=1)
-        out = np.where(inside, -np.log(self.volume), -np.inf)
-        return out
-
 
 def make_evidence_problem(name: str, **params) -> EvidenceProblem:
     """Named synthetic problems with analytic evidence.

@@ -29,6 +29,3 @@ class ConvergenceRecord:
         self.budgets.append(int(budget))
         self.estimates.append(float(estimate))
         self.spreads.append(float(spread))
-
-    def __len__(self) -> int:
-        return len(self.budgets)

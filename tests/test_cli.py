@@ -91,6 +91,12 @@ class TestQuadCommand:
         code, _ = run_cli(tmp_path, "quad", {"integrand": "nonexistent"})
         assert code == 2
 
+    def test_reversed_domain_rejected(self, tmp_path, capsys):
+        code, _ = run_cli(tmp_path, "quad", {"integrand": "paper-example",
+                                             "domain": [3, -3]})
+        assert code == 2
+        assert "lo < hi" in capsys.readouterr().err
+
 
 class TestEvidenceCommand:
     def test_small_race(self, tmp_path):
@@ -109,6 +115,17 @@ class TestEvidenceCommand:
         assert {r["method"] for r in rows} == {"smc", "warped-bq", "ais-T8"}
         for r in rows:
             assert float(r["abs_log_error"]) >= 0.0
+
+    def test_rejected_config_exit_code(self, tmp_path, capsys):
+        # an unknown problem and a budget warped BQ rejects: exit 2, no traceback
+        for config, message in [
+                ({"problem": "nope"}, "unknown evidence problem"),
+                ({"methods": ["warped-bq"], "bq_budget": 2, "seeds": [0]},
+                 "budget must be >= 3")]:
+            code, _ = run_cli(tmp_path, "evidence", config)
+            assert code == 2
+            err = capsys.readouterr().err
+            assert err.startswith("config error:") and message in err
 
 
 class TestLinsolveCommand:

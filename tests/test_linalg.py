@@ -280,7 +280,7 @@ class TestTruncation:
 
     def test_full_rank_is_identity_operation(self):
         belief = self.solved_belief()
-        same = truncate_belief(belief, belief.posterior_rank)
+        same = truncate_belief(belief, belief.rank)
         v = np.random.default_rng(1).standard_normal(20)
         assert np.allclose(posterior_mean_apply(same, v),
                            posterior_mean_apply(belief, v), atol=1e-12)

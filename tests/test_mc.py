@@ -12,12 +12,6 @@ class TestProblems:
         mass = norm.cdf(5) - norm.cdf(-5)
         assert p.true_log_z == pytest.approx(np.log(mass / 10.0))
 
-    def test_prior_density_normalized(self):
-        p = make_evidence_problem("gaussian-2d")
-        # uniform prior: density * volume = 1 by construction
-        theta = np.zeros((1, 2))
-        assert np.exp(p.log_prior(theta)[0]) * p.volume == pytest.approx(1.0)
-
     def test_dimension_cap(self):
         with pytest.raises(ValueError):
             EvidenceProblem(name="big", log_likelihood=lambda t: np.zeros(len(t)),

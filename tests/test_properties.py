@@ -1,7 +1,8 @@
 """Property tests of the paper's identities over random inputs.
 
 Linear solver: each example draws a dimension, a condition number and a seed
-for a ``random_spd`` operator and a right-hand side.  Quadrature: each
+for a ``random_spd`` operator and a right-hand side, and for the warm solves
+a rank and the size of a perturbation of the operator.  Quadrature: each
 example draws a linear-spline kernel, an interval, nodes and values.  Kernel:
 each example draws an exponentiated-quadratic kernel on a box of dimension
 1-4 and points in it.  Hyperparameter fit: each example draws a kernel
@@ -20,11 +21,13 @@ from pnum import (BQState, IVProblem, KernelFamily, LinearOperator,
                   kernel_embeddings, linear_spline, log_marginal_likelihood,
                   named_problem, posterior_mean_apply, random_spd, rk_method,
                   rk_reference, solve_ivp_filter, solve_probabilistic,
-                  trapezoid)
+                  trapezoid, truncate_belief)
 from pnum.gp import default_bounds
 
 systems = st.tuples(st.integers(2, 48), st.floats(1.0, 1e4),
                     st.integers(0, 2**31 - 1))
+warm_starts = st.tuples(st.integers(0, 96),          # rank carried forward
+                        st.floats(0.01, 0.1))        # relative perturbation
 # derandomized: every run checks the same examples, so the suite repeats
 checks = settings(max_examples=40, deadline=None, derandomize=True,
                   database=None)
@@ -78,25 +81,57 @@ def test_first_iterates_match_cg(system):
             assert rel_dev(prob.iterates[i], classic.iterates[i]) <= 1e-8
 
 
+def cold_and_warm_solves(system, warm):
+    """A cold solve, then a perturbed system A + eps B started from the
+    first belief truncated to ``rank``: its conditioning runs on a prior
+    mean that is not the identity."""
+    n, cond, seed = system
+    rank, eps = warm
+    op, b = build(n, cond, seed)
+    cold = solve_probabilistic(op, b, identity_belief(n), tol=1e-10)
+    perturbed = LinearOperator.from_dense(
+        op.dense + eps * random_spd(n, seed + 2, cond=cond))
+    prior = truncate_belief(cold.belief, rank)
+    warm = solve_probabilistic(perturbed, b, prior, tol=1e-10)
+    return [(op, b, cold), (perturbed, b, warm)]
+
+
 @checks
-@given(systems)
-def test_posterior_mean_is_symmetric(system):
+@given(systems, warm_starts)
+def test_posterior_mean_is_symmetric(system, warm):
+    n = system[0]
+    for _, _, rep in cold_and_warm_solves(system, warm):
+        H = np.column_stack([posterior_mean_apply(rep.belief, e) for e in np.eye(n)])
+        assert np.abs(H - H.T).max() <= 1e-10 * np.abs(H).max()
+
+
+@checks
+@given(systems, warm_starts)
+def test_posterior_mean_maps_rhs_to_solution(system, warm):
+    # the mean maps the initial residual b - A x0 to the step x - x0; a
+    # cold solve starts at x0 = 0, a warm one at x0 = H0 b
+    for op, b, rep in cold_and_warm_solves(system, warm):
+        assert rep.converged
+        x0 = rep.iterates[0]
+        step = rep.solution - x0
+        hr = posterior_mean_apply(rep.belief, b - op.dense @ x0)
+        assert np.linalg.norm(hr - step) <= 1e-6 * np.linalg.norm(step)
+
+
+@checks
+@given(systems, st.integers(0, 96))
+def test_truncation_error_bounded_by_discarded_spectrum(system, rank):
+    # H - H_r is the sum of the discarded rank-one terms e_i u_i u_i'
     n, cond, seed = system
     op, b = build(n, cond, seed)
     belief = solve_probabilistic(op, b, tol=1e-10).belief
-    H = np.column_stack([posterior_mean_apply(belief, e) for e in np.eye(n)])
-    assert np.abs(H - H.T).max() <= 1e-10 * np.abs(H).max()
-
-
-@checks
-@given(systems)
-def test_posterior_mean_maps_rhs_to_solution(system):
-    n, cond, seed = system
-    op, b = build(n, cond, seed)
-    rep = solve_probabilistic(op, b, identity_belief(n), tol=1e-10)
-    assert rep.converged
-    hb = posterior_mean_apply(rep.belief, b)
-    assert np.linalg.norm(hb - rep.solution) <= 1e-6 * np.linalg.norm(rep.solution)
+    trunc = truncate_belief(belief, rank)
+    magnitudes = np.sort(np.abs(belief.e))[::-1]
+    discarded = magnitudes[rank:].sum()
+    V = np.random.default_rng(seed + 2).standard_normal((8, n))
+    for v in V / np.linalg.norm(V, axis=1, keepdims=True):
+        diff = posterior_mean_apply(belief, v) - posterior_mean_apply(trunc, v)
+        assert np.linalg.norm(diff) <= discarded + 1e-12 * (1.0 + magnitudes.sum())
 
 
 quad_rules = st.tuples(
