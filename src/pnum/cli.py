@@ -419,12 +419,15 @@ _RECYCLE_FIELDS = ["variant", "problem_index", "iterations",
 
 
 def cmd_recycle(cfg: dict, out: str, seeds: List[int], reproducible: bool) -> None:
-    config = deconv.SequenceConfig(dim=int(cfg["dim"]), length=int(cfg["length"]),
-                                   drift=float(cfg["drift"]), noise=float(cfg["noise"]),
-                                   kernel_size=int(cfg["kernel_size"]))
-    problem = deconv.generate_sequence(config, seeds[0])
-    report = deconv.run_recycling_benchmark(problem, rank=int(cfg["rank"]),
-                                            tol=float(cfg["tol"]))
+    try:   # a sequence, rank or tol deconv or linalg rejects
+        config = deconv.SequenceConfig(dim=int(cfg["dim"]), length=int(cfg["length"]),
+                                       drift=float(cfg["drift"]), noise=float(cfg["noise"]),
+                                       kernel_size=int(cfg["kernel_size"]))
+        problem = deconv.generate_sequence(config, seeds[0])
+        report = deconv.run_recycling_benchmark(problem, rank=int(cfg["rank"]),
+                                                tol=float(cfg["tol"]))
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from exc
     _write_csv(out, _RECYCLE_FIELDS, report.rows())
 
 

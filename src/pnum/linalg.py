@@ -15,17 +15,22 @@ During a solve the belief is updated one observation at a time: after m
 steps an iteration costs O(N m + m^2) on top of its matvec.  The Cholesky
 factor of the diagonally scaled S'Y is grown by bordering; its jitter climbs
 the ladder 0, 1e-14, 1e-12, 1e-10, 1e-8 and never comes back down, and past
-the last rung an eigenvalue-clipped solve takes over.
+the last rung an eigenvalue-clipped solve takes over.  The triangular
+solves call LAPACK ``dtrtrs`` directly.  The belief a solve ends with is
+conditioned on its observations only when ``SolveReport.belief`` is first
+read, and cached; a solve whose belief is never read never pays for it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
+from functools import cached_property
 from pathlib import Path
 from typing import Callable, List, Optional, Sequence, Tuple
 
 import numpy as np
-from scipy.linalg import block_diag, solve_triangular
+from scipy.linalg import block_diag
+from scipy.linalg.lapack import dtrtrs
 
 from .exceptions import (BeliefDimensionMismatch, Breakdown, DimensionMismatch,
                          InsufficientTrace)
@@ -142,8 +147,8 @@ class _BorderedCholesky:
         self.eig_fallback = False
         self._dd = np.empty(capacity)
         self._ns = np.empty((capacity, capacity))
-        # kept contiguous at its exact size: solve_triangular would copy a
-        # strided view of a larger buffer on every call
+        # kept C-contiguous at its exact size, so L' is the Fortran-ordered
+        # upper factor LAPACK takes without a copy
         self._l = np.empty((0, 0))
         self._eig: Optional[Tuple[np.ndarray, np.ndarray]] = None
 
@@ -166,7 +171,7 @@ class _BorderedCholesky:
         if self.eig_fallback:
             self._eigen()
             return
-        lrow = solve_triangular(self._l, c, lower=True, check_finite=False)
+        lrow = self._trsv(c, trans=1)
         pivot = self._ns[m, m] + self.jitter - lrow @ lrow
         if pivot > 0.0:
             L = np.zeros((m + 1, m + 1))
@@ -203,9 +208,16 @@ class _BorderedCholesky:
         if self.eig_fallback:
             lam, P = self._eig
             return (P @ ((P.T @ z) / lam)) / dd
-        z = solve_triangular(self._l, z, lower=True, check_finite=False)
-        return solve_triangular(self._l, z, lower=True, trans="T",
-                                check_finite=False) / dd
+        return self._trsv(self._trsv(z, trans=1), trans=0) / dd
+
+    def _trsv(self, v: np.ndarray, trans: int) -> np.ndarray:
+        """L^-1 v (trans=1) or L^-T v (trans=0), by LAPACK on the upper factor L'."""
+        if not v.size:   # LAPACK rejects a leading dimension of 0
+            return v.copy()
+        x, info = dtrtrs(self._l.T, v, lower=0, trans=trans)
+        if info:
+            raise np.linalg.LinAlgError(f"triangular solve failed, dtrtrs info {info}")
+        return x
 
 
 def condition_on_observations(belief: MatrixBelief, S, Y) -> MatrixBelief:
@@ -250,8 +262,9 @@ def condition_on_observations(belief: MatrixBelief, S, Y) -> MatrixBelief:
     lam_n = lam_n[keep]
     kcount = int(lam_n.size)
     D = S - _mean_apply(belief, Y)
-    Ninv = np.diag(1.0 / lam_n)
-    C = np.block([[-Ninv @ (Y.T @ D) @ Ninv, Ninv],
+    w = 1.0 / lam_n
+    Ninv = np.diag(w)
+    C = np.block([[-(w[:, None] * (Y.T @ D) * w), Ninv],
                   [Ninv, np.zeros((kcount, kcount))]])
     C = 0.5 * (C + C.T)
     V = np.hstack([S, D])
@@ -287,21 +300,33 @@ def truncate_belief(belief: MatrixBelief, rank: int) -> MatrixBelief:
 class SolveReport:
     """Everything a solve produced: solution, trace and final belief.
 
-    ``jitter`` is the rung of the jitter ladder the factor of S'Y ended on
-    and ``eig_fallback`` whether its eigenvalue-clipped solve ran; classic CG
-    keeps no such factor and reports 0.0 and False.
+    The final belief is ``prior`` conditioned on ``observations``, the pairs
+    (S, Y = A S) as two N x m arrays.  ``belief`` conditions on first read
+    and caches the result, so a solve whose belief is never read never pays
+    for it; ``dataclasses.replace`` makes a report that conditions afresh.
+    Classic CG keeps no belief: its prior, observations and belief are
+    None.  ``jitter`` is the rung of the jitter ladder the factor of S'Y
+    ended on and ``eig_fallback`` whether its eigenvalue-clipped solve ran;
+    classic CG keeps no such factor and reports 0.0 and False.
     """
 
     solution: np.ndarray
     iterations: int
     residual_norms: List[float]
     converged: bool
-    belief: Optional[MatrixBelief]
+    prior: Optional[MatrixBelief]
     iterates: List[np.ndarray] = field(default_factory=list)
     rayleigh_quotients: List[float] = field(default_factory=list)
     matvecs: int = 0
     jitter: float = 0.0
     eig_fallback: bool = False
+    observations: Optional[Tuple[np.ndarray, np.ndarray]] = None
+
+    @cached_property
+    def belief(self) -> Optional[MatrixBelief]:
+        if self.observations is None:
+            return self.prior
+        return condition_on_observations(self.prior, *self.observations)
 
     @property
     def initial_residual(self) -> float:
@@ -363,7 +388,7 @@ def classic_cg(A: LinearOperator, b, x0=None, tol: float = 1e-8,
         res.append(float(np.linalg.norm(r)))
         iterates.append(x.copy())
     return SolveReport(solution=x, iterations=len(res) - 1, residual_norms=res,
-                       converged=res[-1] <= tol * nb, belief=None,
+                       converged=res[-1] <= tol * nb, prior=None,
                        iterates=iterates, rayleigh_quotients=rayleigh,
                        matvecs=matvecs)
 
@@ -452,15 +477,14 @@ def solve_probabilistic(A: LinearOperator, b, belief: Optional[MatrixBelief] = N
         m += 1
         res.append(float(np.linalg.norm(r)))
         iterates.append(x.copy())
-    if m:
-        final = condition_on_observations(belief, obs[0, :m].T, obs[1, :m].T)
-    else:
-        final = belief
+    # copies, so the report does not hold the whole (3, capacity, N) buffer
+    observations = (obs[0, :m].copy().T, obs[1, :m].copy().T) if m else None
     return SolveReport(solution=x, iterations=len(res) - 1, residual_norms=res,
-                       converged=res[-1] <= tol * nb, belief=final,
+                       converged=res[-1] <= tol * nb, prior=belief,
                        iterates=iterates, rayleigh_quotients=rayleigh,
                        matvecs=matvecs, jitter=factor.jitter,
-                       eig_fallback=factor.eig_fallback)
+                       eig_fallback=factor.eig_fallback,
+                       observations=observations)
 
 
 def calibrate_scale(report: SolveReport) -> float:
@@ -484,16 +508,21 @@ def warm_start_sequence(problems: Sequence[Tuple[LinearOperator, np.ndarray]],
     The first problem starts cold (identity prior, x0 = 0).  The belief each
     solve ends with, truncated to ``rank``, is the prior of the next one,
     which seeds x0 = H0 b.  ``rank`` defaults to twice the first problem's
-    iteration count, capped at 64; rank 0 disables recycling entirely.
+    iteration count, capped at 64; rank 0 disables recycling entirely, and
+    a negative rank raises ValueError.  A report's belief is conditioned
+    only when the next solve needs it, so at rank 0 and for the last
+    problem it is left to its first read.
     """
+    if rank is not None and rank < 0:
+        raise ValueError("rank must be >= 0")
     reports: List[SolveReport] = []
     belief: Optional[MatrixBelief] = None
-    for A, b in problems:
+    for i, (A, b) in enumerate(problems):
         report = solve_probabilistic(A, b, belief, tol=tol, maxiter=maxiter)
         reports.append(report)
         if rank is None:
             rank = min(64, 2 * max(report.iterations, 1))
-        if rank > 0:
+        if rank > 0 and i + 1 < len(problems):
             belief = truncate_belief(report.belief, rank)
     return reports
 

@@ -160,6 +160,16 @@ class TestRecycleCommand:
         assert {r["variant"] for r in rows} == {"cold", "warm"}
         assert len(rows) == 8
 
+    def test_rejected_config_exit_code(self, tmp_path, capsys):
+        # a negative rank and a drift the generator rejects: exit 2, no traceback
+        for config, message in [
+                ({"dim": 16, "length": 4, "rank": -1}, "rank must be >= 0"),
+                ({"dim": 16, "length": 4, "drift": 0.5}, "drift magnitude")]:
+            code, _ = run_cli(tmp_path, "recycle", config)
+            assert code == 2
+            err = capsys.readouterr().err
+            assert err.startswith("config error:") and message in err
+
 
 class TestOdeCommand:
     def test_order_study(self, tmp_path):

@@ -2,7 +2,9 @@ import dataclasses
 
 import numpy as np
 import pytest
+from scipy.linalg import solve_triangular
 
+from pnum import linalg
 from pnum import (BeliefDimensionMismatch, Breakdown, DimensionMismatch,
                   InsufficientTrace, LinearOperator, calibrate_scale,
                   classic_cg, condition_on_observations, identity_belief,
@@ -161,6 +163,22 @@ class TestBorderedCholesky:
         assert path == sorted(path)
         assert path[-1] == 1e-8
 
+    def test_triangular_solves_match_solve_triangular_bitwise(self):
+        empty = _BorderedCholesky()
+        assert empty.solve(np.empty(0)).shape == (0,)
+        G = _rank_deficient_gram(10, self.SIZE, [(10, 2e-9)])
+        for factor, N, v in self.grow(G):
+            L = factor._l
+            for trans in (0, 1):
+                ref = solve_triangular(L, v, lower=True, trans=1 - trans,
+                                       check_finite=False)
+                assert factor._trsv(v, trans).tobytes() == ref.tobytes()
+            dd = np.sqrt(np.diag(N))
+            z = solve_triangular(L, v / dd, lower=True, check_finite=False)
+            ref = solve_triangular(L, z, lower=True, trans="T",
+                                   check_finite=False) / dd
+            assert factor.solve(v).tobytes() == ref.tobytes()
+
     def test_eigenvalue_clipped_solve_once_every_rung_fails(self):
         G = _rank_deficient_gram(10, self.SIZE, [(10, 1e-6)])
         for factor, N, v in self.grow(G):
@@ -223,6 +241,52 @@ class TestBelief:
     def test_apply_dimension_mismatch(self):
         with pytest.raises(DimensionMismatch):
             posterior_mean_apply(identity_belief(4), np.ones(5))
+
+
+def count_conditionings(monkeypatch):
+    calls = []
+    eager = linalg.condition_on_observations
+
+    def counted(*args):
+        calls.append(1)
+        return eager(*args)
+    monkeypatch.setattr(linalg, "condition_on_observations", counted)
+    return calls
+
+
+class TestLazyBelief:
+    def assert_conditioned_once_on_read(self, rep, calls):
+        before = len(calls)
+        first, second = rep.belief, rep.belief
+        assert len(calls) == before + 1
+        assert first is second
+        S, Y = rep.observations
+        assert S.shape == Y.shape == (rep.prior.dim, rep.iterations)
+        eager = condition_on_observations(rep.prior, S, Y)
+        assert first.u.tobytes() == eager.u.tobytes()
+        assert first.e.tobytes() == eager.e.tobytes()
+
+    def test_cold_solve_conditions_on_first_read_only(self, monkeypatch):
+        calls = count_conditionings(monkeypatch)
+        op, b = seeded_system(30, 81)
+        rep = solve_probabilistic(op, b, tol=1e-10)
+        assert calls == []
+        self.assert_conditioned_once_on_read(rep, calls)
+
+    def test_warm_solve_conditions_on_first_read_only(self, monkeypatch):
+        calls = count_conditionings(monkeypatch)
+        problems = [seeded_system(30, s) for s in (82, 83)]
+        reports = warm_start_sequence(problems, rank=16, tol=1e-10)
+        assert len(calls) == 1   # the first belief, for the second prior
+        assert reports[1].prior.rank == 16
+        self.assert_conditioned_once_on_read(reports[1], calls)
+
+    def test_no_observations_gives_the_prior(self):
+        op = LinearOperator.from_dense(np.eye(5))
+        prior = identity_belief(5)
+        rep = solve_probabilistic(op, np.zeros(5), prior)
+        assert rep.observations is None and rep.belief is prior
+        assert classic_cg(op, np.ones(5)).belief is None
 
 
 class TestCalibrateScale:
@@ -348,6 +412,19 @@ class TestWarmStart:
                 == [r.iterations for r in independent])
         for a, b in zip(disabled, independent):
             assert np.array_equal(a.solution, b.solution)
+
+
+    def test_rank_zero_never_conditions(self, monkeypatch):
+        calls = count_conditionings(monkeypatch)
+        problems = [seeded_system(16, s) for s in (70, 71, 72)]
+        warm_start_sequence(problems, rank=0, tol=1e-10)
+        assert calls == []
+        warm_start_sequence(problems, rank=8, tol=1e-10)
+        assert len(calls) == 2   # the last solve's belief is left unread
+
+    def test_negative_rank_rejected(self):
+        with pytest.raises(ValueError, match="rank must be >= 0"):
+            warm_start_sequence([seeded_system(8, 73)], rank=-1)
 
 
 class TestOperatorLoading:
