@@ -12,8 +12,9 @@ Every covariance of a d-dimensional problem is P1 (x) I_d for a
 (q+1) x (q+1) factor P1, and neither P1 nor the gain depends on the vector
 field.  So the filter runs in two passes: a data-free covariance pass on P1
 with one batched PSD check, then a mean pass, the only loop that evaluates
-the field, which updates the (q+1) x d mean.  Both cost a constant per step,
-so total cost is linear in the number of steps.
+the field, which updates the (q+1) x d mean.  The covariance pass steps
+only until its recursion turns stationary and fills in the rest; the mean
+pass costs a constant per step, so total cost is linear in the steps.
 """
 
 from __future__ import annotations
@@ -237,7 +238,8 @@ class FilterResult:
     ``psd_slack`` is the smallest min-eigenvalue / trace over every
     covariance the PSD check saw (the zero prior, each update and each
     prediction); the run raises ``CovarianceBreakdown`` below
-    -PSD_SLACK_REL.
+    -PSD_SLACK_REL.  ``stationary_step`` is the step from which the
+    covariance pass copied a cycle, or n if it never reached one.
     """
 
     states: List[FilterState]
@@ -247,6 +249,7 @@ class FilterResult:
     rho2: float
     evaluations: int = 0
     psd_slack: float = 0.0
+    stationary_step: int = 0
 
 
 def _check_psd(factors: np.ndarray, d: int) -> float:
@@ -272,9 +275,16 @@ def _check_psd(factors: np.ndarray, d: int) -> float:
 def _covariance_pass(A1: np.ndarray, Q1: np.ndarray, n: int, d: int):
     """Data-free half of the filter, on the factor P1 of P = P1 (x) I_d.
 
+    A1 is upper triangular and g[0] = 0, so P1[0, 0] reaches the other
+    entries, the gain and s only through products with an exact zero.  The
+    recursion steps until those repeat an earlier step bit for bit (at q = 2
+    often as a cycle of a few steps an ulp apart); from that stationary
+    step on the cycle is copied, and P1[0, 0] rises by a constant per step.
+
     Returns the predicted factors Ps (n + 1, q + 1, q + 1), the gain vectors
     (n, q + 1, 1), the jittered derivative variances s (0 where the gain
-    guard skipped the solve) and the PSD slack.
+    guard skipped the solve), the PSD slack over every factor and the
+    stationary step (n if the recursion never repeated).
     """
     q1 = A1.shape[0]
     # factors[2k] is the prediction for step k, factors[2k + 1] its update
@@ -282,8 +292,9 @@ def _covariance_pass(A1: np.ndarray, Q1: np.ndarray, n: int, d: int):
     gains = np.zeros((n, q1, 1))
     s = np.zeros(n)
     eye = np.eye(q1)
-    P = factors[0]
-    for k in range(n):
+    seen = {}                  # entries but P1[0, 0] -> first step with them
+    P, k = factors[0], 0
+    while k < n and (first := seen.setdefault(P.ravel()[1:].tobytes(), k)) == k:
         g = gains[k, :, 0]
         tr = d * P[1, 1]           # trace of the derivative block P1[1, 1] I_d
         if tr > 1e-300:
@@ -297,7 +308,17 @@ def _covariance_pass(A1: np.ndarray, Q1: np.ndarray, n: int, d: int):
         P = factors[2 * k + 1] = 0.5 * (P + P.T)
         P = A1.dot(P).dot(A1.T) + Q1
         P = factors[2 * k + 2] = 0.5 * (P + P.T)
-    return factors[::2], gains, s, _check_psd(factors, d)
+        k += 1
+    if k < n:
+        # (A1 U A1' + Q1 - U)[0, 0] over the cycle's updates U; A1[0, 0] = 1
+        U, a = factors[2 * first + 1:2 * k:2], A1[0]
+        rise = (a[1:] @ U[:, 1:] @ a + U[:, 0, 1:] @ a[1:]).mean() + Q1[0, 0]
+        p00 = factors[2 * k, 0, 0] + rise * np.arange(n + 1 - k)
+        j = first + np.arange(n + 1 - k) % (k - first)   # step in the cycle
+        factors[2 * k:] = factors[(2 * j[:, None] + [0, 1]).ravel()[:-1]]
+        factors[2 * k:, 0, 0] = np.repeat(p00, 2)[:-1]
+        gains[k:], s[k:] = gains[j[:-1]], s[j[:-1]]
+    return factors[::2], gains, s, _check_psd(factors, d), k
 
 
 def solve_ivp_filter(problem: IVProblem, q: int, h: float, rho2: float = 1.0,
@@ -313,12 +334,12 @@ def solve_ivp_filter(problem: IVProblem, q: int, h: float, rho2: float = 1.0,
 
     The covariances and gains do not depend on the field, and each is
     P1 (x) I_d.  A covariance pass therefore runs the recursion once on the
-    (q+1) x (q+1) factor P1 and checks every factor for PSD in one batch,
-    before the field is evaluated at all.  The mean pass then keeps the
-    mean as a (q+1) x d array M; a step evaluates the field, forms the
-    residual r = y - M[1] of the predicted derivative and sets
-    M = A1 (M + g_k r').  Every ``FilterState.cov`` is a view of one array
-    built from the factors.
+    (q+1) x (q+1) factor P1, up to its stationary step, and checks every
+    factor for PSD in one batch, before the field is evaluated at all.  The
+    mean pass then keeps the mean as a (q+1) x d array M; a step evaluates
+    the field, forms the residual r = y - M[1] of the predicted derivative
+    and sets M = A1 (M + g_k r').  Every ``FilterState.cov`` is a view of
+    one array built from the factors.
 
     With ``calibrate_diffusion`` rho2 is the maximum-likelihood diffusion
     scale of the observed field values.  The mean does not depend on rho2
@@ -332,10 +353,12 @@ def solve_ivp_filter(problem: IVProblem, q: int, h: float, rho2: float = 1.0,
         raise ValueError("prior order q must be 1 or 2")
     if h <= 0:
         raise ValueError("step size must be positive")
+    if not (np.isfinite(rho2) and rho2 >= 0.0):
+        raise ValueError(f"rho2 must be finite and non-negative, got {rho2}")
     n = _step_count(problem, h)
     d = problem.dim
     A1, Q1 = iwp_transition(q, h, 1.0 if calibrate_diffusion else rho2)
-    Ps, gains, s, psd_slack = _covariance_pass(A1, Q1, n, d)
+    Ps, gains, s, psd_slack, stationary_step = _covariance_pass(A1, Q1, n, d)
 
     ts = problem.t0 + h * np.arange(n + 1)
     times = ts.tolist()
@@ -362,7 +385,8 @@ def solve_ivp_filter(problem: IVProblem, q: int, h: float, rho2: float = 1.0,
               for t, m, c in zip(times, Ms.reshape(n + 1, dim_s), covs)]
     std = np.sqrt(np.clip(np.diagonal(covs, axis1=1, axis2=2)[:, :d], 0.0, None))
     return FilterResult(states=states, ts=ts, mean=Ms[:, 0].copy(), std=std,
-                        rho2=rho2, evaluations=n, psd_slack=psd_slack)
+                        rho2=rho2, evaluations=n, psd_slack=psd_slack,
+                        stationary_step=stationary_step)
 
 
 # ---------------------------------------------------------------------------

@@ -208,6 +208,18 @@ class TestOdeCommand:
         })
         assert code == 3
 
+    @pytest.mark.parametrize("mode", [
+        {"mode": "trajectory", "solver": "filter-q2", "h": 0.1},
+        {"mode": "order-study", "solvers": ["filter-q1"]},
+    ])
+    @pytest.mark.parametrize("rho2", [-1.0, float("nan")])
+    def test_invalid_rho2_exit_code(self, tmp_path, capsys, mode, rho2):
+        code, _ = run_cli(tmp_path, "ode", {"problem": "logistic", "rho2": rho2,
+                                            **mode})
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error:") and "rho2" in err
+
     @pytest.mark.parametrize("config,message", [
         ({"mode": "trajectory", "problem": "logistic", "solver": "filter-q2",
           "h": 0.3}, "does not divide the horizon"),

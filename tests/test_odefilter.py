@@ -215,6 +215,32 @@ class TestFilter:
             assert np.all(np.abs(state.mean - m) <= 1e-10 * (1.0 + np.abs(m)))
             assert np.abs(state.cov - P).max() <= 1e-13 * np.abs(P).max()
 
+    @pytest.mark.parametrize("q", [1, 2])
+    @pytest.mark.parametrize("h", [0.1, 0.01, 0.002])
+    def test_covariance_pass_turns_stationary_early(self, q, h):
+        # the covariance pass steps only to its stationary step, not to n
+        prob = named_problem("linear", a=-0.5, t_end=10.0)
+        res = solve_ivp_filter(prob, q=q, h=h)
+        assert res.stationary_step <= 32
+
+    def test_short_horizon_never_stationary(self):
+        prob = named_problem("linear", a=-0.5, t_end=1.0)
+        res = solve_ivp_filter(prob, q=2, h=0.1)
+        assert res.stationary_step == 10
+
+    @pytest.mark.parametrize("rho2", [-1.0, -1e-300, np.nan, np.inf])
+    @pytest.mark.parametrize("calibrate", [False, True])
+    def test_invalid_rho2_rejected(self, rho2, calibrate):
+        prob = named_problem("logistic")
+        with pytest.raises(ValueError, match="rho2"):
+            solve_ivp_filter(prob, q=2, h=0.1, rho2=rho2,
+                             calibrate_diffusion=calibrate)
+
+    def test_zero_rho2_allowed(self):
+        res = solve_ivp_filter(named_problem("logistic"), q=2, h=0.1, rho2=0.0)
+        assert np.all(res.std == 0.0)
+        assert res.rho2 == 0.0
+
     def test_stiff_linear_problem(self):
         prob = named_problem("stiff-linear", lam=-20.0, t_end=0.5)
         res = solve_ivp_filter(prob, q=1, h=0.01)

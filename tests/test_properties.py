@@ -8,7 +8,8 @@ each example draws an exponentiated-quadratic kernel on a box of dimension
 1-4 and points in it.  Hyperparameter fit: each example draws a kernel
 family, an interval, nodes and values.  ODE filter: each example draws a
 prior order, a problem, a step and a diffusion scale, or two vector fields
-of one dimension.
+of one dimension, or a prior order, a step, a step count and a dimension
+for the covariance pass.
 """
 
 import numpy as np
@@ -19,9 +20,9 @@ from pnum import (BQState, IVProblem, KernelFamily, LinearOperator,
                   SingularGram, bq_posterior, classic_cg, exp_quadratic,
                   fit_hyperparameters, gram_matrix, identity_belief,
                   kernel_embeddings, linear_spline, log_marginal_likelihood,
-                  named_problem, posterior_mean_apply, random_spd, rk_method,
-                  rk_reference, solve_ivp_filter, solve_probabilistic,
-                  trapezoid, truncate_belief)
+                  named_problem, odefilter, posterior_mean_apply, random_spd,
+                  rk_method, rk_reference, solve_ivp_filter,
+                  solve_probabilistic, trapezoid, truncate_belief)
 from pnum.gp import default_bounds
 
 systems = st.tuples(st.integers(2, 48), st.floats(1.0, 1e4),
@@ -301,3 +302,71 @@ def test_filter_covariance_free_of_the_field_and_kronecker(run):
     for s1, s2 in zip(first.states, second.states):
         assert np.array_equal(s1.cov, s2.cov)
         assert np.array_equal(s1.cov, np.kron(s1.cov[::d, ::d], np.eye(d)))
+
+
+def per_step_covariance_pass(A1, Q1, n, d):
+    """The covariance recursion with one (q+1) x (q+1) update and prediction
+    per step, to the end of the horizon: the reference for the stationary
+    covariance pass.  Returns the predicted factors, gains, s and PSD slack."""
+    q1 = A1.shape[0]
+    factors = np.zeros((2 * n + 1, q1, q1))
+    gains = np.zeros((n, q1, 1))
+    s = np.zeros(n)
+    eye = np.eye(q1)
+    P = factors[0]
+    for k in range(n):
+        g = gains[k, :, 0]
+        tr = d * P[1, 1]
+        if tr > 1e-300:
+            s[k] = P[1, 1] + 1e-14 * tr
+            g[:] = P[:, 1] / s[k]
+        g[0] = 0.0
+        g[1] = 1.0
+        Z = eye.copy()
+        Z[:, 1] -= g
+        P = Z.dot(P).dot(Z.T)
+        P = factors[2 * k + 1] = 0.5 * (P + P.T)
+        P = A1.dot(P).dot(A1.T) + Q1
+        P = factors[2 * k + 2] = 0.5 * (P + P.T)
+    return factors[::2], gains, s, odefilter._check_psd(factors, d)
+
+
+def assert_matches_per_step_pass(q, h, n, d):
+    A1, Q1 = odefilter.iwp_transition(q, h, 1.0)
+    Ps, gains, s, slack, start = odefilter._covariance_pass(A1, Q1, n, d)
+    ref_Ps, ref_gains, ref_s, ref_slack = per_step_covariance_pass(A1, Q1, n, d)
+    assert gains.tobytes() == ref_gains.tobytes()
+    assert s.tobytes() == ref_s.tobytes()
+    flat, ref_flat = Ps.reshape(n + 1, -1), ref_Ps.reshape(n + 1, -1)
+    assert flat[:, 1:].tobytes() == ref_flat[:, 1:].tobytes()
+    # P1[0, 0]: the reference rounds it once per step, so its own error
+    # grows to about n ulps of max|P|; the stationary fill rounds once
+    tol = max(1e-13, n * np.finfo(float).eps) * np.abs(ref_Ps).max()
+    assert np.abs(flat[:, 0] - ref_flat[:, 0]).max() <= tol
+    assert abs(slack - ref_slack) <= 1e-15
+    return start, ref_Ps
+
+
+covariance_runs = st.tuples(
+    st.sampled_from((1, 2)),
+    st.floats(-3.0, -0.3),                                     # log10 h
+    st.one_of(st.integers(1, 40), st.integers(1, 3000)),       # steps
+    st.integers(1, 3))                                         # dimension
+
+
+@checks
+@given(covariance_runs)
+def test_stationary_covariance_pass_matches_per_step_recursion(run):
+    # the gain, s and every entry but P1[0, 0] bit for bit, on horizons
+    # shorter and longer than the stationary step
+    q, log_h, n, d = run
+    assert_matches_per_step_pass(q, 10.0 ** log_h, n, d)
+
+
+def test_stationary_covariance_pass_accepts_a_two_cycle():
+    # at q = 2, h = 0.01 the recursion settles into a 2-cycle one ulp apart
+    start, ref_Ps = assert_matches_per_step_pass(2, 0.01, 1000, 1)
+    rest = ref_Ps.reshape(1001, -1)[:, 1:]
+    assert start < 1000
+    assert np.array_equal(rest[start], rest[start - 2])
+    assert not np.array_equal(rest[start], rest[start - 1])
