@@ -20,8 +20,8 @@ from .linalg import (LinearOperator, MatrixBelief, SolveReport, calibrate_scale,
                      load_operator, posterior_mean_apply, random_spd,
                      solve_probabilistic, truncate_belief, warm_start_sequence)
 from .mc import AISResult, EvidenceProblem, ais_evidence, make_evidence_problem, smc_integrate
-from .odefilter import (FilterResult, FilterState, IVProblem, OrderEstimate,
-                        RKMethod, convergence_order_estimate, filter_solver,
+from .odefilter import (FilterResult, IVProblem, OrderEstimate, RKMethod,
+                        convergence_order_estimate, filter_solver,
                         iwp_transition, named_problem, rk_method, rk_reference,
                         rk_solver, solve_ivp_filter)
 from .quadrature import (BQState, QuadratureEstimate, bq_posterior,

@@ -28,6 +28,7 @@ import csv
 import json
 import sys
 import time
+from contextlib import contextmanager
 from datetime import datetime, timezone
 from pathlib import Path
 from typing import Dict, List, Optional
@@ -118,6 +119,18 @@ def _write_sidecar(out: str, command: str, cfg: dict, seeds: List[int],
     with open(out + ".config.json", "w") as fh:
         json.dump(side, fh, indent=2, sort_keys=True, default=str)
         fh.write("\n")
+
+
+@contextmanager
+def _config_errors():
+    """Turn a ValueError the library raises on a config value into a
+    ConfigError; LinAlgError, a ValueError, is a numerical failure."""
+    try:
+        yield
+    except np.linalg.LinAlgError:
+        raise
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from exc
 
 
 class _Clock:
@@ -279,10 +292,8 @@ _EVIDENCE_FIELDS = ["method", "seed", "evaluations", "log_z", "oracle_log_z",
 
 
 def cmd_evidence(cfg: dict, out: str, seeds: List[int], reproducible: bool) -> None:
-    try:
+    with _config_errors():   # a problem name or budget mc or quadrature rejects
         rows = _evidence_rows(cfg, seeds, reproducible)
-    except ValueError as exc:   # a problem name or budget mc or quadrature rejects
-        raise ConfigError(str(exc)) from exc
     _write_csv(out, _EVIDENCE_FIELDS, rows)
 
 
@@ -372,7 +383,8 @@ def _build_operator(op_config: dict, seed: int):
 
 def cmd_linsolve(cfg: dict, out: str, seeds: List[int], reproducible: bool) -> None:
     seed = seeds[0]
-    op, problem_rhs = _build_operator(cfg["operator"], seed)
+    with _config_errors():   # an operator kind, shape or file linalg rejects
+        op, problem_rhs = _build_operator(cfg["operator"], seed)
     rhs_choice = cfg["rhs"]
     if isinstance(rhs_choice, list):
         b = np.asarray(rhs_choice, dtype=float)
@@ -419,15 +431,13 @@ _RECYCLE_FIELDS = ["variant", "problem_index", "iterations",
 
 
 def cmd_recycle(cfg: dict, out: str, seeds: List[int], reproducible: bool) -> None:
-    try:   # a sequence, rank or tol deconv or linalg rejects
+    with _config_errors():   # a sequence, rank or tol deconv or linalg rejects
         config = deconv.SequenceConfig(dim=int(cfg["dim"]), length=int(cfg["length"]),
                                        drift=float(cfg["drift"]), noise=float(cfg["noise"]),
                                        kernel_size=int(cfg["kernel_size"]))
         problem = deconv.generate_sequence(config, seeds[0])
         report = deconv.run_recycling_benchmark(problem, rank=int(cfg["rank"]),
                                                 tol=float(cfg["tol"]))
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
     _write_csv(out, _RECYCLE_FIELDS, report.rows())
 
 
@@ -456,10 +466,8 @@ def _named_solver(name: str, rho2: float):
 
 
 def cmd_ode(cfg: dict, out: str, seeds: List[int], reproducible: bool) -> None:
-    try:
+    with _config_errors():   # a name, step size or step list odefilter rejects
         fields, rows = _ode_rows(cfg)
-    except ValueError as exc:   # a name, step size or step list odefilter rejects
-        raise ConfigError(str(exc)) from exc
     _write_csv(out, fields, rows)
 
 
@@ -482,22 +490,19 @@ def _ode_rows(cfg: dict):
         d = problem.dim
         fields = (["t"] + [f"mean_{i}" for i in range(d)]
                   + [f"std_{i}" for i in range(d)])
-        rows = []
         if name.startswith("filter-q"):
             result = odefilter.solve_ivp_filter(problem, q=int(name[-1]), h=h,
                                                 rho2=float(cfg["rho2"]))
-            for k, t in enumerate(result.ts):
-                row = {"t": float(t)}
-                row.update({f"mean_{i}": float(result.mean[k, i]) for i in range(d)})
-                row.update({f"std_{i}": float(result.std[k, i]) for i in range(d)})
-                rows.append(row)
+            ts, xs, std = result.ts, result.mean, result.std
         else:
             ts, xs = odefilter.rk_reference(problem, odefilter.rk_method(name), h)
-            for k, t in enumerate(ts):
-                row = {"t": float(t)}
-                row.update({f"mean_{i}": float(xs[k, i]) for i in range(d)})
-                row.update({f"std_{i}": 0.0 for i in range(d)})
-                rows.append(row)
+            std = np.zeros_like(xs)
+        rows = []
+        for k, t in enumerate(ts):
+            row = {"t": float(t)}
+            row.update({f"mean_{i}": float(xs[k, i]) for i in range(d)})
+            row.update({f"std_{i}": float(std[k, i]) for i in range(d)})
+            rows.append(row)
         return fields, rows
     raise ConfigError(f"unknown ode mode {cfg['mode']!r}")
 

@@ -219,37 +219,33 @@ def iwp_transition(q: int, h: float, rho2: float) -> Tuple[np.ndarray, np.ndarra
     return A, Q
 
 
-@dataclass(frozen=True)
-class FilterState:
-    """Filtered state at one grid time: stacked mean and covariance."""
-
-    t: float
-    mean: np.ndarray          # shape ((q+1)*d,), derivative-major blocks
-    cov: np.ndarray           # shape ((q+1)*d, (q+1)*d)
-    h: float
-    q: int
-    rho2: float
-
-
 @dataclass
 class FilterResult:
-    """Full filtering run: per-step states plus convenience trajectories.
+    """Full filtering run, as arrays over the grid times ``ts``.
+
+    The state at ``ts[k]`` (position, then each derivative) has mean
+    ``state_mean[k]`` and covariance ``cov_factor[k]`` (x) I_d, the factor
+    scaled by the final ``rho2``; ``cov(k)`` expands it.
 
     ``psd_slack`` is the smallest min-eigenvalue / trace over every
     covariance the PSD check saw (the zero prior, each update and each
-    prediction); the run raises ``CovarianceBreakdown`` below
-    -PSD_SLACK_REL.  ``stationary_step`` is the step from which the
-    covariance pass copied a cycle, or n if it never reached one.
+    prediction); one below -PSD_SLACK_REL or not finite raises
+    ``CovarianceBreakdown``.  ``stationary_step`` is the step from which
+    the covariance pass copied a cycle, or n if it never reached one.
     """
 
-    states: List[FilterState]
     ts: np.ndarray
+    state_mean: np.ndarray    # (n_steps + 1, q + 1, dim)
+    cov_factor: np.ndarray    # (n_steps + 1, q + 1, q + 1)
     mean: np.ndarray          # (n_steps + 1, dim) position means
     std: np.ndarray           # (n_steps + 1, dim) position standard deviations
     rho2: float
-    evaluations: int = 0
     psd_slack: float = 0.0
     stationary_step: int = 0
+
+    def cov(self, k: int) -> np.ndarray:
+        """Covariance of the derivative-major ``state_mean[k].ravel()``."""
+        return np.kron(self.cov_factor[k], np.eye(self.state_mean.shape[2]))
 
 
 def _check_psd(factors: np.ndarray, d: int) -> float:
@@ -257,9 +253,13 @@ def _check_psd(factors: np.ndarray, d: int) -> float:
 
     eig(P1 (x) I_d) = eig(P1) and tr(P1 (x) I_d) = d tr(P1), so one batched
     eigvalsh over the factors checks them all.  ``factors`` is in step order
-    (the prior, then each step's update and prediction), and the first one
-    below -PSD_SLACK_REL raises ``CovarianceBreakdown``.
+    (the prior, then each step's update and prediction); the first that is
+    not finite or below -PSD_SLACK_REL raises ``CovarianceBreakdown``.
     """
+    bad = np.flatnonzero(~np.isfinite(factors).all(axis=(1, 2)))
+    if bad.size:
+        raise CovarianceBreakdown(
+            f"covariance overflowed to a non-finite value in step {(bad[0] - 1) // 2}")
     eig = np.linalg.eigvalsh(factors)[:, 0]
     tr = np.maximum(d * np.trace(factors, axis1=1, axis2=2), 1e-300)
     slack = eig / tr
@@ -338,15 +338,15 @@ def solve_ivp_filter(problem: IVProblem, q: int, h: float, rho2: float = 1.0,
     factor for PSD in one batch, before the field is evaluated at all.  The
     mean pass then keeps the mean as a (q+1) x d array M; a step evaluates
     the field, forms the residual r = y - M[1] of the predicted derivative
-    and sets M = A1 (M + g_k r').  Every ``FilterState.cov`` is a view of
-    one array built from the factors.
+    and sets M = A1 (M + g_k r').  The result keeps the means M and the
+    factors P1 as arrays; ``FilterResult.cov(k)`` expands one covariance.
 
     With ``calibrate_diffusion`` rho2 is the maximum-likelihood diffusion
     scale of the observed field values.  The mean does not depend on rho2
     and every covariance is linear in it, so one rho2 = 1 pass sums the
     scaled residuals r' S^-1 r = r'r / s_k of the predicted derivatives,
     rho2 becomes their mean per observed step and dimension, and the stored
-    covariances are rescaled by it.  If every residual is zero (a single
+    factors P1 are rescaled by it.  If every residual is zero (a single
     step, or exact predictions) the given rho2 is kept.
     """
     if q not in (1, 2):
@@ -373,19 +373,13 @@ def solve_ivp_filter(problem: IVProblem, q: int, h: float, rho2: float = 1.0,
             residual += float(r @ r) / s[k]
         M = np.dot(A1, M + gains[k] * r, out=Ms[k + 1])
 
-    dim_s = (q + 1) * d
-    # covs[k] = Ps[k] (x) I_d, in the derivative-major order of the mean
-    covs = (Ps[:, :, None, :, None] * np.eye(d)[:, None, :]).reshape(
-        n + 1, dim_s, dim_s)
     if calibrate_diffusion:
         if residual > 0.0:
             rho2 = residual / ((n - 1) * d)
-        covs *= rho2
-    states = [FilterState(t=t, mean=m, cov=c, h=h, q=q, rho2=rho2)
-              for t, m, c in zip(times, Ms.reshape(n + 1, dim_s), covs)]
-    std = np.sqrt(np.clip(np.diagonal(covs, axis1=1, axis2=2)[:, :d], 0.0, None))
-    return FilterResult(states=states, ts=ts, mean=Ms[:, 0].copy(), std=std,
-                        rho2=rho2, evaluations=n, psd_slack=psd_slack,
+        Ps = rho2 * Ps
+    std = np.sqrt(np.clip(Ps[:, :1, 0], 0.0, None)).repeat(d, axis=1)
+    return FilterResult(ts=ts, state_mean=Ms, cov_factor=Ps, mean=Ms[:, 0],
+                        std=std, rho2=rho2, psd_slack=psd_slack,
                         stationary_step=stationary_step)
 
 

@@ -5,6 +5,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from pnum import odefilter
 from pnum.cli import benchmark_integral_truth, main, smooth_benchmark_integrand
 
 
@@ -149,6 +150,12 @@ class TestLinsolveCommand:
         })
         assert code == 3
 
+    def test_rejected_config_exit_code(self, tmp_path, capsys):
+        code, _ = run_cli(tmp_path, "linsolve", {"operator": {"kind": "nope"}})
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error:") and "unknown operator kind" in err
+
 
 class TestRecycleCommand:
     def test_default_table(self, tmp_path):
@@ -207,6 +214,17 @@ class TestOdeCommand:
             "h": 1e100,
         })
         assert code == 3
+
+    def test_linalg_error_exit_code(self, tmp_path, capsys, monkeypatch):
+        # LinAlgError subclasses ValueError; it is a numerical failure all the same
+        def fail(*args, **kwargs):
+            raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+        monkeypatch.setattr(odefilter, "solve_ivp_filter", fail)
+        code, _ = run_cli(tmp_path, "ode", {"mode": "trajectory",
+                                            "problem": "logistic"})
+        assert code == 3
+        assert capsys.readouterr().err.startswith("numerical failure: LinAlgError")
 
     @pytest.mark.parametrize("mode", [
         {"mode": "trajectory", "solver": "filter-q2", "h": 0.1},

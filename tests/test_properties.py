@@ -266,11 +266,10 @@ def test_filter_mean_free_of_rho2_and_covariance_linear_in_it(run):
     rho2 = 10.0 ** log_rho2
     unit = solve_ivp_filter(prob, q=q, h=h)
     scaled = solve_ivp_filter(prob, q=q, h=h, rho2=rho2)
-    for ref, state in zip(unit.states, scaled.states):
-        assert np.all(np.abs(state.mean - ref.mean)
-                      <= 1e-12 * (1.0 + np.abs(ref.mean)))
-        assert (np.abs(state.cov - rho2 * ref.cov).max()
-                <= 1e-12 * rho2 * np.abs(ref.cov).max())
+    assert np.all(np.abs(scaled.state_mean - unit.state_mean)
+                  <= 1e-12 * (1.0 + np.abs(unit.state_mean)))
+    for ref, P in zip(unit.cov_factor, scaled.cov_factor):
+        assert np.abs(P - rho2 * ref).max() <= 1e-12 * rho2 * np.abs(ref).max()
     if q == 1:
         _, euler = rk_reference(prob, rk_method("euler"), h)
         assert np.all(np.abs(scaled.mean - euler)
@@ -290,7 +289,8 @@ field_pairs = st.tuples(
 @given(field_pairs)
 def test_filter_covariance_free_of_the_field_and_kronecker(run):
     # the covariance pass never sees the field: any two fields of one
-    # dimension give the same covariances, each P1 (x) I_d
+    # dimension give the same covariances, each P1 (x) I_d, and std is
+    # read off the position block of that derivative-major layout
     q, d, a, r, x0, steps, log_rho2 = run
     linear = IVProblem(f=lambda x, t: a * x, x0=np.full(d, x0), t0=0.0,
                        t_end=1.0)
@@ -299,9 +299,12 @@ def test_filter_covariance_free_of_the_field_and_kronecker(run):
     kw = dict(q=q, h=1.0 / steps, rho2=10.0 ** log_rho2)
     first = solve_ivp_filter(linear, **kw)
     second = solve_ivp_filter(nonlinear, **kw)
-    for s1, s2 in zip(first.states, second.states):
-        assert np.array_equal(s1.cov, s2.cov)
-        assert np.array_equal(s1.cov, np.kron(s1.cov[::d, ::d], np.eye(d)))
+    assert np.array_equal(first.cov_factor, second.cov_factor)
+    for k in range(len(first.ts)):
+        cov = first.cov(k)
+        assert np.array_equal(cov, np.kron(cov[::d, ::d], np.eye(d)))
+        assert np.array_equal(first.std[k],
+                              np.sqrt(np.maximum(np.diag(cov)[:d], 0.0)))
 
 
 def per_step_covariance_pass(A1, Q1, n, d):
