@@ -384,7 +384,12 @@ def _build_operator(op_config: dict, seed: int):
 def cmd_linsolve(cfg: dict, out: str, seeds: List[int], reproducible: bool) -> None:
     seed = seeds[0]
     with _config_errors():   # an operator kind, shape or file linalg rejects
-        op, problem_rhs = _build_operator(cfg["operator"], seed)
+        try:
+            op, problem_rhs = _build_operator(cfg["operator"], seed)
+        except KeyError as exc:
+            raise ConfigError(f"operator config lacks key {exc}") from exc
+        except OSError as exc:
+            raise ConfigError(f"cannot read operator file: {exc}") from exc
     rhs_choice = cfg["rhs"]
     if isinstance(rhs_choice, list):
         b = np.asarray(rhs_choice, dtype=float)

@@ -156,6 +156,16 @@ class TestLinsolveCommand:
         err = capsys.readouterr().err
         assert err.startswith("config error:") and "unknown operator kind" in err
 
+    @pytest.mark.parametrize("operator, message", [
+        ({"kind": "csv", "path": "/nonexistent.csv"}, "nonexistent.csv"),
+        ({"kind": "random_spd"}, "'dim'"),
+    ])
+    def test_unreadable_operator_exit_code(self, tmp_path, capsys, operator, message):
+        code, _ = run_cli(tmp_path, "linsolve", {"operator": operator})
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error:") and message in err
+
 
 class TestRecycleCommand:
     def test_default_table(self, tmp_path):

@@ -4,7 +4,8 @@ import pytest
 from pnum import (KernelFamily, SingularGram, exp_quadratic, fit_hyperparameters,
                   gram_matrix, kernel_eval, linear_spline, log_marginal_likelihood,
                   sample_path)
-from pnum.gp import _factorize, _solve_refined, default_bounds
+from pnum.gp import (JITTER_REL_START, _factorize, _solve_refined, _spline_cholesky,
+                     default_bounds)
 
 
 def random_kernel(rng):
@@ -188,3 +189,33 @@ class TestSamplePath:
     def test_unsorted_grid_rejected(self):
         with pytest.raises(ValueError):
             sample_path(linear_spline(), [1.0, -1.0], seed=0)
+
+    def test_spline_grid_outside_box_rejected(self):
+        k = linear_spline(1.0, 1.0, (-3.0, 3.0))
+        for grid in ([-3.5, 0.0], [0.0, 3.0 + 1e-12], [-1.0, np.nan, 1.0]):
+            with pytest.raises(ValueError):
+                sample_path(k, grid, seed=0)
+
+    @pytest.mark.parametrize("rung", [0, 1, 2, 3, 4])
+    def test_spline_jitter_escalates_like_factorize(self, rung):
+        # on (0, 12 + delta) the kernel 2 - |x - x'| / 3 is indefinite: the
+        # Gram of the two ends has eigenvalue -delta / 3, so the first rung
+        # to pass is the one with jitter above it
+        delta = 1.5 * JITTER_REL_START * 10.0 ** rung
+        k = linear_spline(1.0, 1.0, (0.0, 12.0 + delta))
+        for n in (2, 7, 50):
+            grid = np.linspace(0.0, 12.0 + delta, n)
+            expected = _factorize(gram_matrix(k, grid))[1]
+            assert expected == pytest.approx(2.0 * JITTER_REL_START * 10.0 ** rung,
+                                             rel=1e-9, abs=0.0)
+            assert _spline_cholesky(k, grid)[3] == expected
+            assert np.isfinite(sample_path(k, grid, seed=0)).all()
+
+    def test_spline_jitter_ceiling_raises(self):
+        delta = 1.5e-5     # eigenvalue -5e-6, past the ceiling 2e-6
+        k = linear_spline(1.0, 1.0, (0.0, 12.0 + delta))
+        grid = np.linspace(0.0, 12.0 + delta, 7)
+        with pytest.raises(SingularGram):
+            _factorize(gram_matrix(k, grid))
+        with pytest.raises(SingularGram):
+            sample_path(k, grid, seed=0)

@@ -3,7 +3,9 @@
 Linear solver: each example draws a dimension, a condition number and a seed
 for a ``random_spd`` operator and a right-hand side, and for the warm solves
 a rank and the size of a perturbation of the operator.  Quadrature: each
-example draws a linear-spline kernel, an interval, nodes and values.  Kernel:
+example draws a linear-spline kernel, an interval, nodes and values.  Prior
+draws: each example draws a linear-spline kernel, an interval, a grid in it
+and a seed.  Kernel:
 each example draws an exponentiated-quadratic kernel on a box of dimension
 1-4 and points in it.  Hyperparameter fit: each example draws a kernel
 family, an interval, nodes and values.  ODE filter: each example draws a
@@ -13,7 +15,7 @@ for the covariance pass.
 """
 
 import numpy as np
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 from scipy.special import erf
 
 from pnum import (BQState, IVProblem, KernelFamily, LinearOperator,
@@ -21,9 +23,9 @@ from pnum import (BQState, IVProblem, KernelFamily, LinearOperator,
                   fit_hyperparameters, gram_matrix, identity_belief,
                   kernel_embeddings, linear_spline, log_marginal_likelihood,
                   named_problem, odefilter, posterior_mean_apply, random_spd,
-                  rk_method, rk_reference, solve_ivp_filter,
+                  rk_method, rk_reference, sample_path, solve_ivp_filter,
                   solve_probabilistic, trapezoid, truncate_belief)
-from pnum.gp import default_bounds
+from pnum.gp import _spline_cholesky, default_bounds
 
 systems = st.tuples(st.integers(2, 48), st.floats(1.0, 1e4),
                     st.integers(0, 2**31 - 1))
@@ -162,6 +164,53 @@ def test_spline_bq_mean_is_trapezoid(rule):
     assert abs(est.mean - trapezoid(nodes, values)) <= 1e-9 * trapezoid(nodes, np.abs(values))
     bridges = c * b / 18.0 * np.sum(np.diff(nodes) ** 3)
     assert abs(est.variance - bridges) <= 1e-12 * state.z0
+
+
+spline_kernels = st.tuples(
+    st.floats(0.1, 10.0), st.floats(0.1, 10.0),        # kernel c, b
+    st.floats(-5.0, 5.0), st.floats(0.1, 1.0))         # start, width fraction
+
+
+def spline_box(c, b, lo, frac):
+    # the width is a fraction of 6 (1 + b) / b, the widest box on which the
+    # kernel is positive semidefinite: two nodes that far apart make the
+    # Gram singular.  lo + width * t, t in [0, 1], stays in the box
+    width = frac * 6.0 * (1.0 + b) / b
+    return linear_spline(c, b, (lo, lo + width)), lo, width
+
+
+@checks
+@given(spline_kernels, st.lists(st.floats(0.0, 1.0), min_size=1, max_size=200))
+def test_spline_factor_generators_rebuild_the_gram(kernel_input, unit):
+    # L_ij = p_i' w_j below the diagonal, p_i = (u_i, 1): L L' is the
+    # jittered Gram on any distinct grid, near-coincident nodes included
+    kern, lo, width = spline_box(*kernel_input)
+    grid = np.unique(lo + width * np.array(unit))
+    d, w, u, jitter = _spline_cholesky(kern, grid)
+    L = np.diag(d) + np.tril(np.outer(u, w[0]) + w[1], -1)
+    K = gram_matrix(kern, grid) + jitter * np.eye(grid.size)
+    assert np.abs(L @ L.T - K).max() <= 1e-13 * K.max()
+
+
+@checks
+@given(spline_kernels, st.lists(st.floats(0.05, 1.0), min_size=1, max_size=200),
+       st.integers(0, 2**32 - 1))
+@example((1.0, 1.0, 0.0, 50 / 49), [1.0] * 50, 0)
+def test_spline_draw_is_the_dense_cholesky_draw(kernel_input, gaps, seed):
+    # the grid ends at the box's right end and its smallest spacing is at
+    # least 1/4000 of the box.  Nearer nodes leave pivots of the size of the
+    # jitter, which every float64 Cholesky, the dense one included, meets
+    # with relative errors of order 1e-16 / 1e-10.  The explicit example's
+    # grid spans 12, the width at which the Gram of b = 1 turns singular;
+    # there the generators need the grid's midpoint as origin
+    kern, lo, width = spline_box(*kernel_input)
+    ends = np.cumsum(gaps)
+    grid = lo + width * (ends / ends[-1])
+    jitter = _spline_cholesky(kern, grid)[3]
+    L = np.linalg.cholesky(gram_matrix(kern, grid) + jitter * np.eye(grid.size))
+    z = np.random.default_rng(seed).standard_normal(grid.size)
+    draw = sample_path(kern, grid, seed)
+    assert np.abs(draw - L @ z).max() <= 1e-11 * max(1.0, np.abs(draw).max())
 
 
 eq_kernels = st.tuples(
