@@ -5,10 +5,12 @@ Usage::
     pnum quad|evidence|linsolve|recycle|ode --config cfg.json --out table.csv
          [--seed K] [--reproducible]
 
-Configs are JSON documents with a fixed, per-command schema; unknown keys are
-rejected.  Every run is fully determined by (config, seed): under
-``--reproducible`` wall-clock columns and the sidecar timestamp are
-suppressed, making re-runs byte-identical.  Each CSV gets a JSON sidecar
+Configs are JSON documents with a fixed, per-command schema.  Unknown keys,
+values a command or the library rejects, and values of the wrong JSON type
+(a ``null`` or a list where a number is due) are configuration errors.
+Every run is fully determined by (config, seed): under ``--reproducible``
+wall-clock columns and the sidecar timestamp are suppressed, making re-runs
+byte-identical.  Each CSV gets a JSON sidecar
 ``<out>.config.json`` with the resolved configuration.
 
 The ``linsolve`` table's ``cg_match`` column is ``true`` where the
@@ -31,7 +33,7 @@ import time
 from contextlib import contextmanager
 from datetime import datetime, timezone
 from pathlib import Path
-from typing import Dict, List, Optional
+from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
@@ -43,6 +45,8 @@ FINE_GRID_SIZE = 1801          # spline-draw grids; 1800 is divisible by N-1 for
 ORACLE_TRAPEZOID_NODES = 1_000_001
 
 _truth_cache: Dict[tuple, float] = {}
+
+_Table = Tuple[List[str], List[dict]]   # CSV field names and rows
 
 
 def smooth_benchmark_integrand(x):
@@ -67,13 +71,8 @@ def benchmark_integral_truth(domain=PAPER_EXAMPLE_DOMAIN) -> float:
 
 def _load_config(path: str, allowed: Dict[str, object],
                  required: tuple) -> dict:
-    try:
-        with open(path) as fh:
-            cfg = json.load(fh)
-    except FileNotFoundError as exc:
-        raise ConfigError(f"config file not found: {path}") from exc
-    except json.JSONDecodeError as exc:
-        raise ConfigError(f"config is not valid JSON (line {exc.lineno}): {exc.msg}") from exc
+    with open(path) as fh:
+        cfg = json.load(fh)
     if not isinstance(cfg, dict):
         raise ConfigError("config must be a JSON object")
     unknown = set(cfg) - set(allowed)
@@ -123,14 +122,23 @@ def _write_sidecar(out: str, command: str, cfg: dict, seeds: List[int],
 
 @contextmanager
 def _config_errors():
-    """Turn a ValueError the library raises on a config value into a
-    ConfigError; LinAlgError, a ValueError, is a numerical failure."""
+    """Turn into a ConfigError what a config value can make a command raise.
+
+    That is a ValueError the library rejects a value with (LinAlgError, a
+    ValueError, stays a numerical failure), a TypeError from a ``null`` or a
+    list where a number is due, a KeyError from a missing nested key and an
+    OSError from an unreadable file.
+    """
     try:
         yield
     except np.linalg.LinAlgError:
         raise
-    except ValueError as exc:
+    except (ValueError, TypeError) as exc:
         raise ConfigError(str(exc)) from exc
+    except KeyError as exc:
+        raise ConfigError(f"config lacks key {exc}") from exc
+    except OSError as exc:
+        raise ConfigError(f"cannot read file: {exc}") from exc
 
 
 class _Clock:
@@ -206,7 +214,7 @@ def _quad_methods_on_values(cfg, domain, nodes, values, est_rows, common, clock)
                              spread=spread, wall_ms=clock.ms()))
 
 
-def cmd_quad(cfg: dict, out: str, seeds: List[int], reproducible: bool) -> None:
+def cmd_quad(cfg: dict, seeds: List[int], reproducible: bool) -> _Table:
     domain = (float(cfg["domain"][0]), float(cfg["domain"][1]))
     if not domain[0] < domain[1]:
         raise ConfigError(f"domain must be (lo, hi) with lo < hi, got {cfg['domain']}")
@@ -239,9 +247,9 @@ def cmd_quad(cfg: dict, out: str, seeds: List[int], reproducible: bool) -> None:
         kernel = gp.linear_spline(cfg["spline_c"], cfg["spline_b"], domain)
         fine = np.linspace(domain[0], domain[1], FINE_GRID_SIZE)
         for n in budgets:
-            if (FINE_GRID_SIZE - 1) % (n - 1) != 0:
-                raise ConfigError(
-                    f"budget {n}: {FINE_GRID_SIZE - 1} must be divisible by N-1")
+            if n < 2 or (FINE_GRID_SIZE - 1) % (n - 1) != 0:
+                raise ConfigError(f"budget {n}: need N >= 2 and "
+                                  f"{FINE_GRID_SIZE - 1} divisible by N-1")
         for seed in seeds:
             path = gp.sample_path(kernel, fine, seed)
             oracle = quadrature.trapezoid(fine, path)
@@ -258,6 +266,9 @@ def cmd_quad(cfg: dict, out: str, seeds: List[int], reproducible: bool) -> None:
             raise ConfigError("smc needs a callable integrand, not fixed grid values")
         nodes = np.asarray(cfg["custom_nodes"], dtype=float)
         values = np.asarray(cfg["custom_values"], dtype=float)
+        if nodes.shape != values.shape:
+            raise ConfigError(f"custom_values has shape {values.shape}, "
+                              f"custom_nodes {nodes.shape}")
         common = dict(integrand=integrand, seed="", budget=nodes.size, oracle="")
         _quad_methods_on_values(cfg, domain, nodes, values, rows, common, clock)
     else:
@@ -268,7 +279,7 @@ def cmd_quad(cfg: dict, out: str, seeds: List[int], reproducible: bool) -> None:
         else:
             row["abs_error"] = ""
     rows.sort(key=lambda r: (r["method"], str(r["seed"]), r["budget"]))
-    _write_csv(out, _QUAD_FIELDS, rows)
+    return _QUAD_FIELDS, rows
 
 
 # ---------------------------------------------------------------------------
@@ -291,35 +302,32 @@ _EVIDENCE_FIELDS = ["method", "seed", "evaluations", "log_z", "oracle_log_z",
                     "abs_log_error", "spread", "wall_ms"]
 
 
-def cmd_evidence(cfg: dict, out: str, seeds: List[int], reproducible: bool) -> None:
-    with _config_errors():   # a problem name or budget mc or quadrature rejects
-        rows = _evidence_rows(cfg, seeds, reproducible)
-    _write_csv(out, _EVIDENCE_FIELDS, rows)
+def _record_rows(method: str, seed: int, record, oracle: float,
+                 wall: float) -> List[dict]:
+    """One evidence row per evaluation count of a convergence record."""
+    rows = []
+    for budget, est, spread in zip(record.budgets, record.estimates,
+                                   record.spreads):
+        lz = float(np.log(est)) if est > 0 else float("-inf")
+        rows.append(dict(method=method, seed=seed, evaluations=budget,
+                         log_z=lz, oracle_log_z=oracle,
+                         abs_log_error=abs(lz - oracle),
+                         spread=spread, wall_ms=wall))
+    return rows
 
 
-def _evidence_rows(cfg: dict, seeds: List[int], reproducible: bool) -> List[dict]:
+def cmd_evidence(cfg: dict, seeds: List[int], reproducible: bool) -> _Table:
     problem = mc.make_evidence_problem(cfg["problem"], **cfg["problem_params"])
     if problem.true_log_z is None:
         raise ConfigError("evidence experiments need a problem with analytic Z")
     oracle = problem.true_log_z
     clock = _Clock(reproducible)
     rows: List[dict] = []
-
-    def log_safe(v: float) -> float:
-        return float(np.log(v)) if v > 0 else float("-inf")
-
     for seed in seeds:
         if "smc" in cfg["methods"]:
             clock.restart()
             _, record = mc.smc_integrate(problem, int(cfg["smc_budget"]), seed)
-            wall = clock.ms()
-            for budget, est, spread in zip(record.budgets, record.estimates,
-                                           record.spreads):
-                lz = log_safe(est)
-                rows.append(dict(method="smc", seed=seed, evaluations=budget,
-                                 log_z=lz, oracle_log_z=oracle,
-                                 abs_log_error=abs(lz - oracle),
-                                 spread=spread, wall_ms=wall))
+            rows += _record_rows("smc", seed, record, oracle, clock.ms())
         if "warped-bq" in cfg["methods"]:
             log_prior = -np.log(problem.volume)
 
@@ -330,14 +338,7 @@ def _evidence_rows(cfg: dict, seeds: List[int], reproducible: bool) -> List[dict
             clock.restart()
             _, record = quadrature.warped_bq_integrate(
                 integrand, problem.box, int(cfg["bq_budget"]), seed)
-            wall = clock.ms()
-            for budget, est, spread in zip(record.budgets, record.estimates,
-                                           record.spreads):
-                lz = log_safe(est)
-                rows.append(dict(method="warped-bq", seed=seed, evaluations=budget,
-                                 log_z=lz, oracle_log_z=oracle,
-                                 abs_log_error=abs(lz - oracle),
-                                 spread=spread, wall_ms=wall))
+            rows += _record_rows("warped-bq", seed, record, oracle, clock.ms())
         if "ais" in cfg["methods"]:
             for n_temps in cfg["ais_n_temps"]:
                 clock.restart()
@@ -351,7 +352,7 @@ def _evidence_rows(cfg: dict, seeds: List[int], reproducible: bool) -> List[dict
                                  spread=result.record.spreads[-1],
                                  wall_ms=clock.ms()))
     rows.sort(key=lambda r: (r["method"], r["seed"], r["evaluations"]))
-    return rows
+    return _EVIDENCE_FIELDS, rows
 
 
 # ---------------------------------------------------------------------------
@@ -381,18 +382,15 @@ def _build_operator(op_config: dict, seed: int):
     return linalg.load_operator(op_config), None
 
 
-def cmd_linsolve(cfg: dict, out: str, seeds: List[int], reproducible: bool) -> None:
+def cmd_linsolve(cfg: dict, seeds: List[int], reproducible: bool) -> _Table:
     seed = seeds[0]
-    with _config_errors():   # an operator kind, shape or file linalg rejects
-        try:
-            op, problem_rhs = _build_operator(cfg["operator"], seed)
-        except KeyError as exc:
-            raise ConfigError(f"operator config lacks key {exc}") from exc
-        except OSError as exc:
-            raise ConfigError(f"cannot read operator file: {exc}") from exc
+    op, problem_rhs = _build_operator(cfg["operator"], seed)
     rhs_choice = cfg["rhs"]
     if isinstance(rhs_choice, list):
         b = np.asarray(rhs_choice, dtype=float)
+        if b.shape != (op.dim,):
+            raise ConfigError(f"rhs has shape {b.shape}, the operator "
+                              f"dimension is {op.dim}")
     elif rhs_choice == "ones":
         b = np.ones(op.dim)
     elif rhs_choice == "random":
@@ -419,7 +417,7 @@ def cmd_linsolve(cfg: dict, out: str, seeds: List[int], reproducible: bool) -> N
             residual_prob=prob.residual_norms[min(i, len(prob.residual_norms) - 1)],
             iterate_rel_diff=rel,
             cg_match=str(rel <= match_tol).lower()))
-    _write_csv(out, _LINSOLVE_FIELDS, rows)
+    return _LINSOLVE_FIELDS, rows
 
 
 # ---------------------------------------------------------------------------
@@ -435,15 +433,14 @@ _RECYCLE_FIELDS = ["variant", "problem_index", "iterations",
                    "initial_residual", "final_residual", "matvecs"]
 
 
-def cmd_recycle(cfg: dict, out: str, seeds: List[int], reproducible: bool) -> None:
-    with _config_errors():   # a sequence, rank or tol deconv or linalg rejects
-        config = deconv.SequenceConfig(dim=int(cfg["dim"]), length=int(cfg["length"]),
-                                       drift=float(cfg["drift"]), noise=float(cfg["noise"]),
-                                       kernel_size=int(cfg["kernel_size"]))
-        problem = deconv.generate_sequence(config, seeds[0])
-        report = deconv.run_recycling_benchmark(problem, rank=int(cfg["rank"]),
-                                                tol=float(cfg["tol"]))
-    _write_csv(out, _RECYCLE_FIELDS, report.rows())
+def cmd_recycle(cfg: dict, seeds: List[int], reproducible: bool) -> _Table:
+    config = deconv.SequenceConfig(dim=int(cfg["dim"]), length=int(cfg["length"]),
+                                   drift=float(cfg["drift"]), noise=float(cfg["noise"]),
+                                   kernel_size=int(cfg["kernel_size"]))
+    problem = deconv.generate_sequence(config, seeds[0])
+    report = deconv.run_recycling_benchmark(problem, rank=int(cfg["rank"]),
+                                            tol=float(cfg["tol"]))
+    return _RECYCLE_FIELDS, report.rows()
 
 
 # ---------------------------------------------------------------------------
@@ -470,13 +467,7 @@ def _named_solver(name: str, rho2: float):
     return odefilter.rk_solver(name)
 
 
-def cmd_ode(cfg: dict, out: str, seeds: List[int], reproducible: bool) -> None:
-    with _config_errors():   # a name, step size or step list odefilter rejects
-        fields, rows = _ode_rows(cfg)
-    _write_csv(out, fields, rows)
-
-
-def _ode_rows(cfg: dict):
+def cmd_ode(cfg: dict, seeds: List[int], reproducible: bool) -> _Table:
     problem = odefilter.named_problem(cfg["problem"], **cfg["problem_params"])
     if cfg["mode"] == "order-study":
         rows = []
@@ -542,21 +533,19 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     runner, allowed, required = _COMMANDS[args.command]
     try:
-        cfg = _load_config(args.config, allowed, required)
-        seeds = _resolve_seeds(cfg, args.seed)
-    except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return 2
-    try:
-        Path(args.out).parent.mkdir(parents=True, exist_ok=True)
-        runner(cfg, args.out, seeds, args.reproducible)
-        _write_sidecar(args.out, args.command, cfg, seeds, args.reproducible)
+        with _config_errors():
+            cfg = _load_config(args.config, allowed, required)
+            seeds = _resolve_seeds(cfg, args.seed)
+            fields, rows = runner(cfg, seeds, args.reproducible)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
     except (PnumError, np.linalg.LinAlgError, FloatingPointError) as exc:
         print(f"numerical failure: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 3
+    Path(args.out).parent.mkdir(parents=True, exist_ok=True)
+    _write_csv(args.out, fields, rows)
+    _write_sidecar(args.out, args.command, cfg, seeds, args.reproducible)
     return 0
 
 

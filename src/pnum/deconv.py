@@ -16,6 +16,8 @@ import numpy as np
 
 from .linalg import LinearOperator, SolveReport, warm_start_sequence
 
+EPS_REL = 1e-3     # regularization: eps = EPS_REL * trace(X'X) / dim
+
 
 @dataclass(frozen=True)
 class SequenceConfig:
@@ -26,7 +28,6 @@ class SequenceConfig:
     drift: float = 0.02
     noise: float = 0.0
     kernel_size: int = 9
-    eps_rel: float = 1e-3     # regularization: eps = eps_rel * trace(X'X) / dim
 
     def __post_init__(self):
         if self.length < 2:
@@ -66,7 +67,7 @@ def _gaussian_stencil(width: float, center: float, size: int) -> np.ndarray:
 
 def _operator_for(width: float, center: float, cfg: SequenceConfig) -> Tuple[np.ndarray, np.ndarray]:
     X = _conv_matrix(_gaussian_stencil(width, center, cfg.kernel_size), cfg.dim)
-    eps = cfg.eps_rel * float(np.trace(X.T @ X)) / cfg.dim
+    eps = EPS_REL * float(np.trace(X.T @ X)) / cfg.dim
     return X, X.T @ X + eps * np.eye(cfg.dim)
 
 

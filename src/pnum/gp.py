@@ -157,17 +157,14 @@ def gram_matrix(kernel: Kernel, nodes, other=None) -> np.ndarray:
     return kernel_eval(kernel, X[:, None], Y[None, :])
 
 
-def _solve_refined(factor, K: np.ndarray, b: np.ndarray,
-                   refine: int = 1) -> np.ndarray:
+def _solve_refined(factor, K: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Solve K w = b through the jittered factor plus iterative refinement.
 
     One refinement sweep against the unjittered K removes most of the bias
     the jitter introduces into the weights (and hence into interpolation).
     """
     w = cho_solve(factor, b)
-    for _ in range(refine):
-        w = w + cho_solve(factor, b - K @ w)
-    return w
+    return w + cho_solve(factor, b - K @ w)
 
 
 def _jitters(scale: float):

@@ -63,9 +63,9 @@ class LinearOperator:
             op.spd_probe()
         return op
 
-    def spd_probe(self, n_probes: int = _SPD_PROBE_COUNT) -> None:
+    def spd_probe(self) -> None:
         rng = np.random.default_rng(0)
-        for _ in range(n_probes):
+        for _ in range(_SPD_PROBE_COUNT):
             v = rng.standard_normal(self.dim)
             v /= np.linalg.norm(v)
             if float(v @ self.matvec(v)) <= 0.0:
@@ -337,14 +337,14 @@ class SolveReport:
         return self.residual_norms[-1]
 
 
-def classic_cg(A: LinearOperator, b, x0=None, tol: float = 1e-8,
+def classic_cg(A: LinearOperator, b, tol: float = 1e-8,
                maxiter: Optional[int] = None) -> SolveReport:
     """Plain conjugate gradients with the usual two-term recurrences.
 
-    Converged means ||r|| <= tol * ||b||.  Stops early, at the current
-    iterate, once the direction or the step has vanished in floating point.
-    Raises Breakdown if a non-zero direction has <d, Ad> <= 0, which signals
-    a non-SPD operator.
+    Starts from x0 = 0.  Converged means ||r|| <= tol * ||b||.  Stops early,
+    at the current iterate, once the direction or the step has vanished in
+    floating point.  Raises Breakdown if a non-zero direction has
+    <d, Ad> <= 0, which signals a non-SPD operator.
     """
     b = np.asarray(b, dtype=float)
     if b.shape != (A.dim,):
@@ -353,13 +353,9 @@ def classic_cg(A: LinearOperator, b, x0=None, tol: float = 1e-8,
         raise ValueError("tol must be positive")
     n = A.dim
     maxiter = 2 * n if maxiter is None else int(maxiter)
-    x = np.zeros(n) if x0 is None else np.asarray(x0, dtype=float).copy()
+    x = np.zeros(n)
     matvecs = 0
-    if np.any(x != 0.0):
-        r = b - A(x)
-        matvecs += 1
-    else:
-        r = b.copy()
+    r = b.copy()
     d = r.copy()
     nb = float(np.linalg.norm(b))
     res = [float(np.linalg.norm(r))]

@@ -139,12 +139,11 @@ class AISResult:
 
 
 def ais_evidence(problem: EvidenceProblem, n_temps: int, n_chains: int,
-                 mh_steps: int, seed: int,
-                 beta_min: float = AIS_BETA_MIN) -> AISResult:
+                 mh_steps: int, seed: int) -> AISResult:
     """Annealed importance sampling with random-walk Metropolis transitions.
 
     The temperature ladder is geometric: beta_0 = 0 followed by ``n_temps``
-    log-spaced rungs from ``beta_min`` to 1.  The proposal scale is the
+    log-spaced rungs from ``AIS_BETA_MIN`` to 1.  The proposal scale is the
     untuned 0.5 * (box width) * n_temps^(-1/2) per dimension.  Chains are
     vectorized under one seeded generator and reduced in chain order, so the
     estimate is deterministic per seed.  An effective sample size of the
@@ -156,7 +155,7 @@ def ais_evidence(problem: EvidenceProblem, n_temps: int, n_chains: int,
     rng = np.random.default_rng(seed)
     box = problem.box
     widths = box[:, 1] - box[:, 0]
-    betas = np.concatenate([[0.0], np.geomspace(beta_min, 1.0, n_temps)])
+    betas = np.concatenate([[0.0], np.geomspace(AIS_BETA_MIN, 1.0, n_temps)])
     theta = problem.sample_prior(rng, n_chains)
     log_w = np.zeros(n_chains)
     scale = 0.5 * widths / np.sqrt(n_temps)

@@ -18,7 +18,7 @@ probabilistic treatment adds.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import Callable, Optional, Tuple
+from typing import Callable, Tuple
 
 import numpy as np
 from scipy.linalg import cho_solve
@@ -43,6 +43,12 @@ DEFAULT_CANDIDATE_COUNT = 512
 # theta^2 v' K_GG v, that is accepted without re-evaluating on the grid; the
 # grid evaluation itself errs by up to about 3e-13 of that term in 4-D.
 SEPARABLE_REL_TOL = 1e-12
+
+# Points per dimension of the trapezoid rule for the warped variance.
+VAR_GRID = 33
+
+# The warp offset alpha is this fraction of the smallest observed value.
+WARP_ALPHA_FACTOR = 0.8
 
 
 def trapezoid(nodes, values) -> float:
@@ -122,7 +128,6 @@ class BQState:
     values: Tuple[float, ...] = ()
     z: Tuple[float, ...] = ()
     z0: float = 0.0
-    warp: Optional[str] = None
 
     @classmethod
     def for_kernel(cls, kernel: Kernel) -> "BQState":
@@ -282,12 +287,12 @@ def _profile_theta_fit(X: np.ndarray, g: np.ndarray, box: np.ndarray):
 
 
 def _warped_moments(kern: Kernel, factor, X: np.ndarray,
-                    g: np.ndarray, alpha_w: float, var_grid: int = 33):
+                    g: np.ndarray, alpha_w: float):
     """Posterior mean and variance of the integral under the sqrt warp.
 
     Mean uses the exact pairwise embedding of the squared GP mean; variance
     integrates the first-order (linearized) covariance m C m by the
-    ``var_grid``-point trapezoid rule per dimension.  With v = u * m on the
+    ``VAR_GRID``-point trapezoid rule per dimension.  With v = u * m on the
     tensor grid G (u the tensor trapezoid weights), the variance is
     theta^2 v' K_GG v - (K_GX' v)' K^-1 (K_GX' v).  Kernel, mean and weights
     all factor over dimensions, so with E_j[a, i] = exp(-(a_j - X_ij)^2 /
@@ -315,8 +320,8 @@ def _warped_moments(kern: Kernel, factor, X: np.ndarray,
     kx = np.ones((n, n))
     Es, ws, As = [], [], []
     for j, ((lo, hi), lam) in enumerate(zip(kern.box, kern.shape)):
-        ax = np.linspace(lo, hi, var_grid)
-        wq = np.full(var_grid, (hi - lo) / (var_grid - 1))
+        ax = np.linspace(lo, hi, VAR_GRID)
+        wq = np.full(VAR_GRID, (hi - lo) / (VAR_GRID - 1))
         wq[[0, -1]] *= 0.5
         E = _unit_kernel(kern.family, (lam,), (ax[:, None] - X[None, :, j],))
         A = _unit_kernel(kern.family, (lam,), (ax[:, None] - ax[None, :],))
@@ -345,7 +350,7 @@ def _grid_terms(theta: float, Es, ws, As, w: np.ndarray):
     """theta^2 v' K_GG v and K_GX' v with the mean m = K_GX w formed first.
 
     The product over all but the last dimension, T[g', i] =
-    prod_{j<d} E_j[g'_j, i], is the largest array: var_grid^(d-1) x n.
+    prod_{j<d} E_j[g'_j, i], is the largest array: VAR_GRID^(d-1) x n.
     The grid Gram K_GG is applied through its Kronecker factors.
     """
     n = w.size
@@ -365,13 +370,13 @@ def _grid_terms(theta: float, Es, ws, As, w: np.ndarray):
     return quad_kk, t2
 
 
-def warped_bq_integrate(f: Callable, domain, budget: int, seed: int,
-                        alpha_factor: float = 0.8) -> Tuple[QuadratureEstimate, ConvergenceRecord]:
+def warped_bq_integrate(f: Callable, domain, budget: int,
+                        seed: int) -> Tuple[QuadratureEstimate, ConvergenceRecord]:
     """Actively integrate a strictly positive function via a square-root warp.
 
     Models f(x) = alpha + g(x)^2 / 2 with a GP on g, where
-    g_i = sqrt(2 (f_i - alpha)) and alpha is re-set to ``alpha_factor`` times
-    the smallest observed value each iteration.  Nodes after the first are
+    g_i = sqrt(2 (f_i - alpha)) and alpha is re-set to ``WARP_ALPHA_FACTOR``
+    times the smallest observed value each iteration.  Nodes after the first are
     chosen to maximize the (linearized, value-frozen) reduction of the
     integral variance over a fixed equidistant candidate scan.
 
@@ -404,7 +409,7 @@ def warped_bq_integrate(f: Callable, domain, budget: int, seed: int,
     for it in range(budget):
         Xa = np.asarray(X)
         fa = np.asarray(fv)
-        alpha_w = alpha_factor * float(fa.min())
+        alpha_w = WARP_ALPHA_FACTOR * float(fa.min())
         g = np.sqrt(2.0 * (fa - alpha_w))
         kern, factor = _profile_theta_fit(Xa, g, box)
         mean, variance, w, P = _warped_moments(kern, factor, Xa, g, alpha_w)

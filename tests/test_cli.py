@@ -5,7 +5,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from pnum import odefilter
+from pnum import linalg, odefilter, quadrature
 from pnum.cli import benchmark_integral_truth, main, smooth_benchmark_integrand
 
 
@@ -92,11 +92,43 @@ class TestQuadCommand:
         code, _ = run_cli(tmp_path, "quad", {"integrand": "nonexistent"})
         assert code == 2
 
+    @pytest.mark.parametrize("text, message", [
+        (None, "missing.json"),
+        ('{"integrand": "paper-example",}', "line 1"),
+    ])
+    def test_unreadable_config_exit_code(self, tmp_path, capsys, text, message):
+        cfg_path = tmp_path / "missing.json"
+        if text is not None:
+            cfg_path.write_text(text)
+        code = main(["quad", "--config", str(cfg_path),
+                     "--out", str(tmp_path / "out.csv")])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error:") and message in err
+
     def test_reversed_domain_rejected(self, tmp_path, capsys):
         code, _ = run_cli(tmp_path, "quad", {"integrand": "paper-example",
                                              "domain": [3, -3]})
         assert code == 2
         assert "lo < hi" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("config, message", [
+        ({"methods": ["spline-bq"], "spline_c": -1}, "must be finite and > 0"),
+        ({"methods": ["eq-bq"], "budgets": [4], "eq_lambda": -1},
+         "must be finite and > 0"),
+        ({"budgets": [1]}, "need at least 2 nodes"),
+        ({"integrand": "spline-draw", "budgets": [1]}, "need N >= 2"),
+        ({"integrand": "custom-grid-values", "methods": ["spline-bq"],
+          "custom_nodes": [-3.0, 0.0, 3.0], "custom_values": [1.0, 2.0]},
+         "custom_values has shape"),
+        ({"budgets": None}, "NoneType"),
+    ])
+    def test_rejected_config_exit_code(self, tmp_path, capsys, config, message):
+        code, _ = run_cli(tmp_path, "quad", {"integrand": "paper-example",
+                                             **config})
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error:") and message in err
 
 
 class TestEvidenceCommand:
@@ -122,7 +154,9 @@ class TestEvidenceCommand:
         for config, message in [
                 ({"problem": "nope"}, "unknown evidence problem"),
                 ({"methods": ["warped-bq"], "bq_budget": 2, "seeds": [0]},
-                 "budget must be >= 3")]:
+                 "budget must be >= 3"),
+                ({"methods": ["warped-bq"], "bq_budget": None, "seeds": [0]},
+                 "NoneType")]:
             code, _ = run_cli(tmp_path, "evidence", config)
             assert code == 2
             err = capsys.readouterr().err
@@ -151,14 +185,20 @@ class TestLinsolveCommand:
         assert code == 3
 
     def test_rejected_config_exit_code(self, tmp_path, capsys):
-        code, _ = run_cli(tmp_path, "linsolve", {"operator": {"kind": "nope"}})
-        assert code == 2
-        err = capsys.readouterr().err
-        assert err.startswith("config error:") and "unknown operator kind" in err
+        # an unknown operator kind and a list rhs of the wrong length
+        for config, message in [
+                ({"operator": {"kind": "nope"}}, "unknown operator kind"),
+                ({"operator": {"kind": "random_spd", "dim": 4}, "rhs": [1.0, 2.0]},
+                 "rhs has shape")]:
+            code, _ = run_cli(tmp_path, "linsolve", config)
+            assert code == 2
+            err = capsys.readouterr().err
+            assert err.startswith("config error:") and message in err
 
     @pytest.mark.parametrize("operator, message", [
         ({"kind": "csv", "path": "/nonexistent.csv"}, "nonexistent.csv"),
         ({"kind": "random_spd"}, "'dim'"),
+        ({"kind": "random_spd", "dim": None}, "NoneType"),
     ])
     def test_unreadable_operator_exit_code(self, tmp_path, capsys, operator, message):
         code, _ = run_cli(tmp_path, "linsolve", {"operator": operator})
@@ -181,7 +221,8 @@ class TestRecycleCommand:
         # a negative rank and a drift the generator rejects: exit 2, no traceback
         for config, message in [
                 ({"dim": 16, "length": 4, "rank": -1}, "rank must be >= 0"),
-                ({"dim": 16, "length": 4, "drift": 0.5}, "drift magnitude")]:
+                ({"dim": 16, "length": 4, "drift": 0.5}, "drift magnitude"),
+                ({"dim": None}, "NoneType")]:
             code, _ = run_cli(tmp_path, "recycle", config)
             assert code == 2
             err = capsys.readouterr().err
@@ -231,10 +272,16 @@ class TestOdeCommand:
             raise np.linalg.LinAlgError("Eigenvalues did not converge")
 
         monkeypatch.setattr(odefilter, "solve_ivp_filter", fail)
-        code, _ = run_cli(tmp_path, "ode", {"mode": "trajectory",
-                                            "problem": "logistic"})
-        assert code == 3
-        assert capsys.readouterr().err.startswith("numerical failure: LinAlgError")
+        monkeypatch.setattr(linalg, "solve_probabilistic", fail)
+        monkeypatch.setattr(quadrature, "bq_posterior", fail)
+        for command, config in [
+                ("ode", {"mode": "trajectory", "problem": "logistic"}),
+                ("linsolve", {"operator": {"kind": "random_spd", "dim": 4}}),
+                ("quad", {"integrand": "paper-example", "methods": ["spline-bq"],
+                          "budgets": [4]})]:
+            code, _ = run_cli(tmp_path, command, config)
+            assert code == 3
+            assert capsys.readouterr().err.startswith("numerical failure: LinAlgError")
 
     @pytest.mark.parametrize("mode", [
         {"mode": "trajectory", "solver": "filter-q2", "h": 0.1},
@@ -253,12 +300,14 @@ class TestOdeCommand:
           "h": 0.3}, "does not divide the horizon"),
         ({"mode": "order-study", "problem": "linear", "solvers": ["euler"],
           "h_values": [0.1, 0.05, 0.025]}, "need at least 4 step sizes"),
+        ({"mode": "trajectory", "problem": "logistic", "h": None}, "NoneType"),
     ])
     def test_rejected_step_sizes_exit_code(self, tmp_path, capsys, config,
                                            message):
         code, _ = run_cli(tmp_path, "ode", config)
         assert code == 2
-        assert message in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert err.startswith("config error:") and message in err
 
 
 class TestDeterminism:
