@@ -42,7 +42,7 @@ def main():
     print("truncating the belief (keep the largest eigencomponents):")
     rng = np.random.default_rng(2)
     probes = rng.standard_normal((5, n))
-    for rank in (belief.rank, 16, 8, 0):
+    for rank in (n, 16, 8, 0):
         small = truncate_belief(belief, rank)
         errs = [np.linalg.norm(posterior_mean_apply(belief, v)
                                - posterior_mean_apply(small, v))

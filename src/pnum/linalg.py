@@ -3,13 +3,13 @@
 A Gaussian belief over the unknown inverse H = A^-1 is conditioned on
 noise-free projection observations (s_i, y_i = A s_i).  With an identity
 prior mean the posterior-mean iteration reproduces conjugate gradients.  A
-belief has one form, before and after a solve: its mean is
-I + U diag(E) U' with orthonormal "skinny" U, so the belief a solve ends
+belief has one form, before and after a solve: its mean is I + W C W' with
+a "skinny" N x k factor W and a symmetric core C, so the belief a solve ends
 with is the prior of the next, related solve (warm starting / subspace
-recycling).  Each conditioning adds at most 2M columns to U after M
-observations; ``truncate_belief`` caps the rank.  The covariance over H is
-summarized by the scalar scale sigma calibrated from quantities already
-produced by the run.
+recycling).  Conditioning on M observations appends at most 2M columns to W;
+``truncate_belief`` alone eigendecomposes H - I and caps the rank.  The
+covariance over H is summarized by the scalar scale sigma calibrated from
+quantities already produced by the run.
 
 During a solve the belief is updated one observation at a time: after m
 steps an iteration costs O(N m + m^2) on top of its matvec.  The Cholesky
@@ -76,19 +76,20 @@ class LinearOperator:
 class MatrixBelief:
     """Gaussian belief over an SPD inverse, summarized by its mean and scale.
 
-    The mean is H = I + U diag(E) U' with orthonormal columns in U, so E
-    holds the eigenvalues of H - I; ``u is None`` means H = I.  The same
-    form serves as the prior of a solve and as its posterior.
+    The mean is H = I + W C W' with an N x k factor W and a symmetric k x k
+    core C; ``w is None`` means H = I.  The same form serves as the prior of
+    a solve and as its posterior.  ``rank`` is k, an upper bound on the rank
+    of H - I that ``truncate_belief`` makes exact.
     """
 
     dim: int
     sigma: float = 1.0
-    u: Optional[np.ndarray] = None
-    e: Optional[np.ndarray] = None
+    w: Optional[np.ndarray] = None
+    c: Optional[np.ndarray] = None
 
     @property
     def rank(self) -> int:
-        return 0 if self.e is None else int(self.e.size)
+        return 0 if self.w is None else int(self.w.shape[1])
 
 
 def identity_belief(dim: int, sigma: float = 1.0) -> MatrixBelief:
@@ -98,9 +99,9 @@ def identity_belief(dim: int, sigma: float = 1.0) -> MatrixBelief:
 
 def _mean_apply(belief: MatrixBelief, v: np.ndarray) -> np.ndarray:
     """H v for a vector, or H V for the columns of a matrix, unchecked."""
-    if belief.u is None:
+    if belief.w is None:
         return v.copy()
-    return v + belief.u @ (belief.e * (belief.u.T @ v).T).T
+    return v + belief.w @ (belief.c @ (belief.w.T @ v))
 
 
 def posterior_mean_apply(belief: MatrixBelief, v) -> np.ndarray:
@@ -223,16 +224,16 @@ class _BorderedCholesky:
 def condition_on_observations(belief: MatrixBelief, S, Y) -> MatrixBelief:
     """Condition the belief on projections S with observations Y = A S.
 
-    The belief's mean H0 = I + U0 diag(E0) U0' is the prior.  The Dirac
+    The belief's mean H0 = I + W0 C0 W0' is the prior.  The Dirac
     likelihood (H y_i = s_i exactly) combined with the symmetric prior of
     scale sigma gives a posterior mean
 
         H_M = H0 + S N^-1 D' + D N^-1 S' - S N^-1 (Y' D) N^-1 S'
 
     with D = S - H0 Y and N = S' Y; sigma cancels, so the whole scale family
-    shares this mean.  H_M - I = [U0 S D] diag(E0, C) [U0 S D]' is brought
-    back to the belief's form by one QR and one symmetric eigensolve, so the
-    rank grows by at most 2M.
+    shares this mean.  It is returned in the belief's form as it stands,
+    H_M - I = [W0 S D] blockdiag(C0, C) [W0 S D]', so the rank grows by at
+    most 2M and nothing is factorized but the M x M matrix N.
     """
     S = np.atleast_2d(np.asarray(S, dtype=float))
     Y = np.atleast_2d(np.asarray(Y, dtype=float))
@@ -262,38 +263,39 @@ def condition_on_observations(belief: MatrixBelief, S, Y) -> MatrixBelief:
     lam_n = lam_n[keep]
     kcount = int(lam_n.size)
     D = S - _mean_apply(belief, Y)
-    w = 1.0 / lam_n
-    Ninv = np.diag(w)
-    C = np.block([[-(w[:, None] * (Y.T @ D) * w), Ninv],
+    inv = 1.0 / lam_n
+    Ninv = np.diag(inv)
+    C = np.block([[-(inv[:, None] * (Y.T @ D) * inv), Ninv],
                   [Ninv, np.zeros((kcount, kcount))]])
     C = 0.5 * (C + C.T)
-    V = np.hstack([S, D])
-    if belief.u is not None:
-        C = block_diag(np.diag(belief.e), C)
-        V = np.hstack([belief.u, V])
-    Q, R = np.linalg.qr(V)
-    T = R @ C @ R.T
-    T = 0.5 * (T + T.T)
-    lam, P = np.linalg.eigh(T)
-    return replace(belief, u=Q @ P, e=lam)
+    W = np.hstack([S, D])
+    if belief.w is not None:
+        C = block_diag(belief.c, C)
+        W = np.hstack([belief.w, W])
+    return replace(belief, w=W, c=C)
 
 
 def truncate_belief(belief: MatrixBelief, rank: int) -> MatrixBelief:
     """Keep the ``rank`` eigencomponents of H - I largest in |eigenvalue|.
 
-    rank 0 gives the identity belief; rank >= ``belief.rank`` is the
-    identity operation.  For every unit vector v, ||H v - H_r v|| is at most
-    the sum of the discarded |eigenvalues|.
+    The one eigendecomposition of H - I: a QR of W and an eigensolve of
+    R C R' give an orthonormal W and the diagonal C of eigenvalues, left in
+    ascending order when nothing is cut.  rank 0 gives the identity belief.
+    For every unit vector v, ||H v - H_r v|| is at most the sum of the
+    discarded |eigenvalues|.
     """
     if rank < 0:
         raise ValueError("rank must be >= 0")
-    if belief.u is None or rank >= belief.rank:
-        return belief
-    if rank == 0:
-        return replace(belief, u=None, e=None)
-    order = np.argsort(-np.abs(belief.e))[:rank]
-    return replace(belief, u=np.ascontiguousarray(belief.u[:, order]),
-                   e=belief.e[order])
+    if belief.w is None or rank == 0:
+        return replace(belief, w=None, c=None)
+    Q, R = np.linalg.qr(belief.w)
+    T = R @ belief.c @ R.T
+    lam, P = np.linalg.eigh(0.5 * (T + T.T))
+    U = Q @ P
+    if rank < lam.size:
+        order = np.argsort(-np.abs(lam))[:rank]
+        U, lam = np.ascontiguousarray(U[:, order]), lam[order]
+    return replace(belief, w=U, c=np.diag(lam))
 
 
 @dataclass
@@ -423,7 +425,7 @@ def solve_probabilistic(A: LinearOperator, b, belief: Optional[MatrixBelief] = N
     n = A.dim
     maxiter = 2 * n if maxiter is None else int(maxiter)
     matvecs = 0
-    if belief.u is not None:
+    if belief.w is not None:
         x = _mean_apply(belief, b)
         r = b - A(x)
         matvecs += 1
@@ -497,29 +499,25 @@ def calibrate_scale(report: SolveReport) -> float:
 
 
 def warm_start_sequence(problems: Sequence[Tuple[LinearOperator, np.ndarray]],
-                        rank: Optional[int] = None, tol: float = 1e-8,
-                        maxiter: Optional[int] = None) -> List[SolveReport]:
+                        rank: int, tol: float = 1e-8) -> List[SolveReport]:
     """Solve related systems in order, carrying the truncated belief forward.
 
     The first problem starts cold (identity prior, x0 = 0).  The belief each
     solve ends with, truncated to ``rank``, is the prior of the next one,
-    which seeds x0 = H0 b.  ``rank`` defaults to twice the first problem's
-    iteration count, capped at 64; rank 0 disables recycling entirely, and
-    a negative rank raises ValueError.  A report's belief is conditioned
-    only when the next solve needs it, so at rank 0 and for the last
-    problem it is left to its first read.
+    which seeds x0 = H0 b.  Rank 0 disables recycling entirely, and a
+    negative rank raises ValueError.  The next prior is conditioned on a
+    copy of the report, so no report keeps its untruncated posterior: each
+    report's belief is left to its first read.
     """
-    if rank is not None and rank < 0:
+    if rank < 0:
         raise ValueError("rank must be >= 0")
     reports: List[SolveReport] = []
     belief: Optional[MatrixBelief] = None
     for i, (A, b) in enumerate(problems):
-        report = solve_probabilistic(A, b, belief, tol=tol, maxiter=maxiter)
+        report = solve_probabilistic(A, b, belief, tol=tol)
         reports.append(report)
-        if rank is None:
-            rank = min(64, 2 * max(report.iterations, 1))
         if rank > 0 and i + 1 < len(problems):
-            belief = truncate_belief(report.belief, rank)
+            belief = truncate_belief(replace(report).belief, rank)
     return reports
 
 

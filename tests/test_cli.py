@@ -5,7 +5,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from pnum import linalg, odefilter, quadrature
+from pnum import deconv, linalg, odefilter, quadrature
 from pnum.cli import benchmark_integral_truth, main, smooth_benchmark_integrand
 
 
@@ -95,6 +95,8 @@ class TestQuadCommand:
     @pytest.mark.parametrize("text, message", [
         (None, "missing.json"),
         ('{"integrand": "paper-example",}', "line 1"),
+        ('[1, 2]', "config must be a JSON object"),
+        ('{"budgets": [4]}', "missing required config keys: ['integrand']"),
     ])
     def test_unreadable_config_exit_code(self, tmp_path, capsys, text, message):
         cfg_path = tmp_path / "missing.json"
@@ -122,6 +124,13 @@ class TestQuadCommand:
           "custom_nodes": [-3.0, 0.0, 3.0], "custom_values": [1.0, 2.0]},
          "custom_values has shape"),
         ({"budgets": None}, "NoneType"),
+        ({"domain": [1]}, "not enough values to unpack"),
+        ({"methods": ["simpson"], "budgets": [4]}, "unknown quad method 'simpson'"),
+        ({"integrand": "custom-grid-values", "methods": ["trapezoid"]},
+         "needs custom_nodes and custom_values"),
+        ({"integrand": "custom-grid-values", "methods": ["smc"],
+          "custom_nodes": [-3.0, 3.0], "custom_values": [1.0, 2.0]},
+         "smc needs a callable integrand"),
     ])
     def test_rejected_config_exit_code(self, tmp_path, capsys, config, message):
         code, _ = run_cli(tmp_path, "quad", {"integrand": "paper-example",
@@ -174,6 +183,18 @@ class TestLinsolveCommand:
         assert all(r["cg_match"] == "true" for r in rows)
         assert float(rows[-1]["residual_prob"]) <= 1e-9
 
+    @pytest.mark.parametrize("rhs", ["from_problem", "ones"])
+    def test_convolution_operator(self, tmp_path, rhs):
+        code, out = run_cli(tmp_path, "linsolve", {
+            "operator": {"kind": "convolution", "dim": 16}, "rhs": rhs})
+        assert code == 0
+        rows = read_rows(out)
+        problem = deconv.generate_sequence(deconv.SequenceConfig(dim=16), 0)
+        b = problem.systems[0][1] if rhs == "from_problem" else np.ones(16)
+        # both solvers start at x0 = 0, so the first residual is ||b||
+        assert float(rows[0]["residual_prob"]) == float(np.linalg.norm(b))
+        assert float(rows[-1]["residual_prob"]) <= 1e-10 * np.linalg.norm(b)
+
     def test_numerical_failure_exit_code(self, tmp_path):
         A = np.diag([1.0, -1.0])
         path = tmp_path / "bad.csv"
@@ -185,11 +206,16 @@ class TestLinsolveCommand:
         assert code == 3
 
     def test_rejected_config_exit_code(self, tmp_path, capsys):
-        # an unknown operator kind and a list rhs of the wrong length
+        # an unknown operator kind, a list rhs of the wrong length, an rhs
+        # the operator cannot supply, an unknown rhs and a non-object operator
+        spd = {"kind": "random_spd", "dim": 4}
         for config, message in [
                 ({"operator": {"kind": "nope"}}, "unknown operator kind"),
-                ({"operator": {"kind": "random_spd", "dim": 4}, "rhs": [1.0, 2.0]},
-                 "rhs has shape")]:
+                ({"operator": spd, "rhs": [1.0, 2.0]}, "rhs has shape"),
+                ({"operator": spd, "rhs": "from_problem"},
+                 "requires a convolution operator"),
+                ({"operator": spd, "rhs": "zeros"}, "unknown rhs choice 'zeros'"),
+                ({"operator": None}, "operator must be a JSON object")]:
             code, _ = run_cli(tmp_path, "linsolve", config)
             assert code == 2
             err = capsys.readouterr().err
@@ -255,6 +281,20 @@ class TestOdeCommand:
         assert list(rows[0].keys()) == ["t", "mean_0", "std_0"]
         assert len(rows) == 21
 
+    def test_rk_trajectory_has_zero_std(self, tmp_path):
+        code, out = run_cli(tmp_path, "ode", {
+            "mode": "trajectory",
+            "problem": "logistic",
+            "solver": "rk4",
+            "h": 0.1,
+        })
+        assert code == 0
+        rows = read_rows(out)
+        _, xs = odefilter.rk_reference(odefilter.named_problem("logistic"),
+                                       odefilter.rk_method("rk4"), 0.1)
+        assert [float(r["mean_0"]) for r in rows] == list(xs[:, 0])
+        assert all(float(r["std_0"]) == 0.0 for r in rows)
+
     def test_overflowing_step_exit_code(self, tmp_path):
         # h^5 overflows the q = 2 process noise: a typed failure, not a traceback
         code, _ = run_cli(tmp_path, "ode", {
@@ -301,6 +341,8 @@ class TestOdeCommand:
         ({"mode": "order-study", "problem": "linear", "solvers": ["euler"],
           "h_values": [0.1, 0.05, 0.025]}, "need at least 4 step sizes"),
         ({"mode": "trajectory", "problem": "logistic", "h": None}, "NoneType"),
+        ({"mode": "phase-portrait", "problem": "logistic"},
+         "unknown ode mode 'phase-portrait'"),
     ])
     def test_rejected_step_sizes_exit_code(self, tmp_path, capsys, config,
                                            message):

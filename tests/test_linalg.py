@@ -92,6 +92,19 @@ class TestProbabilisticSolver:
         op, b = seeded_system(8, 0)
         with pytest.raises(BeliefDimensionMismatch):
             solve_probabilistic(op, b, identity_belief(9))
+        with pytest.raises(BeliefDimensionMismatch, match="operator dimension"):
+            solve_probabilistic(op, np.ones(9), identity_belief(9))
+
+    @pytest.mark.parametrize("tol", [0.0, -1e-8])
+    def test_nonpositive_tol_rejected(self, tol):
+        op, b = seeded_system(8, 0)
+        with pytest.raises(ValueError, match="tol must be positive"):
+            solve_probabilistic(op, b, tol=tol)
+
+    def test_breakdown_on_indefinite(self):
+        op = LinearOperator.from_dense(np.diag([1.0, -1.0]), check=False)
+        with pytest.raises(Breakdown):
+            solve_probabilistic(op, np.array([0.0, 1.0]))
 
     def test_past_floating_point_floor_stops_cleanly(self):
         # run far below the attainable residual: the direction eventually
@@ -238,6 +251,18 @@ class TestBelief:
             right = v @ posterior_mean_apply(rep.belief, u)
             assert abs(left - right) <= 1e-8 * (1 + abs(left))
 
+    def test_conditioning_stacks_onto_the_prior(self):
+        # H_M - I = [W0 S D] blockdiag(C0, C) [W0 S D]': the prior's factor
+        # and core are kept as they are, and each observation adds 2 columns
+        op, b = seeded_system(16, 22)
+        prior = truncate_belief(solve_probabilistic(op, b, tol=1e-10).belief, 6)
+        rep = solve_probabilistic(op, np.ones(16), prior, tol=1e-10)
+        post = rep.belief
+        assert post.rank == prior.rank + 2 * rep.iterations
+        assert np.array_equal(post.w[:, :6], prior.w)
+        assert np.array_equal(post.c[:6, :6], prior.c)
+        assert not post.c[:6, 6:].any() and np.array_equal(post.c, post.c.T)
+
     def test_apply_dimension_mismatch(self):
         with pytest.raises(DimensionMismatch):
             posterior_mean_apply(identity_belief(4), np.ones(5))
@@ -263,8 +288,8 @@ class TestLazyBelief:
         S, Y = rep.observations
         assert S.shape == Y.shape == (rep.prior.dim, rep.iterations)
         eager = condition_on_observations(rep.prior, S, Y)
-        assert first.u.tobytes() == eager.u.tobytes()
-        assert first.e.tobytes() == eager.e.tobytes()
+        assert first.w.tobytes() == eager.w.tobytes()
+        assert first.c.tobytes() == eager.c.tobytes()
 
     def test_cold_solve_conditions_on_first_read_only(self, monkeypatch):
         calls = count_conditionings(monkeypatch)
@@ -349,12 +374,25 @@ class TestTruncation:
         assert np.allclose(posterior_mean_apply(same, v),
                            posterior_mean_apply(belief, v), atol=1e-12)
 
+    def test_truncation_gives_the_eigen_form(self):
+        belief = self.solved_belief()
+        for r in (belief.rank, 20, 7):
+            trunc = truncate_belief(belief, r)
+            assert trunc.rank == min(r, 20)
+            assert np.allclose(trunc.w.T @ trunc.w, np.eye(trunc.rank), atol=1e-12)
+            assert np.array_equal(trunc.c, np.diag(np.diag(trunc.c)))
+        e = np.diag(truncate_belief(belief, belief.rank).c)
+        assert np.all(np.diff(e) >= 0)   # nothing cut: eigh's ascending order
+        kept = np.diag(truncate_belief(belief, 7).c)
+        assert np.array_equal(np.sort(np.abs(kept)), np.sort(np.abs(e))[-7:])
+
     def test_truncation_error_bounded_by_discarded_spectrum(self):
         belief = self.solved_belief()
         r = 10
         trunc = truncate_belief(belief, r)
-        order = np.argsort(-np.abs(belief.e))
-        discarded = np.abs(belief.e[order[r:]]).sum()
+        e = np.diag(truncate_belief(belief, belief.rank).c)
+        order = np.argsort(-np.abs(e))
+        discarded = np.abs(e[order[r:]]).sum()
         rng = np.random.default_rng(2)
         for _ in range(50):
             v = rng.standard_normal(20)

@@ -2,7 +2,8 @@ import numpy as np
 import pytest
 from scipy.stats import norm
 
-from pnum import ais_evidence, make_evidence_problem, smc_integrate
+from pnum import (ConvergenceRecord, ais_evidence, make_evidence_problem,
+                  smc_integrate)
 from pnum.mc import EvidenceProblem
 
 
@@ -62,6 +63,14 @@ class TestSMC:
         p = make_evidence_problem("gaussian-1d")
         _, record = smc_integrate(p, 1000, seed=0)
         assert all(x < y for x, y in zip(record.budgets, record.budgets[1:]))
+
+    @pytest.mark.parametrize("budget", [4, 3])
+    def test_record_rejects_non_increasing_budget(self, budget):
+        record = ConvergenceRecord("smc")
+        record.append(4, 1.0, 0.1)
+        with pytest.raises(ValueError, match="strictly increasing"):
+            record.append(budget, 1.0, 0.1)
+        assert record.budgets == [4]
 
 
 class TestAIS:

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from pnum import (CovarianceBreakdown, IVProblem, NonFiniteField,
+from pnum import (CovarianceBreakdown, IVProblem, NonFiniteField, RKMethod,
                   convergence_order_estimate, filter_solver, iwp_transition,
                   named_problem, odefilter, rk_method, rk_reference, rk_solver,
                   solve_ivp_filter)
@@ -57,6 +57,14 @@ class TestRKReference:
             m = rk_method(name)
             assert m.order == order
             assert np.allclose(m.a.sum(axis=1), m.c, atol=1e-12)
+
+    @pytest.mark.parametrize("c, b, message", [
+        ([0.0, 0.4], [0.5, 0.5], "row sums of a must equal c"),
+        ([0.0, 0.5], [0.5, 0.6], "weights must sum to 1"),
+    ])
+    def test_inconsistent_tableau_rejected(self, c, b, message):
+        with pytest.raises(ValueError, match=message):
+            RKMethod("bad", a=[[0.0, 0.0], [0.5, 0.0]], b=b, c=c, order=2)
 
 
 class TestFilter:

@@ -129,7 +129,8 @@ def test_truncation_error_bounded_by_discarded_spectrum(system, rank):
     op, b = build(n, cond, seed)
     belief = solve_probabilistic(op, b, tol=1e-10).belief
     trunc = truncate_belief(belief, rank)
-    magnitudes = np.sort(np.abs(belief.e))[::-1]
+    eigenvalues = np.diag(truncate_belief(belief, belief.rank).c)
+    magnitudes = np.sort(np.abs(eigenvalues))[::-1]
     discarded = magnitudes[rank:].sum()
     V = np.random.default_rng(seed + 2).standard_normal((8, n))
     for v in V / np.linalg.norm(V, axis=1, keepdims=True):
