@@ -44,8 +44,6 @@ PAPER_EXAMPLE_DOMAIN = (-3.0, 3.0)
 FINE_GRID_SIZE = 1801          # spline-draw grids; 1800 is divisible by N-1 for many N
 ORACLE_TRAPEZOID_NODES = 1_000_001
 
-_truth_cache: Dict[tuple, float] = {}
-
 _Table = Tuple[List[str], List[dict]]   # CSV field names and rows
 
 
@@ -56,12 +54,9 @@ def smooth_benchmark_integrand(x):
 
 
 def benchmark_integral_truth(domain=PAPER_EXAMPLE_DOMAIN) -> float:
-    """High-resolution trapezoid value of the benchmark integrand, cached."""
-    key = (float(domain[0]), float(domain[1]))
-    if key not in _truth_cache:
-        xs = np.linspace(key[0], key[1], ORACLE_TRAPEZOID_NODES)
-        _truth_cache[key] = quadrature.trapezoid(xs, smooth_benchmark_integrand(xs))
-    return _truth_cache[key]
+    """High-resolution trapezoid value of the benchmark integrand."""
+    xs = np.linspace(float(domain[0]), float(domain[1]), ORACLE_TRAPEZOID_NODES)
+    return quadrature.trapezoid(xs, smooth_benchmark_integrand(xs))
 
 
 # ---------------------------------------------------------------------------
@@ -223,6 +218,8 @@ def cmd_quad(cfg: dict, seeds: List[int], reproducible: bool) -> _Table:
     clock = _Clock(reproducible)
     rows: List[dict] = []
     integrand = cfg["integrand"]
+    if integrand != "paper-example" and "smc" in cfg["methods"]:
+        raise ConfigError("smc needs a callable integrand, not fixed grid values")
     if integrand == "paper-example":
         oracle = benchmark_integral_truth(domain)
         f = smooth_benchmark_integrand
@@ -263,8 +260,6 @@ def cmd_quad(cfg: dict, seeds: List[int], reproducible: bool) -> _Table:
     elif integrand == "custom-grid-values":
         if cfg["custom_nodes"] is None or cfg["custom_values"] is None:
             raise ConfigError("custom-grid-values needs custom_nodes and custom_values")
-        if "smc" in cfg["methods"]:
-            raise ConfigError("smc needs a callable integrand, not fixed grid values")
         nodes = np.asarray(cfg["custom_nodes"], dtype=float)
         values = np.asarray(cfg["custom_values"], dtype=float)
         if nodes.shape != values.shape:
@@ -374,12 +369,14 @@ def _build_operator(op_config: dict, seed: int):
     if not isinstance(op_config, dict):
         raise ConfigError(f"operator must be a JSON object, got {op_config!r}")
     if op_config.get("kind") == "convolution":
+        index = int(op_config.get("index", 0))
+        if index < 0:
+            raise ConfigError(f"convolution index must be >= 0, got {index}")
         cfg = deconv.SequenceConfig(dim=int(op_config.get("dim", 32)),
-                                    length=max(2, int(op_config.get("index", 0)) + 2),
+                                    length=max(2, index + 2),
                                     drift=float(op_config.get("drift", 0.02)))
         problem = deconv.generate_sequence(cfg, int(op_config.get("seed", seed)))
-        op, rhs = problem.systems[int(op_config.get("index", 0))]
-        return op, rhs
+        return problem.systems[index]
     return linalg.load_operator(op_config), None
 
 

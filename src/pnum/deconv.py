@@ -42,7 +42,6 @@ class ConvolutionProblem:
 
     config: SequenceConfig
     signal: np.ndarray
-    kernels: List[np.ndarray]
     systems: List[Tuple[LinearOperator, np.ndarray]]
     drifts: List[float] = field(default_factory=list)
 
@@ -82,7 +81,6 @@ def generate_sequence(config: SequenceConfig, seed: int) -> ConvolutionProblem:
     n = config.dim
     signal = np.sin(np.linspace(0.0, 3.0 * np.pi, n)) + 0.3 * rng.standard_normal(n)
     width, center = 1.5, 0.0
-    kernels: List[np.ndarray] = []
     systems: List[Tuple[LinearOperator, np.ndarray]] = []
     drifts: List[float] = []
     A_prev: Optional[np.ndarray] = None
@@ -111,11 +109,10 @@ def generate_sequence(config: SequenceConfig, seed: int) -> ConvolutionProblem:
         rhs = A @ signal
         if config.noise > 0.0:
             rhs = rhs + X.T @ (config.noise * rng.standard_normal(n))
-        kernels.append(_gaussian_stencil(width, center, config.kernel_size))
         systems.append((LinearOperator.from_dense(A), rhs))
         A_prev = A
-    return ConvolutionProblem(config=config, signal=signal, kernels=kernels,
-                              systems=systems, drifts=drifts)
+    return ConvolutionProblem(config=config, signal=signal, systems=systems,
+                              drifts=drifts)
 
 
 @dataclass

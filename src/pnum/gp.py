@@ -224,7 +224,6 @@ class FitResult:
     """Outcome of a hyperparameter search."""
 
     kernel: Kernel
-    log_marginal: float
     degenerate: bool = False
 
 
@@ -282,8 +281,7 @@ def fit_hyperparameters(family: KernelFamily, nodes, values,
     if np.ptp(values) == 0.0:
         shape = float(np.sqrt(h_lo * h_hi))
         kern = _make_kernel(family, m_lo, shape, domain)
-        return FitResult(kernel=kern, degenerate=True,
-                         log_marginal=log_marginal_likelihood(kern, nodes, values))
+        return FitResult(kernel=kern, degenerate=True)
 
     diff = nodes[:, None] - nodes[None, :]
     best = (-np.inf, m_lo, h_lo)
@@ -303,8 +301,7 @@ def fit_hyperparameters(family: KernelFamily, nodes, values,
     minimize_scalar(lambda t: neg_profiled(float(np.exp(t))), method="bounded",
                     bounds=np.log(shapes[[max(i - 1, 0), min(i + 1, 15)]]))
     kern = _make_kernel(family, best[1], float(best[2]), domain)
-    return FitResult(kernel=kern, degenerate=False,
-                     log_marginal=log_marginal_likelihood(kern, nodes, values))
+    return FitResult(kernel=kern)
 
 
 def _spline_cholesky(kernel: Kernel, grid: np.ndarray):

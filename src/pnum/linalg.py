@@ -17,14 +17,13 @@ factor of the diagonally scaled S'Y is grown by bordering; its jitter climbs
 the ladder 0, 1e-14, 1e-12, 1e-10, 1e-8 and never comes back down, and past
 the last rung an eigenvalue-clipped solve takes over.  The triangular
 solves call LAPACK ``dtrtrs`` directly.  The belief a solve ends with is
-conditioned on its observations only when ``SolveReport.belief`` is first
-read, and cached; a solve whose belief is never read never pays for it.
+conditioned on its observations each time ``SolveReport.belief`` is read;
+a solve whose belief is never read never pays for it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
-from functools import cached_property
 from pathlib import Path
 from typing import Callable, List, Optional, Sequence, Tuple
 
@@ -303,9 +302,9 @@ class SolveReport:
     """Everything a solve produced: solution, trace and final belief.
 
     The final belief is ``prior`` conditioned on ``observations``, the pairs
-    (S, Y = A S) as two N x m arrays.  ``belief`` conditions on first read
-    and caches the result, so a solve whose belief is never read never pays
-    for it; ``dataclasses.replace`` makes a report that conditions afresh.
+    (S, Y = A S) as two N x m arrays.  ``belief`` conditions on each read
+    and keeps nothing, so a solve whose belief is never read never pays for
+    it and a report never holds its posterior.
     Classic CG keeps no belief: its prior, observations and belief are
     None.  ``jitter`` is the rung of the jitter ladder the factor of S'Y
     ended on and ``eig_fallback`` whether its eigenvalue-clipped solve ran;
@@ -324,7 +323,7 @@ class SolveReport:
     eig_fallback: bool = False
     observations: Optional[Tuple[np.ndarray, np.ndarray]] = None
 
-    @cached_property
+    @property
     def belief(self) -> Optional[MatrixBelief]:
         if self.observations is None:
             return self.prior
@@ -505,9 +504,7 @@ def warm_start_sequence(problems: Sequence[Tuple[LinearOperator, np.ndarray]],
     The first problem starts cold (identity prior, x0 = 0).  The belief each
     solve ends with, truncated to ``rank``, is the prior of the next one,
     which seeds x0 = H0 b.  Rank 0 disables recycling entirely, and a
-    negative rank raises ValueError.  The next prior is conditioned on a
-    copy of the report, so no report keeps its untruncated posterior: each
-    report's belief is left to its first read.
+    negative rank raises ValueError.
     """
     if rank < 0:
         raise ValueError("rank must be >= 0")
@@ -517,7 +514,7 @@ def warm_start_sequence(problems: Sequence[Tuple[LinearOperator, np.ndarray]],
         report = solve_probabilistic(A, b, belief, tol=tol)
         reports.append(report)
         if rank > 0 and i + 1 < len(problems):
-            belief = truncate_belief(replace(report).belief, rank)
+            belief = truncate_belief(report.belief, rank)
     return reports
 
 

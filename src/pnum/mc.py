@@ -113,7 +113,7 @@ def smc_integrate(problem: EvidenceProblem, n: int,
     rng = np.random.default_rng(seed)
     theta = problem.sample_prior(rng, n)
     lik = np.exp(problem.log_likelihood(theta))
-    record = ConvergenceRecord(method="smc", seed=seed)
+    record = ConvergenceRecord()
     csum = np.cumsum(lik)
     csum2 = np.cumsum(lik ** 2)
     for m in _power_of_two_budgets(n):
@@ -172,7 +172,7 @@ def ais_evidence(problem: EvidenceProblem, n_temps: int, n_chains: int,
             accept = inside & (np.log(rng.uniform(size=n_chains)) < log_acc)
             theta[accept] = prop[accept]
             log_lik[accept] = log_lik_prop[accept]
-    record = ConvergenceRecord(method="ais", seed=seed)
+    record = ConvergenceRecord()
     for m in _power_of_two_budgets(n_chains):
         est = float(logsumexp(log_w[:m]) - np.log(m))
         spread = float(np.std(log_w[:m]) / np.sqrt(m)) if m > 1 else float("inf")

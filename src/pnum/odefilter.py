@@ -58,7 +58,7 @@ class IVProblem:
         return self.x0.size
 
     def eval_field(self, x: np.ndarray, t: float) -> np.ndarray:
-        y = np.atleast_1d(np.asarray(self.f(x, t), dtype=float))
+        y = self.f(x, t)
         if not np.isfinite(y).all():
             raise NonFiniteField(f"vector field returned non-finite value at t={t}")
         return y

@@ -105,8 +105,6 @@ class QuadratureEstimate:
 
     mean: float
     variance: float
-    n_evals: int
-    kernel: Kernel
     clamped: bool = False
 
     @property
@@ -116,41 +114,32 @@ class QuadratureEstimate:
 
 @dataclass(frozen=True)
 class BQState:
-    """Accumulated quadrature evidence: nodes, values and embedding cache.
+    """Accumulated quadrature evidence: the kernel, nodes and values.
 
-    ``z`` always has one entry per node; ``z0`` is fixed once the kernel and
-    its domain are fixed.  States are immutable; ``with_node`` returns an
-    extended copy.
+    The kernel embeddings of the nodes are computed where they are read.
+    States are immutable; ``with_node`` returns an extended copy.
     """
 
     kernel: Kernel
     nodes: Tuple[float, ...] = ()
     values: Tuple[float, ...] = ()
-    z: Tuple[float, ...] = ()
-    z0: float = 0.0
 
     @classmethod
     def for_kernel(cls, kernel: Kernel) -> "BQState":
-        _, z0 = kernel_embeddings(kernel)
-        return cls(kernel=kernel, z0=z0)
+        return cls(kernel=kernel)
 
     def with_node(self, x: float, value: float) -> "BQState":
-        z_func, _ = kernel_embeddings(self.kernel)
         return replace(self, nodes=self.nodes + (float(x),),
-                       values=self.values + (float(value),),
-                       z=self.z + (float(z_func(x)),))
+                       values=self.values + (float(value),))
 
     @property
     def node_array(self) -> np.ndarray:
         return np.asarray(self.nodes, dtype=float)
 
     @property
-    def value_array(self) -> np.ndarray:
-        return np.asarray(self.values, dtype=float)
-
-    @property
-    def z_array(self) -> np.ndarray:
-        return np.asarray(self.z, dtype=float)
+    def z0(self) -> float:
+        """Prior variance of the integral, the double integral of k."""
+        return kernel_embeddings(self.kernel)[1]
 
 
 def bq_posterior(state: BQState) -> QuadratureEstimate:
@@ -160,23 +149,22 @@ def bq_posterior(state: BQState) -> QuadratureEstimate:
     negative than -1e-8 * Z0 raises; a slightly negative one is clamped to
     zero with ``clamped`` set.
     """
-    n = len(state.nodes)
-    if n == 0:
-        return QuadratureEstimate(mean=0.0, variance=state.z0, n_evals=0,
-                                  kernel=state.kernel)
-    K = gram_matrix(state.kernel, state.node_array)
+    z_func, z0 = kernel_embeddings(state.kernel)
+    if not state.nodes:
+        return QuadratureEstimate(mean=0.0, variance=z0)
+    nodes = state.node_array
+    K = gram_matrix(state.kernel, nodes)
     factor, _ = _factorize(K)
-    zvec = state.z_array
-    mean = float(zvec @ _solve_refined(factor, K, state.value_array))
-    variance = float(state.z0 - zvec @ _solve_refined(factor, K, zvec))
+    zvec = z_func(nodes)
+    mean = float(zvec @ _solve_refined(factor, K, np.array(state.values)))
+    variance = float(z0 - zvec @ _solve_refined(factor, K, zvec))
     clamped = False
     if variance < 0.0:
-        if variance < -NEG_VAR_REL_TOL * state.z0:
+        if variance < -NEG_VAR_REL_TOL * z0:
             raise SingularGram(
                 f"integral variance {variance:.3e} below clamp threshold")
         variance, clamped = 0.0, True
-    return QuadratureEstimate(mean=mean, variance=variance, n_evals=n,
-                              kernel=state.kernel, clamped=clamped)
+    return QuadratureEstimate(mean=mean, variance=variance, clamped=clamped)
 
 
 def select_nodes_grid(domain: Tuple[float, float], n: int) -> np.ndarray:
@@ -224,16 +212,21 @@ def select_node_active(state: BQState, candidates=None) -> float:
         reduction = z_cand ** 2 / k_cc
         return float(candidates[int(np.argmax(reduction))])
     nodes = state.node_array
-    K = gram_matrix(state.kernel, nodes)
-    factor, _ = _factorize(K)
+    factor, _ = _factorize(gram_matrix(state.kernel, nodes))
     k_xc = kernel_eval(state.kernel, nodes[:, None], candidates[None, :])
-    solved = cho_solve(factor, k_xc)                     # K^-1 k(X, c)
-    post_var_c = np.maximum(k_cc - np.einsum("ij,ij->j", k_xc, solved), 1e-300)
-    w_z = cho_solve(factor, state.z_array)
-    # Schur complement of the bordered Gram: adding candidate x_c lowers the
-    # integral variance by (z_c - k_c' K^-1 z)^2 / postvar(x_c).
-    reduction = (z_cand - k_xc.T @ w_z) ** 2 / post_var_c
+    reduction = _variance_reductions(factor, k_xc, k_cc, z_cand, z_func(nodes),
+                                     1e-300)
     return float(candidates[int(np.argmax(reduction))])
+
+
+def _variance_reductions(factor, k_xc: np.ndarray, k_cc, e_c: np.ndarray,
+                         e: np.ndarray, floor: float) -> np.ndarray:
+    """Drop in the integral variance from adding each candidate: the Schur
+    complement (e_c - k_c' K^-1 e)^2 / max(k_cc - k_c' K^-1 k_c, floor) of
+    the node Gram K (``factor``) bordered by each column k_c of ``k_xc``."""
+    solved = cho_solve(factor, k_xc)
+    post_var = np.maximum(k_cc - np.einsum("ij,ij->j", k_xc, solved), floor)
+    return (e_c - k_xc.T @ cho_solve(factor, e)) ** 2 / post_var
 
 
 def _pair_embed(kernel: Kernel, X: np.ndarray, Y: np.ndarray) -> np.ndarray:
@@ -404,7 +397,7 @@ def warped_bq_integrate(f: Callable, domain, budget: int,
     X = [x0]
     fv = [evaluate(x0)]
     candidates = _candidate_grid(box)
-    record = ConvergenceRecord(method="warped-bq", seed=seed)
+    record = ConvergenceRecord()
     estimate = None
     for it in range(budget):
         Xa = np.asarray(X)
@@ -416,21 +409,14 @@ def warped_bq_integrate(f: Callable, domain, budget: int,
         clamped = variance < 0.0
         variance = max(variance, 0.0)
         record.append(budget=it + 1, estimate=mean, spread=np.sqrt(variance))
-        estimate = QuadratureEstimate(mean=mean, variance=variance,
-                                      n_evals=it + 1, kernel=kern,
-                                      clamped=clamped)
+        estimate = QuadratureEstimate(mean=mean, variance=variance, clamped=clamped)
         if it + 1 == budget:
             break
         # value-frozen variance reduction of each candidate
-        q = P @ w
-        k_cx = gram_matrix(kern, candidates, Xa)
-        p_c = _pair_embed(kern, candidates, Xa) @ w
-        solved = cho_solve(factor, k_cx.T)
-        proj = q @ solved
-        cand_var = np.maximum(
-            kern.scale ** 2 - np.einsum("ij,ji->i", k_cx, solved),
+        gain = _variance_reductions(
+            factor, gram_matrix(kern, Xa, candidates), kern.scale ** 2,
+            _pair_embed(kern, candidates, Xa) @ w, P @ w,
             1e-12 * kern.scale ** 2)
-        gain = (p_c - proj) ** 2 / cand_var
         taken = np.min(
             np.max(np.abs(candidates[:, None, :] - Xa[None, :, :]), axis=2),
             axis=1) < 1e-9 * widths.max()

@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import List, Optional
+from typing import List
 
 
 @dataclass
@@ -15,8 +15,6 @@ class ConvergenceRecord:
     Carlo ones.
     """
 
-    method: str
-    seed: Optional[int] = None
     budgets: List[int] = field(default_factory=list)
     estimates: List[float] = field(default_factory=list)
     spreads: List[float] = field(default_factory=list)

@@ -119,7 +119,8 @@ class TestQuadCommand:
         ({"methods": ["eq-bq"], "budgets": [4], "eq_lambda": -1},
          "must be finite and > 0"),
         ({"budgets": [1]}, "need at least 2 nodes"),
-        ({"integrand": "spline-draw", "budgets": [1]}, "need N >= 2"),
+        ({"integrand": "spline-draw", "methods": ["trapezoid"], "budgets": [1]},
+         "need N >= 2"),
         ({"integrand": "custom-grid-values", "methods": ["spline-bq"],
           "custom_nodes": [-3.0, 0.0, 3.0], "custom_values": [1.0, 2.0]},
          "custom_values has shape"),
@@ -131,6 +132,8 @@ class TestQuadCommand:
         ({"integrand": "custom-grid-values", "methods": ["smc"],
           "custom_nodes": [-3.0, 3.0], "custom_values": [1.0, 2.0]},
          "smc needs a callable integrand"),
+        ({"integrand": "spline-draw", "methods": ["trapezoid", "smc"],
+          "budgets": [10]}, "smc needs a callable integrand"),
     ])
     def test_rejected_config_exit_code(self, tmp_path, capsys, config, message):
         code, _ = run_cli(tmp_path, "quad", {"integrand": "paper-example",
@@ -207,7 +210,8 @@ class TestLinsolveCommand:
 
     def test_rejected_config_exit_code(self, tmp_path, capsys):
         # an unknown operator kind, a list rhs of the wrong length, an rhs
-        # the operator cannot supply, an unknown rhs and a non-object operator
+        # the operator cannot supply, an unknown rhs, a non-object operator
+        # and negative convolution indices
         spd = {"kind": "random_spd", "dim": 4}
         for config, message in [
                 ({"operator": {"kind": "nope"}}, "unknown operator kind"),
@@ -215,7 +219,11 @@ class TestLinsolveCommand:
                 ({"operator": spd, "rhs": "from_problem"},
                  "requires a convolution operator"),
                 ({"operator": spd, "rhs": "zeros"}, "unknown rhs choice 'zeros'"),
-                ({"operator": None}, "operator must be a JSON object")]:
+                ({"operator": None}, "operator must be a JSON object"),
+                ({"operator": {"kind": "convolution", "index": -1},
+                  "rhs": "from_problem"}, "index must be >= 0, got -1"),
+                ({"operator": {"kind": "convolution", "index": -5},
+                  "rhs": "from_problem"}, "index must be >= 0, got -5")]:
             code, _ = run_cli(tmp_path, "linsolve", config)
             assert code == 2
             err = capsys.readouterr().err
@@ -381,11 +389,11 @@ class TestDeterminism:
         assert out1.read_bytes() != out2.read_bytes()
 
 
-class TestTruthCache:
-    def test_benchmark_truth_cached_and_sane(self):
+class TestBenchmarkTruth:
+    def test_benchmark_truth_repeatable_and_sane(self):
         t1 = benchmark_integral_truth()
         t2 = benchmark_integral_truth()
-        assert t1 is t2 or t1 == t2
+        assert t1 == t2
         xs = np.linspace(-3, 3, 200_001)
         coarse = np.trapezoid(smooth_benchmark_integrand(xs), xs)
         assert t1 == pytest.approx(coarse, abs=1e-9)

@@ -66,7 +66,7 @@ class TestSMC:
 
     @pytest.mark.parametrize("budget", [4, 3])
     def test_record_rejects_non_increasing_budget(self, budget):
-        record = ConvergenceRecord("smc")
+        record = ConvergenceRecord()
         record.append(4, 1.0, 0.1)
         with pytest.raises(ValueError, match="strictly increasing"):
             record.append(budget, 1.0, 0.1)

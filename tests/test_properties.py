@@ -3,7 +3,8 @@
 Linear solver: each example draws a dimension, a condition number and a seed
 for a ``random_spd`` operator and a right-hand side, and for the warm solves
 a rank and the size of a perturbation of the operator.  Quadrature: each
-example draws a linear-spline kernel, an interval, nodes and values.  Prior
+example draws a linear-spline kernel, an interval, nodes and values, or a
+random SPD joint covariance of nodes and candidate nodes.  Prior
 draws: each example draws a linear-spline kernel, an interval, a grid in it
 and a seed.  Kernel:
 each example draws an exponentiated-quadratic kernel on a box of dimension
@@ -16,6 +17,7 @@ for the covariance pass.
 
 import numpy as np
 from hypothesis import assume, example, given, settings, strategies as st
+from scipy.linalg import cho_factor
 from scipy.special import erf
 
 from pnum import (BQState, IVProblem, KernelFamily, LinearOperator,
@@ -26,6 +28,7 @@ from pnum import (BQState, IVProblem, KernelFamily, LinearOperator,
                   rk_method, rk_reference, sample_path, solve_ivp_filter,
                   solve_probabilistic, trapezoid, truncate_belief)
 from pnum.gp import _spline_cholesky, default_bounds
+from pnum.quadrature import _variance_reductions
 
 systems = st.tuples(st.integers(2, 48), st.floats(1.0, 1e4),
                     st.integers(0, 2**31 - 1))
@@ -167,6 +170,29 @@ def test_spline_bq_mean_is_trapezoid(rule):
     assert abs(est.variance - bridges) <= 1e-12 * state.z0
 
 
+schur_scans = st.tuples(st.integers(1, 8), st.integers(1, 6),  # nodes, candidates
+                        st.floats(1.0, 1e3), st.integers(0, 2**31 - 1))
+
+
+@checks
+@given(schur_scans)
+def test_variance_reduction_is_the_bordered_gram_difference(scan):
+    # the joint covariance of nodes and candidates is a random SPD matrix;
+    # adding candidate j borders the node Gram K with its column and lowers
+    # the integral variance by [e; e_j]' K_aug^-1 [e; e_j] - e' K^-1 e
+    n, m, cond, seed = scan
+    G = random_spd(n + m, seed, cond=cond)
+    v = np.random.default_rng(seed + 1).standard_normal(n + m)
+    K, e = G[:n, :n], v[:n]
+    got = _variance_reductions(cho_factor(K, lower=True), G[:n, n:],
+                               np.diag(G)[n:], v[n:], e, 1e-300)
+    base = e @ np.linalg.solve(K, e)
+    for j in range(m):
+        idx = np.r_[:n, n + j]
+        bordered = v[idx] @ np.linalg.solve(G[np.ix_(idx, idx)], v[idx])
+        assert abs(got[j] - (bordered - base)) <= 1e-12 * (1.0 + bordered)
+
+
 spline_kernels = st.tuples(
     st.floats(0.1, 10.0), st.floats(0.1, 10.0),        # kernel c, b
     st.floats(-5.0, 5.0), st.floats(0.1, 1.0))         # start, width fraction
@@ -285,14 +311,14 @@ def test_profiled_fit_is_never_below_the_scale_shape_grid(fit_input):
     nodes = lo + width * np.concatenate(([0.0], np.cumsum(gaps[1:]))) / gaps[1:].sum()
     nodes[-1] = lo + width
     res = fit_hyperparameters(family, nodes, values)
-    assert res.log_marginal == log_marginal_likelihood(res.kernel, nodes, values)
+    log_marginal = log_marginal_likelihood(res.kernel, nodes, values)
     s_bounds, h_bounds = default_bounds(family, nodes, values).values()
     assert s_bounds[0] <= res.kernel.scale <= s_bounds[1]
     make = linear_spline if family is KernelFamily.LINEAR_SPLINE else exp_quadratic
     best = max(grid_log_marginal(make, s, h, res.kernel.box[0], nodes, values)
                for s in np.geomspace(*s_bounds, 16)
                for h in np.geomspace(*h_bounds, 16))
-    assert res.log_marginal >= best - 1e-8 * (1.0 + abs(best))
+    assert log_marginal >= best - 1e-8 * (1.0 + abs(best))
 
 
 filter_runs = st.tuples(

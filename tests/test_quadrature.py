@@ -176,10 +176,6 @@ class TestBQPosterior:
         assert scaled.mean == pytest.approx(3.5 * base.mean, rel=1e-12)
         assert scaled.variance == pytest.approx(base.variance, rel=1e-12)
 
-    def test_embedding_cache_tracks_nodes(self):
-        st = state_with(linear_spline(), [0.0, 1.0], [1.0, 2.0])
-        assert len(st.z) == len(st.nodes) == 2
-
 
 class TestNodeSelection:
     def test_grid_two_nodes(self):
