@@ -77,6 +77,9 @@ def _load_config(path: str, allowed: Dict[str, object],
     if missing:
         raise ConfigError(f"missing required config keys: {missing}")
     resolved = dict(allowed)
+    if cfg.get("integrand") == "spline-draw":   # no smc; each N - 1 divides 1800
+        resolved.update(methods=["trapezoid", "spline-bq", "eq-bq"],
+                        budgets=[5, 9, 19, 37, 73])
     resolved.update(cfg)
     return resolved
 

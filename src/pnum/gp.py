@@ -28,7 +28,8 @@ from math import log, pi, sqrt
 from typing import Dict, Optional, Tuple
 
 import numpy as np
-from scipy.linalg import cho_factor, cho_solve
+from scipy.linalg import cho_solve
+from scipy.linalg.lapack import dpotrf
 from scipy.optimize import minimize_scalar
 
 from .exceptions import SingularGram
@@ -178,31 +179,27 @@ def _jitters(scale: float):
 def _factorize(K: np.ndarray):
     """Cholesky-factorize K + jitter*I, escalating jitter on failure.
 
-    Returns (cho_factor result, jitter actually used).  Raises SingularGram
-    for a non-finite Gram and once the jitter ceiling is passed.
+    Returns (factor in ``cho_factor``'s form, jitter actually used).  Raises
+    SingularGram for a non-finite Gram and once the jitter ceiling is passed.
     """
     scale = float(np.mean(np.diag(K)))
     if not (scale > 0 and np.isfinite(K).all()):
         raise SingularGram("Gram is not finite with a positive diagonal")
     eye = np.eye(K.shape[0])
     for jitter in _jitters(scale):
-        try:
-            return cho_factor(K + jitter * eye, lower=True), jitter
-        except np.linalg.LinAlgError:
-            pass
+        L, info = dpotrf(K + jitter * eye, lower=1, clean=0)
+        if info == 0:
+            return (L, True), jitter
     raise SingularGram(
         f"Cholesky failed up to jitter {JITTER_REL_MAX * scale:.2e}")
 
 
-def _profiled_likelihood(K1: np.ndarray, y: np.ndarray, m_lo: float,
+def _profiled_likelihood(factor, y: np.ndarray, m_lo: float,
                          m_hi: float = np.inf):
-    """Log evidence of y under m * K1 at its maximizer m = clip(y' K1^-1 y / n).
-
-    Returns (log evidence, m, jittered factor of K1); sqrt(m) times that
-    factor is the factor of m * K1.  Raises SingularGram if the Gram or the
-    quadratic form is not finite.
-    """
-    factor, _ = _factorize(K1)
+    """Log evidence of y under m * K1 at its maximizer m = clip(y' K1^-1 y / n),
+    given the jittered factor of the unit Gram K1: (log evidence, m).  sqrt(m)
+    times that factor is the factor of m * K1.  Raises SingularGram if the
+    quadratic form is not finite."""
     q = float(y @ cho_solve(factor, y, check_finite=False))
     if not np.isfinite(q):
         raise SingularGram(f"profiled quadratic form y' K1^-1 y = {q}")
@@ -210,13 +207,32 @@ def _profiled_likelihood(K1: np.ndarray, y: np.ndarray, m_lo: float,
     m = min(max(q / n, m_lo), m_hi)
     logdet = 2.0 * float(np.sum(np.log(np.diag(factor[0]))))
     ll = -0.5 * q / m - 0.5 * n * log(m) - 0.5 * logdet - 0.5 * n * log(2 * pi)
-    return ll, m, factor
+    return ll, m
+
+
+def _profiled_scan(K1s: np.ndarray, y: np.ndarray, m_lo: float):
+    """(index, log evidence, m, factor) of the first best slice of a stack of
+    unit-diagonal Grams under :func:`_profiled_likelihood`.  A slice climbs
+    :func:`_factorize`'s ladder only if the stack is not finite or potrf
+    fails at the first rung.  Raises SingularGram if no slice fits."""
+    finite, eye = np.isfinite(K1s).all(), np.eye(K1s.shape[-1])
+    fits = []
+    for i, K1 in enumerate(K1s):
+        L, info = dpotrf(K1 + JITTER_REL_START * eye, lower=1, clean=0)
+        try:
+            factor = (L, True) if finite and info == 0 else _factorize(K1)[0]
+            fits.append((i, *_profiled_likelihood(factor, y, m_lo), factor))
+        except SingularGram:
+            pass
+    if not fits:
+        raise SingularGram("no unit Gram of the stack factorized")
+    return max(fits, key=lambda fit: fit[1])
 
 
 def log_marginal_likelihood(kernel: Kernel, nodes, values) -> float:
     """Gaussian log evidence of (nodes, values) under the kernel prior."""
-    K = gram_matrix(kernel, nodes)
-    return _profiled_likelihood(K, np.asarray(values, dtype=float), 1.0, 1.0)[0]
+    factor, _ = _factorize(gram_matrix(kernel, nodes))
+    return _profiled_likelihood(factor, np.asarray(values, dtype=float), 1.0, 1.0)[0]
 
 
 @dataclass(frozen=True)
@@ -289,8 +305,8 @@ def fit_hyperparameters(family: KernelFamily, nodes, values,
     def neg_profiled(shape):
         nonlocal best
         try:
-            ll, m, _ = _profiled_likelihood(_unit_kernel(family, (shape,), (diff,)),
-                                            values, m_lo, m_hi)
+            factor, _ = _factorize(_unit_kernel(family, (shape,), (diff,)))
+            ll, m = _profiled_likelihood(factor, values, m_lo, m_hi)
         except SingularGram:
             return np.inf
         best = max(best, (ll, m, shape))

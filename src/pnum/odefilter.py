@@ -19,7 +19,7 @@ pass costs a constant per step, so total cost is linear in the steps.
 
 from __future__ import annotations
 
-import time
+import timeit
 from dataclasses import dataclass
 from math import factorial
 from typing import Callable, List, Optional, Sequence, Tuple
@@ -447,15 +447,12 @@ def convergence_order_estimate(solver: Callable[[IVProblem, float], np.ndarray],
 
 def runtime_per_steps(problem: IVProblem, q: int, step_counts: Sequence[int],
                       repeats: int = 3) -> List[float]:
-    """Median wall time of a filter run for each step count (cost linearity)."""
-    out = []
+    """Least ``timeit`` wall time (garbage collection off) of a filter run for
+    each step count, the counts in turn in every repeat (cost linearity)."""
+    best = [np.inf] * len(step_counts)
     span = problem.t_end - problem.t0
-    for n in step_counts:
-        h = span / n
-        times = []
-        for _ in range(repeats):
-            start = time.perf_counter()
-            solve_ivp_filter(problem, q=q, h=h)
-            times.append(time.perf_counter() - start)
-        out.append(float(np.median(times)))
-    return out
+    for _ in range(repeats):
+        for k, n in enumerate(step_counts):
+            run = lambda: solve_ivp_filter(problem, q=q, h=span / n)
+            best[k] = min(best[k], timeit.timeit(run, number=1))
+    return best

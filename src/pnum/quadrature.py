@@ -27,7 +27,7 @@ from scipy.special import erf
 from .exceptions import (NoCandidates, NonPositiveEvaluation, SingularGram,
                          UnsortedNodes)
 from .gp import (Kernel, KernelFamily, _as_box, _factorize, _make_kernel,
-                 _points, _profiled_likelihood, _solve_refined, _unit_kernel,
+                 _points, _profiled_scan, _solve_refined, _unit_kernel,
                  gram_matrix, kernel_eval)
 from .records import ConvergenceRecord
 
@@ -229,10 +229,11 @@ def _variance_reductions(factor, k_xc: np.ndarray, k_cc, e_c: np.ndarray,
     return (e_c - k_xc.T @ cho_solve(factor, e)) ** 2 / post_var
 
 
-def _pair_embed(kernel: Kernel, X: np.ndarray, Y: np.ndarray) -> np.ndarray:
-    """P[i, j] = int_box k(x, X_i) k(x, Y_j) dx of the exponentiated
-    quadratic, a product of per-dimension erf forms; X, Y are (n, d)."""
-    P = np.full((X.shape[0], Y.shape[0]), kernel.scale ** 4)
+def _pair_embed(kernel: Kernel, X: np.ndarray, Y: np.ndarray, rows=None):
+    """P[i, j] = int_box k(x, X_i) k(x, Y_j) dx of the exponentiated quadratic,
+    a product of per-dimension erf forms; X, Y are (n, d).  With ``rows``, X
+    holds axis values and row i of P is the point (X[rows[i, j], j])_j."""
+    P = kernel.scale ** 4
     for j, ((lo, hi), lam) in enumerate(zip(kernel.box, kernel.shape)):
         a = X[:, j][:, None]
         b = Y[None, :, j]
@@ -241,16 +242,18 @@ def _pair_embed(kernel: Kernel, X: np.ndarray, Y: np.ndarray) -> np.ndarray:
                * (lam / np.sqrt(2.0)) * (SQRT_PI / 2.0)
                * (erf(np.sqrt(2.0) * (hi - mid) / lam)
                   - erf(np.sqrt(2.0) * (lo - mid) / lam)))
-        P = P * fac
+        P = P * (fac if rows is None else fac[rows[:, j]])
     return P
 
 
-def _candidate_grid(box: np.ndarray) -> np.ndarray:
+def _candidate_grid(box: np.ndarray):
+    """Axis values (per_dim, d), axis rows (m, d) and points (m, d) of the
+    candidate tensor grid, per_dim^d = m ~ ``DEFAULT_CANDIDATE_COUNT``."""
     d = box.shape[0]
     per_dim = max(2, int(round(DEFAULT_CANDIDATE_COUNT ** (1.0 / d))))
-    axes = [np.linspace(lo, hi, per_dim) for lo, hi in box]
-    mesh = np.meshgrid(*axes, indexing="ij")
-    return np.stack(mesh, axis=-1).reshape(-1, d)
+    axes = np.stack([np.linspace(lo, hi, per_dim) for lo, hi in box], axis=1)
+    rows = np.indices((per_dim,) * d).reshape(d, -1).T
+    return axes, rows, axes[rows, np.arange(d)]
 
 
 def _profile_theta_fit(X: np.ndarray, g: np.ndarray, box: np.ndarray):
@@ -258,24 +261,16 @@ def _profile_theta_fit(X: np.ndarray, g: np.ndarray, box: np.ndarray):
     marginal likelihood.
 
     The lengthscales are a common multiple of the box widths on a 16-point
-    log grid, each with its closed-form theta.  Returns the kernel and the
-    jittered factor of its Gram, theta^2 K1 (theta times K1's).
+    log grid, each with its closed-form theta, in one stack of unit Grams.
+    Returns the kernel and its Gram's jittered factor (theta times K1's).
     """
     widths = box[:, 1] - box[:, 0]
     S = X / widths
     D = np.sum((S[:, None, :] - S[None, :, :]) ** 2, axis=-1)
-    best = None
-    for mult in np.geomspace(0.05, 2.0, 16):
-        try:
-            fit = _profiled_likelihood(np.exp(-D / mult ** 2), g, 1e-16) + (mult,)
-        except SingularGram:
-            continue
-        if best is None or fit[0] > best[0]:
-            best = fit
-    if best is None:
-        raise SingularGram("no lengthscale candidate factorized")
-    _, theta2, (L1, lower), mult = best
-    kern = _make_kernel(KernelFamily.EXP_QUADRATIC, theta2, mult * widths, box)
+    mults = np.geomspace(0.05, 2.0, 16)
+    i, _, theta2, (L1, lower) = _profiled_scan(
+        np.exp(-D / mults[:, None, None] ** 2), g, 1e-16)
+    kern = _make_kernel(KernelFamily.EXP_QUADRATIC, theta2, mults[i] * widths, box)
     return kern, (kern.scale * L1, lower)
 
 
@@ -396,7 +391,9 @@ def warped_bq_integrate(f: Callable, domain, budget: int,
     x0 = box.mean(axis=1) + rng.uniform(-0.25, 0.25, size=d) * widths
     X = [x0]
     fv = [evaluate(x0)]
-    candidates = _candidate_grid(box)
+    axes, rows, candidates = _candidate_grid(box)
+    # later nodes are candidates themselves, far more than 1e-9 widths apart
+    taken = np.max(np.abs(candidates - x0), axis=1) < 1e-9 * widths.max()
     record = ConvergenceRecord()
     estimate = None
     for it in range(budget):
@@ -415,13 +412,10 @@ def warped_bq_integrate(f: Callable, domain, budget: int,
         # value-frozen variance reduction of each candidate
         gain = _variance_reductions(
             factor, gram_matrix(kern, Xa, candidates), kern.scale ** 2,
-            _pair_embed(kern, candidates, Xa) @ w, P @ w,
+            _pair_embed(kern, axes, Xa, rows) @ w, P @ w,
             1e-12 * kern.scale ** 2)
-        taken = np.min(
-            np.max(np.abs(candidates[:, None, :] - Xa[None, :, :]), axis=2),
-            axis=1) < 1e-9 * widths.max()
-        gain[taken] = -np.inf
-        x_next = candidates[int(np.argmax(gain))]
-        X.append(x_next)
-        fv.append(evaluate(x_next))
+        i_next = int(np.argmax(np.where(taken, -np.inf, gain)))
+        taken[i_next] = True
+        X.append(candidates[i_next])
+        fv.append(evaluate(candidates[i_next]))
     return estimate, record

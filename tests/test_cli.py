@@ -71,6 +71,17 @@ class TestQuadCommand:
         assert code == 0
         assert len(read_rows(out)) == 3
 
+    def test_spline_draw_defaults(self, tmp_path):
+        # a spline-draw config that names only its integrand runs: its
+        # default budgets have N - 1 dividing 1800 and its methods omit smc
+        code, out = run_cli(tmp_path, "quad", {"integrand": "spline-draw"})
+        assert code == 0
+        config = json.loads(Path(str(out) + ".config.json").read_text())["config"]
+        assert config["methods"] == ["trapezoid", "spline-bq", "eq-bq"]
+        assert config["budgets"] == [5, 9, 19, 37, 73]
+        assert sorted((r["method"], int(r["budget"])) for r in read_rows(out)) == [
+            (m, n) for m in sorted(config["methods"]) for n in config["budgets"]]
+
     def test_custom_grid_values(self, tmp_path):
         code, out = run_cli(tmp_path, "quad", {
             "integrand": "custom-grid-values",

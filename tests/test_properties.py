@@ -16,6 +16,7 @@ for the covariance pass.
 """
 
 import numpy as np
+import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 from scipy.linalg import cho_factor
 from scipy.special import erf
@@ -27,8 +28,10 @@ from pnum import (BQState, IVProblem, KernelFamily, LinearOperator,
                   named_problem, odefilter, posterior_mean_apply, random_spd,
                   rk_method, rk_reference, sample_path, solve_ivp_filter,
                   solve_probabilistic, trapezoid, truncate_belief)
-from pnum.gp import _spline_cholesky, default_bounds
-from pnum.quadrature import _variance_reductions
+from pnum.gp import (JITTER_REL_START, _factorize, _profiled_likelihood,
+                     _profiled_scan, _spline_cholesky, default_bounds)
+from pnum.quadrature import (_candidate_grid, _pair_embed, _profile_theta_fit,
+                             _variance_reductions)
 
 systems = st.tuples(st.integers(2, 48), st.floats(1.0, 1e4),
                     st.integers(0, 2**31 - 1))
@@ -319,6 +322,90 @@ def test_profiled_fit_is_never_below_the_scale_shape_grid(fit_input):
                for s in np.geomspace(*s_bounds, 16)
                for h in np.geomspace(*h_bounds, 16))
     assert log_marginal >= best - 1e-8 * (1.0 + abs(best))
+
+
+warped_inputs = st.tuples(
+    st.integers(1, 4),                                 # dimension
+    st.lists(st.tuples(st.floats(-5.0, 5.0), st.floats(0.5, 6.0),
+                       st.floats(0.05, 2.0)),
+             min_size=4, max_size=4),                  # (start, width, lam / width)
+    st.lists(st.tuples(st.lists(st.floats(0.0, 1.0), min_size=4, max_size=4),
+                       st.floats(0.0, 3.0)),
+             min_size=2, max_size=12))                 # (unit point, value) pairs
+
+
+def warped_box_and_nodes(d, dims, unit):
+    box = np.array([(lo, lo + width) for lo, width, _ in dims[:d]])
+    lams = [frac * width for _, width, frac in dims[:d]]
+    X = np.clip(box[:, 0] + np.array(unit)[:, :d] * (box[:, 1] - box[:, 0]),
+                box[:, 0], box[:, 1])
+    return box, lams, X
+
+
+@checks
+@given(warped_inputs)
+def test_axis_embeddings_are_the_candidate_embeddings(draw):
+    # the candidates are a tensor grid, so indexing per-axis erf factors by
+    # each candidate's rows gives the embedding of the candidates bit for bit
+    d, dims, pairs = draw
+    box, lams, X = warped_box_and_nodes(d, dims, [u for u, _ in pairs])
+    kern = exp_quadratic(1.7, lams, box)
+    axes, rows, candidates = _candidate_grid(box)
+    mesh = np.meshgrid(*axes.T, indexing="ij")
+    assert np.array_equal(candidates, np.stack(mesh, axis=-1).reshape(-1, d))
+    assert np.array_equal(_pair_embed(kern, axes, X, rows),
+                          _pair_embed(kern, candidates, X))
+
+
+def per_slice_fit(K1s, g):
+    """The lengthscale scan one slice at a time, each through the jitter
+    ladder: (index, log evidence, m, factor) of the first best slice."""
+    best = None
+    for i, K1 in enumerate(K1s):
+        try:
+            factor = _factorize(K1)[0]
+            fit = (i, *_profiled_likelihood(factor, g, 1e-16), factor)
+        except SingularGram:
+            continue
+        if best is None or fit[1] > best[1]:
+            best = fit
+    return best
+
+
+@checks
+@given(warped_inputs, st.integers(9, 15), st.integers(0, 4), st.integers(1, 8))
+def test_stacked_scan_is_the_per_slice_scan(draw, gap_exp, rung, nudged):
+    # node 1 sits 10^-gap_exp box widths from node 0.  The warped fit equals
+    # the per-slice scan in kernel and factor; then the first ``nudged``
+    # (shortest-lengthscale) unit Grams get that pair's correlation raised
+    # by 1.5e-10 * 10^rung, which puts an eigenvalue near -1.5e-10 * 10^rung:
+    # the first jitter rung fails, and past the last rung the slice is skipped
+    d, dims, pairs = draw
+    box, _, X = warped_box_and_nodes(d, dims, [u for u, _ in pairs])
+    widths = box[:, 1] - box[:, 0]
+    X[1] = np.clip(X[0] + 10.0 ** -gap_exp * widths, box[:, 0], box[:, 1])
+    g = np.array([v for _, v in pairs])
+    S = X / widths
+    D = np.sum((S[:, None, :] - S[None, :, :]) ** 2, axis=-1)
+    mults = np.geomspace(0.05, 2.0, 16)
+    K1s = np.array([np.exp(-D / mult ** 2) for mult in mults])
+    i, _, theta2, (L1, _) = per_slice_fit(K1s, g)
+    kern, (L, lower) = _profile_theta_fit(X, g, box)
+    assert kern == exp_quadratic(np.sqrt(theta2), mults[i] * widths, box)
+    assert lower and np.array_equal(L, kern.scale * L1)
+
+    K1s[:nudged, 0, 1] += 1.5e-10 * 10.0 ** rung
+    K1s[:nudged, 1, 0] = K1s[:nudged, 0, 1]
+    for K1 in K1s[:nudged]:
+        if rung < 4:
+            assert _factorize(K1)[1] > JITTER_REL_START
+        else:
+            with pytest.raises(SingularGram):
+                _factorize(K1)
+    i, ll, m, (L1, lower) = _profiled_scan(K1s, g, 1e-16)
+    ref_i, ref_ll, ref_m, (ref_L1, _) = per_slice_fit(K1s, g)
+    assert (i, ll, m, lower) == (ref_i, ref_ll, ref_m, True)
+    assert np.array_equal(L1, ref_L1)
 
 
 filter_runs = st.tuples(

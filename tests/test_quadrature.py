@@ -294,19 +294,21 @@ class TestWarped:
         assert record.spreads[-1] == 0.0
 
     def test_nonfinite_gram_raises_singular_gram(self, monkeypatch):
-        # a NaN that reaches the fit through an off-diagonal entry of the
-        # unit Gram, or through the values (and so theta), is a SingularGram
-        profiled = quadrature._profiled_likelihood
+        # a NaN that reaches the lengthscale scan through an off-diagonal
+        # entry of the unit Grams, or through the values (and so theta), is a
+        # SingularGram.  The entry is above the diagonal, where a lower
+        # Cholesky factorization never reads it
+        scan = quadrature._profiled_scan
 
-        def nan_off_diagonal(K1, g, m_lo):
-            K1 = K1.copy()
-            if K1.shape[0] > 1:
-                K1[0, 1] = K1[1, 0] = np.nan
-            return profiled(K1, g, m_lo)
+        def nan_off_diagonal(K1s, g, m_lo):
+            K1s = K1s.copy()
+            if K1s.shape[1] > 1:
+                K1s[:, 0, 1] = np.nan
+            return scan(K1s, g, m_lo)
 
         for poisoned in (nan_off_diagonal,
-                         lambda K1, g, m_lo: profiled(K1, g * np.nan, m_lo)):
-            monkeypatch.setattr(quadrature, "_profiled_likelihood", poisoned)
+                         lambda K1s, g, m_lo: scan(K1s, g * np.nan, m_lo)):
+            monkeypatch.setattr(quadrature, "_profiled_scan", poisoned)
             with pytest.raises(SingularGram):
                 warped_bq_integrate(lambda x: 1.0 + x, (0.0, 1.0), 4, seed=0)
 
