@@ -211,16 +211,13 @@ def _profiled_likelihood(factor, y: np.ndarray, m_lo: float,
 
 
 def _profiled_scan(K1s: np.ndarray, y: np.ndarray, m_lo: float):
-    """(index, log evidence, m, factor) of the first best slice of a stack of
-    unit-diagonal Grams under :func:`_profiled_likelihood`.  A slice climbs
-    :func:`_factorize`'s ladder only if the stack is not finite or potrf
-    fails at the first rung.  Raises SingularGram if no slice fits."""
-    finite, eye = np.isfinite(K1s).all(), np.eye(K1s.shape[-1])
+    """(index, log evidence, m, factor) of the first best unit Gram of a stack
+    under :func:`_profiled_likelihood`, each factorized by :func:`_factorize`.
+    A slice that raises SingularGram is skipped; raises it if every one does."""
     fits = []
     for i, K1 in enumerate(K1s):
-        L, info = dpotrf(K1 + JITTER_REL_START * eye, lower=1, clean=0)
         try:
-            factor = (L, True) if finite and info == 0 else _factorize(K1)[0]
+            factor, _ = _factorize(K1)
             fits.append((i, *_profiled_likelihood(factor, y, m_lo), factor))
         except SingularGram:
             pass

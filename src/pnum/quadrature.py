@@ -392,8 +392,11 @@ def warped_bq_integrate(f: Callable, domain, budget: int,
     X = [x0]
     fv = [evaluate(x0)]
     axes, rows, candidates = _candidate_grid(box)
-    # later nodes are candidates themselves, far more than 1e-9 widths apart
-    taken = np.max(np.abs(candidates - x0), axis=1) < 1e-9 * widths.max()
+
+    def near(x):
+        return np.max(np.abs(candidates - x), axis=1) < 1e-9 * widths.max()
+
+    taken = near(x0)
     record = ConvergenceRecord()
     estimate = None
     for it in range(budget):
@@ -415,7 +418,7 @@ def warped_bq_integrate(f: Callable, domain, budget: int,
             _pair_embed(kern, axes, Xa, rows) @ w, P @ w,
             1e-12 * kern.scale ** 2)
         i_next = int(np.argmax(np.where(taken, -np.inf, gain)))
-        taken[i_next] = True
+        taken |= near(candidates[i_next])
         X.append(candidates[i_next])
         fv.append(evaluate(candidates[i_next]))
     return estimate, record
