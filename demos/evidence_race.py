@@ -51,7 +51,7 @@ def main():
                               mh_steps=5, seed=0)
         print(f"  T={n_temps:3d}: log Z estimate {result.log_z:+.4f}  "
               f"|error| {abs(result.log_z - log_z):.4f}  "
-              f"likelihood evals {result.n_likelihood_evals}  ess {result.ess:.1f}")
+              f"likelihood evals {result.n_likelihood_evals}")
 
 
 if __name__ == "__main__":

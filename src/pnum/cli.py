@@ -479,7 +479,7 @@ def cmd_ode(cfg: dict, seeds: List[int], reproducible: bool) -> _Table:
             for h, err in zip(est.hs, est.errors):
                 rows.append(dict(solver=name, h=h, abs_error=err,
                                  slope="" if est.slope is None else est.slope,
-                                 zero_error=str(est.zero_error).lower()))
+                                 zero_error=str(est.slope is None).lower()))
         return _ODE_ORDER_FIELDS, rows
     if cfg["mode"] == "trajectory":
         name = cfg["solver"]

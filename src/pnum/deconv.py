@@ -9,7 +9,7 @@ sequence is a controlled testbed for belief recycling.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import List, Optional, Tuple
 
 import numpy as np
@@ -40,10 +40,8 @@ class SequenceConfig:
 class ConvolutionProblem:
     """Generated sequence: operators, right-hand sides and ground truth."""
 
-    config: SequenceConfig
     signal: np.ndarray
     systems: List[Tuple[LinearOperator, np.ndarray]]
-    drifts: List[float] = field(default_factory=list)
 
 
 def _conv_matrix(kernel: np.ndarray, n: int) -> np.ndarray:
@@ -75,14 +73,14 @@ def generate_sequence(config: SequenceConfig, seed: int) -> ConvolutionProblem:
 
     With zero drift all operators are identical; otherwise the per-step
     relative Frobenius drift is guaranteed <= config.drift by halving the
-    random-walk step until the bound holds.
+    random-walk step until the bound holds.  The drifts are not stored: they
+    follow from consecutive ``op.dense``.
     """
     rng = np.random.default_rng(seed)
     n = config.dim
     signal = np.sin(np.linspace(0.0, 3.0 * np.pi, n)) + 0.3 * rng.standard_normal(n)
     width, center = 1.5, 0.0
     systems: List[Tuple[LinearOperator, np.ndarray]] = []
-    drifts: List[float] = []
     A_prev: Optional[np.ndarray] = None
     for t in range(config.length):
         if t > 0 and config.drift > 0.0:
@@ -100,19 +98,14 @@ def generate_sequence(config: SequenceConfig, seed: int) -> ConvolutionProblem:
                 scale *= 0.5
             else:
                 X, A = _operator_for(width, center, config)
-                rel = 0.0
-            drifts.append(float(rel))
         else:
             X, A = _operator_for(width, center, config)
-            if t > 0:
-                drifts.append(0.0)
         rhs = A @ signal
         if config.noise > 0.0:
             rhs = rhs + X.T @ (config.noise * rng.standard_normal(n))
         systems.append((LinearOperator.from_dense(A), rhs))
         A_prev = A
-    return ConvolutionProblem(config=config, signal=signal, systems=systems,
-                              drifts=drifts)
+    return ConvolutionProblem(signal=signal, systems=systems)
 
 
 @dataclass

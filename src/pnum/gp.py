@@ -47,10 +47,10 @@ class KernelFamily(Enum):
 
 
 def _as_box(domain) -> np.ndarray:
-    """(lo, hi), or a sequence of such pairs, as a (d, 2) array of finite
-    bounds with lo < hi in every row."""
+    """(lo, hi), or a non-empty sequence of such pairs, as a (d, 2) array of
+    finite bounds with lo < hi in every row."""
     box = np.atleast_2d(np.asarray(domain, dtype=float))
-    if box.ndim != 2 or box.shape[1] != 2 or not all(
+    if box.ndim != 2 or box.shape[1] != 2 or len(box) == 0 or not all(
             -np.inf < lo < hi < np.inf for lo, hi in box.tolist()):
         raise ValueError(
             f"domain must be a finite (lo, hi) or a sequence of such pairs, got {domain}")
@@ -272,7 +272,10 @@ def fit_hyperparameters(family: KernelFamily, nodes, values,
     (y' K1^-1 y / n for the unit-scale Gram K1), so only the shape is
     searched: a 16-point log grid, then a bounded scalar search in log-shape
     between the best grid point's neighbours.  The result is never below
-    the best candidate of the 16 x 16 (scale, shape) log grid.
+    the best candidate of the 16 x 16 (scale, shape) log grid.  The
+    linear-spline kernel is positive definite on a box of width W only for
+    b <= 6 / (W - 6) once W > 6, so the search for b stops there; a lower
+    bound above that cap raises ValueError.
 
     All-identical values leave the scale unidentifiable; in that case the
     scale is pinned to its lower bound and ``degenerate`` is flagged.
@@ -289,6 +292,11 @@ def fit_hyperparameters(family: KernelFamily, nodes, values,
     (s_lo, s_hi), (h_lo, h_hi) = bounds[s_name], bounds[h_name]
     if min(s_lo, h_lo) <= 0:
         raise ValueError("parameter bounds must be positive")
+    if family is KernelFamily.LINEAR_SPLINE and np.ptp(domain) > 6.0:
+        h_hi = min(h_hi, 6.0 / (np.ptp(domain) - 6.0))
+        if h_hi < h_lo:
+            raise ValueError(f"b >= {h_lo} leaves the linear-spline kernel "
+                             f"indefinite on the box {domain}")
     m_lo, m_hi = s_lo ** power, s_hi ** power
 
     if np.ptp(values) == 0.0:

@@ -91,9 +91,9 @@ class MatrixBelief:
         return 0 if self.w is None else int(self.w.shape[1])
 
 
-def identity_belief(dim: int, sigma: float = 1.0) -> MatrixBelief:
-    """Fresh belief with mean I."""
-    return MatrixBelief(dim=int(dim), sigma=float(sigma))
+def identity_belief(dim: int) -> MatrixBelief:
+    """Fresh belief with mean I and unit scale sigma."""
+    return MatrixBelief(dim=int(dim))
 
 
 def _mean_apply(belief: MatrixBelief, v: np.ndarray) -> np.ndarray:

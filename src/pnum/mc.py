@@ -15,6 +15,7 @@ import numpy as np
 from scipy.special import logsumexp
 from scipy.stats import norm
 
+from .gp import _as_box
 from .records import ConvergenceRecord
 
 AIS_BETA_MIN = 0.03  # first positive rung of the geometric ladder
@@ -36,9 +37,7 @@ class EvidenceProblem:
     true_log_z: Optional[float] = None
 
     def __post_init__(self):
-        box = np.atleast_2d(np.asarray(self.box, dtype=float))
-        if box.shape[1] != 2 or np.any(box[:, 0] >= box[:, 1]):
-            raise ValueError("box must be rows of (lo, hi) with lo < hi")
+        box = _as_box(self.box)
         if box.shape[0] > 4:
             raise ValueError("evidence problems support dimension <= 4")
         object.__setattr__(self, "box", box)
@@ -59,15 +58,18 @@ def make_evidence_problem(name: str, **params) -> EvidenceProblem:
     """Named synthetic problems with analytic evidence.
 
     ``gaussian-1d`` / ``gaussian-2d``: isotropic Gaussian likelihood centered
-    at ``mu`` with scale ``sigma`` on a box, so
+    at ``mu`` with scale ``sigma`` > 0 on the box [-half_width, half_width]^d, so
     Z = prod_j (Phi((hi - mu)/sigma) - Phi((lo - mu)/sigma)) / volume.
-    ``constant``: likelihood identically ``value`` (Z = value).
+    ``constant``: likelihood identically ``value`` > 0 (Z = value) on the
+    unit box of dimension ``dim`` >= 1.  Other values raise ValueError.
     """
     if name in ("gaussian-1d", "gaussian-2d"):
         d = 1 if name.endswith("1d") else 2
         half = float(params.get("half_width", 5.0))
         sigma = float(params.get("sigma", 1.0))
         mu = float(params.get("mu", 0.0))
+        if not (0.0 < sigma < np.inf and 0.0 < half < np.inf):
+            raise ValueError(f"{name} needs finite sigma, half_width > 0: got {sigma}, {half}")
         box = np.tile([[-half, half]], (d, 1))
 
         def log_likelihood(theta):
@@ -82,6 +84,8 @@ def make_evidence_problem(name: str, **params) -> EvidenceProblem:
     if name == "constant":
         value = float(params.get("value", 1.0))
         d = int(params.get("dim", 1))
+        if not (0.0 < value < np.inf and d >= 1):
+            raise ValueError(f"constant needs finite value > 0, dim >= 1: got {value}, {d}")
         box = np.tile([[0.0, 1.0]], (d, 1))
         return EvidenceProblem(
             name=name, box=box, true_log_z=float(np.log(value)),
@@ -132,7 +136,6 @@ class AISResult:
     """Annealed-importance-sampling outcome."""
 
     log_z: float
-    ess: float
     degenerate: bool
     record: ConvergenceRecord
     n_likelihood_evals: int
@@ -148,7 +151,7 @@ def ais_evidence(problem: EvidenceProblem, n_temps: int, n_chains: int,
     vectorized under one seeded generator and reduced in chain order, so the
     estimate is deterministic per seed.  An effective sample size of the
     final weights below 2 flags the result as degenerate (the estimate is
-    still returned).
+    still returned; the ESS itself is not kept).
     """
     if n_temps < 1 or mh_steps < 1 or n_chains < 1:
         raise ValueError("n_temps, n_chains and mh_steps must be >= 1")
@@ -180,5 +183,5 @@ def ais_evidence(problem: EvidenceProblem, n_temps: int, n_chains: int,
     log_z = float(logsumexp(log_w) - np.log(n_chains))
     w_norm = np.exp(log_w - logsumexp(log_w))
     ess = float(1.0 / np.sum(w_norm ** 2))
-    return AISResult(log_z=log_z, ess=ess, degenerate=ess < 2.0,
+    return AISResult(log_z=log_z, degenerate=ess < 2.0,
                      record=record, n_likelihood_evals=n_evals)

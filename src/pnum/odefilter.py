@@ -19,10 +19,9 @@ pass costs a constant per step, so total cost is linear in the steps.
 
 from __future__ import annotations
 
-import timeit
 from dataclasses import dataclass
 from math import factorial
-from typing import Callable, List, Optional, Sequence, Tuple
+from typing import Callable, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -45,7 +44,6 @@ class IVProblem:
     t0: float
     t_end: float
     exact: Optional[Callable[[float], np.ndarray]] = None
-    name: str = ""
 
     def __post_init__(self):
         object.__setattr__(self, "x0", np.atleast_1d(np.asarray(self.x0, dtype=float)))
@@ -71,8 +69,7 @@ def named_problem(name: str, **params) -> IVProblem:
         x0 = float(params.get("x0", 1.0))
         t_end = float(params.get("t_end", 1.0))
         return IVProblem(f=lambda x, t: a * x, x0=np.array([x0]), t0=0.0,
-                         t_end=t_end, name=name,
-                         exact=lambda t: np.array([x0 * np.exp(a * t)]))
+                         t_end=t_end, exact=lambda t: np.array([x0 * np.exp(a * t)]))
     if name == "logistic":
         r = float(params.get("r", 2.0))
         k = float(params.get("k", 1.0))
@@ -84,7 +81,7 @@ def named_problem(name: str, **params) -> IVProblem:
             return np.array([k * x0 * e / (k + x0 * (e - 1.0))])
 
         return IVProblem(f=lambda x, t: r * x * (1.0 - x / k), x0=np.array([x0]),
-                         t0=0.0, t_end=t_end, exact=exact, name=name)
+                         t0=0.0, t_end=t_end, exact=exact)
     if name == "stiff-linear":
         lam = float(params.get("lam", -20.0))
         if lam >= 0:
@@ -92,8 +89,7 @@ def named_problem(name: str, **params) -> IVProblem:
         x0 = float(params.get("x0", 1.0))
         t_end = float(params.get("t_end", 1.0))
         return IVProblem(f=lambda x, t: lam * x, x0=np.array([x0]), t0=0.0,
-                         t_end=t_end, name=name,
-                         exact=lambda t: np.array([x0 * np.exp(lam * t)]))
+                         t_end=t_end, exact=lambda t: np.array([x0 * np.exp(lam * t)]))
     if name == "lotka-volterra":
         a = float(params.get("a", 1.5))
         b = float(params.get("b", 1.0))
@@ -107,7 +103,7 @@ def named_problem(name: str, **params) -> IVProblem:
                              -c * x[1] + d * x[0] * x[1]])
 
         return IVProblem(f=f, x0=np.asarray(x0, dtype=float), t0=0.0,
-                         t_end=t_end, name=name)
+                         t_end=t_end)
     raise ValueError(f"unknown problem name {name!r}")
 
 
@@ -124,7 +120,6 @@ class RKMethod:
     a: np.ndarray
     b: np.ndarray
     c: np.ndarray
-    order: int
 
     def __post_init__(self):
         a = np.asarray(self.a, dtype=float)
@@ -147,17 +142,17 @@ def rk_method(name: str) -> RKMethod:
     name = name.lower()
     if name == "euler":
         return RKMethod("euler", a=np.zeros((1, 1)), b=np.array([1.0]),
-                        c=np.array([0.0]), order=1)
+                        c=np.array([0.0]))
     if name == "midpoint":
         return RKMethod("midpoint", a=np.array([[0.0, 0.0], [0.5, 0.0]]),
-                        b=np.array([0.0, 1.0]), c=np.array([0.0, 0.5]), order=2)
+                        b=np.array([0.0, 1.0]), c=np.array([0.0, 0.5]))
     if name == "rk4":
         a = np.array([[0.0, 0.0, 0.0, 0.0],
                       [0.5, 0.0, 0.0, 0.0],
                       [0.0, 0.5, 0.0, 0.0],
                       [0.0, 0.0, 1.0, 0.0]])
         return RKMethod("rk4", a=a, b=np.array([1, 2, 2, 1]) / 6.0,
-                        c=np.array([0.0, 0.5, 0.5, 1.0]), order=4)
+                        c=np.array([0.0, 0.5, 0.5, 1.0]))
     raise ValueError(f"unknown RK method {name!r}")
 
 
@@ -313,7 +308,8 @@ def _covariance_pass(A1: np.ndarray, Q1: np.ndarray, n: int, d: int):
         # (A1 U A1' + Q1 - U)[0, 0] over the cycle's updates U; A1[0, 0] = 1
         U, a = factors[2 * first + 1:2 * k:2], A1[0]
         rise = (a[1:] @ U[:, 1:] @ a + U[:, 0, 1:] @ a[1:]).mean() + Q1[0, 0]
-        p00 = factors[2 * k, 0, 0] + rise * np.arange(n + 1 - k)
+        with np.errstate(over="ignore"):    # _check_psd reports an inf
+            p00 = factors[2 * k, 0, 0] + rise * np.arange(n + 1 - k)
         j = first + np.arange(n + 1 - k) % (k - first)   # step in the cycle
         factors[2 * k:] = factors[(2 * j[:, None] + [0, 1]).ravel()[:-1]]
         factors[2 * k:, 0, 0] = np.repeat(p00, 2)[:-1]
@@ -390,12 +386,12 @@ def solve_ivp_filter(problem: IVProblem, q: int, h: float, rho2: float = 1.0,
 
 @dataclass(frozen=True)
 class OrderEstimate:
-    """Least-squares slope of log error against log step size."""
+    """Least-squares slope of log error against log step size; None if the
+    solver was exact (zero error) on the problem."""
 
     slope: Optional[float]
     hs: Tuple[float, ...]
     errors: Tuple[float, ...]
-    zero_error: bool = False
 
 
 def rk_solver(method_name: str) -> Callable[[IVProblem, float], np.ndarray]:
@@ -422,7 +418,7 @@ def convergence_order_estimate(solver: Callable[[IVProblem, float], np.ndarray],
 
     Requires >= 4 step sizes in geometric progression and a problem with a
     closed-form solution.  If the solver is exact on the problem the slope
-    is meaningless; the estimate is flagged and the slope left unset.
+    is meaningless and left as None, which is the estimate's flag.
     """
     hs = [float(h) for h in hs]
     if len(hs) < 4:
@@ -437,22 +433,7 @@ def convergence_order_estimate(solver: Callable[[IVProblem, float], np.ndarray],
     for h in hs:
         est = np.atleast_1d(solver(problem, h))
         errors.append(float(np.linalg.norm(est - truth)))
-    scale = float(np.linalg.norm(truth))
-    if min(errors) <= 1e-14 * max(1.0, scale):
-        return OrderEstimate(slope=None, hs=tuple(hs), errors=tuple(errors),
-                             zero_error=True)
-    slope = float(np.polyfit(np.log(hs), np.log(errors), 1)[0])
+    exact = min(errors) <= 1e-14 * max(1.0, float(np.linalg.norm(truth)))
+    slope = None if exact else float(np.polyfit(np.log(hs), np.log(errors), 1)[0])
     return OrderEstimate(slope=slope, hs=tuple(hs), errors=tuple(errors))
 
-
-def runtime_per_steps(problem: IVProblem, q: int, step_counts: Sequence[int],
-                      repeats: int = 3) -> List[float]:
-    """Least ``timeit`` wall time (garbage collection off) of a filter run for
-    each step count, the counts in turn in every repeat (cost linearity)."""
-    best = [np.inf] * len(step_counts)
-    span = problem.t_end - problem.t0
-    for _ in range(repeats):
-        for k, n in enumerate(step_counts):
-            run = lambda: solve_ivp_filter(problem, q=q, h=span / n)
-            best[k] = min(best[k], timeit.timeit(run, number=1))
-    return best

@@ -173,13 +173,20 @@ class TestEvidenceCommand:
             assert float(r["abs_log_error"]) >= 0.0
 
     def test_rejected_config_exit_code(self, tmp_path, capsys):
-        # an unknown problem and a budget warped BQ rejects: exit 2, no traceback
+        # an unknown problem, a budget warped BQ rejects and problem
+        # parameters outside their range: exit 2, no traceback
         for config, message in [
                 ({"problem": "nope"}, "unknown evidence problem"),
                 ({"methods": ["warped-bq"], "bq_budget": 2, "seeds": [0]},
                  "budget must be >= 3"),
                 ({"methods": ["warped-bq"], "bq_budget": None, "seeds": [0]},
-                 "NoneType")]:
+                 "NoneType"),
+                ({"problem_params": {"sigma": 0}}, "finite sigma"),
+                ({"problem_params": {"sigma": -1}}, "finite sigma"),
+                ({"problem": "constant", "problem_params": {"value": -1}},
+                 "value > 0"),
+                ({"problem": "constant", "problem_params": {"dim": 0}},
+                 "dim >= 1")]:
             code, _ = run_cli(tmp_path, "evidence", config)
             assert code == 2
             err = capsys.readouterr().err

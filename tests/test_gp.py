@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -158,6 +160,24 @@ class TestFit:
                                   bounds=bounds)
         assert (log_marginal_likelihood(res.kernel, nodes, values)
                 >= grid_best - 1e-12)
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_spline_shape_search_capped_on_wide_box(self, seed):
+        # on [-5, 5] the linear-spline kernel is positive definite only for
+        # b <= 6 / (10 - 6) = 1.5; the search must not wander past that edge
+        nodes = np.linspace(-5.0, 5.0, 21)
+        values = np.cumsum(np.random.default_rng(seed).standard_normal(21))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            res = fit_hyperparameters(KernelFamily.LINEAR_SPLINE, nodes, values)
+        assert res.kernel.shape[0] <= 1.5
+        assert np.isfinite(log_marginal_likelihood(res.kernel, nodes, values))
+
+    def test_spline_bounds_past_the_cap_rejected(self):
+        nodes = np.linspace(-5.0, 5.0, 21)
+        with pytest.raises(ValueError, match="indefinite"):
+            fit_hyperparameters(KernelFamily.LINEAR_SPLINE, nodes, np.sin(nodes),
+                                bounds={"c": (0.1, 10.0), "b": (2.0, 100.0)})
 
     def test_requires_three_nodes(self):
         with pytest.raises(ValueError):

@@ -13,6 +13,23 @@ class TestProblems:
         mass = norm.cdf(5) - norm.cdf(-5)
         assert p.true_log_z == pytest.approx(np.log(mass / 10.0))
 
+    @pytest.mark.parametrize("box", [[[0.0, np.nan]], [[-np.inf, 1.0]],
+                                     [[0.0, 1.0], [0.0, np.inf]],
+                                     np.zeros((0, 2))])
+    def test_nonfinite_or_empty_box_rejected(self, box):
+        with pytest.raises(ValueError, match="domain must be"):
+            EvidenceProblem(name="bad", log_likelihood=lambda t: np.zeros(len(t)),
+                            box=box)
+
+    @pytest.mark.parametrize("name, params", [
+        ("gaussian-1d", {"sigma": 0.0}), ("gaussian-2d", {"sigma": -1.0}),
+        ("gaussian-1d", {"sigma": np.inf}), ("gaussian-2d", {"half_width": 0.0}),
+        ("constant", {"value": -1.0}), ("constant", {"value": 0.0}),
+        ("constant", {"dim": 0})])
+    def test_invalid_parameters_rejected(self, name, params):
+        with pytest.raises(ValueError):
+            make_evidence_problem(name, **params)
+
     def test_dimension_cap(self):
         with pytest.raises(ValueError):
             EvidenceProblem(name="big", log_likelihood=lambda t: np.zeros(len(t)),

@@ -10,9 +10,10 @@ and a seed.  Kernel:
 each example draws an exponentiated-quadratic kernel on a box of dimension
 1-4 and points in it.  Hyperparameter fit: each example draws a kernel
 family, an interval, nodes and values.  ODE filter: each example draws a
-prior order, a problem, a step and a diffusion scale, or two vector fields
-of one dimension, or a prior order, a step, a step count and a dimension
-for the covariance pass.
+prior order, a problem, a step and a diffusion scale, or a linear, logistic
+or Lotka-Volterra problem, a step and a diffusion scale for the q = 1 Euler
+identity, or two vector fields of one dimension, or a prior order, a step,
+a step count and a dimension for the covariance pass.
 """
 
 import numpy as np
@@ -420,6 +421,33 @@ def test_filter_mean_free_of_rho2_and_covariance_linear_in_it(run):
         _, euler = rk_reference(prob, rk_method("euler"), h)
         assert np.all(np.abs(scaled.mean - euler)
                       <= 1e-10 * (1.0 + np.abs(euler)))
+
+
+euler_runs = st.tuples(
+    st.one_of(st.tuples(st.just("linear"), st.fixed_dictionaries(
+                  {"a": st.floats(-2.0, 2.0), "x0": st.floats(0.5, 2.0)})),
+              st.tuples(st.just("logistic"), st.fixed_dictionaries(
+                  {"r": st.floats(0.5, 3.0), "k": st.floats(0.5, 2.0),
+                   "x0": st.floats(0.05, 0.9)})),
+              st.tuples(st.just("lotka-volterra"), st.fixed_dictionaries(
+                  {"a": st.floats(0.5, 2.0), "b": st.floats(0.5, 1.5),
+                   "c": st.floats(1.0, 4.0), "d": st.floats(0.5, 1.5),
+                   "x0": st.tuples(st.floats(0.5, 2.0), st.floats(0.5, 2.0))}))),
+    st.sampled_from((0.01, 0.02, 0.025, 0.04, 0.05, 0.1, 0.125, 0.2)),  # h on [0, 1]
+    st.floats(-3.0, 3.0))                                      # log10 rho2
+
+
+@checks
+@given(euler_runs)
+def test_filter_q1_mean_is_explicit_euler(run):
+    # the update never moves the position and the q = 1 transition adds h
+    # times the pinned derivative: the mean is Euler's, in any dimension
+    (name, params), h, log_rho2 = run
+    prob = named_problem(name, t_end=1.0, **params)
+    filt = solve_ivp_filter(prob, q=1, h=h, rho2=10.0 ** log_rho2)
+    _, euler = rk_reference(prob, rk_method("euler"), h)
+    assert filt.mean.shape == euler.shape
+    assert np.all(np.abs(filt.mean - euler) <= 1e-10 * (1.0 + np.abs(euler)))
 
 
 field_pairs = st.tuples(
