@@ -215,8 +215,8 @@ def _quad_methods_on_values(cfg, domain, nodes, values, est_rows, common, clock)
 def cmd_quad(cfg: dict, seeds: List[int], reproducible: bool) -> _Table:
     lo, hi = cfg["domain"]
     domain = (float(lo), float(hi))
-    if not domain[0] < domain[1]:
-        raise ConfigError(f"domain must be (lo, hi) with lo < hi, got {cfg['domain']}")
+    if not -np.inf < domain[0] < domain[1] < np.inf:
+        raise ConfigError(f"domain must be (lo, hi) with finite lo < hi, got {cfg['domain']}")
     budgets = [int(n) for n in cfg["budgets"]]
     clock = _Clock(reproducible)
     rows: List[dict] = []
@@ -372,14 +372,18 @@ def _build_operator(op_config: dict, seed: int):
     if not isinstance(op_config, dict):
         raise ConfigError(f"operator must be a JSON object, got {op_config!r}")
     if op_config.get("kind") == "convolution":
-        index = int(op_config.get("index", 0))
+        op_config = dict(op_config)
+        del op_config["kind"]
+        index = int(op_config.pop("index", 0))
         if index < 0:
             raise ConfigError(f"convolution index must be >= 0, got {index}")
-        cfg = deconv.SequenceConfig(dim=int(op_config.get("dim", 32)),
+        cfg = deconv.SequenceConfig(dim=int(op_config.pop("dim", 32)),
                                     length=max(2, index + 2),
-                                    drift=float(op_config.get("drift", 0.02)))
-        problem = deconv.generate_sequence(cfg, int(op_config.get("seed", seed)))
-        return problem.systems[index]
+                                    drift=float(op_config.pop("drift", 0.02)))
+        seed = int(op_config.pop("seed", seed))
+        if op_config:
+            raise ConfigError(f"unknown convolution operator keys: {sorted(op_config)}")
+        return deconv.generate_sequence(cfg, seed).systems[index]
     return linalg.load_operator(op_config), None
 
 

@@ -141,12 +141,12 @@ class _BorderedCholesky:
     eigenvalue-clipped solve is used from then on.
     """
 
-    def __init__(self, capacity: int = _INITIAL_CAPACITY):
+    def __init__(self):
         self.size = 0
         self.rung = 0
         self.eig_fallback = False
-        self._dd = np.empty(capacity)
-        self._ns = np.empty((capacity, capacity))
+        self._dd = np.empty(_INITIAL_CAPACITY)
+        self._ns = np.empty((_INITIAL_CAPACITY,) * 2)
         # kept C-contiguous at its exact size, so L' is the Fortran-ordered
         # upper factor LAPACK takes without a copy
         self._l = np.empty((0, 0))
@@ -338,116 +338,30 @@ class SolveReport:
         return self.residual_norms[-1]
 
 
-def classic_cg(A: LinearOperator, b, tol: float = 1e-8,
-               maxiter: Optional[int] = None) -> SolveReport:
-    """Plain conjugate gradients with the usual two-term recurrences.
+def _conjugate_directions(A: LinearOperator, b: np.ndarray, x0, tol: float,
+                          maxiter: Optional[int], direction, observe) -> SolveReport:
+    """The loop classic CG and the probabilistic solver share.
 
-    Starts from x0 = 0.  Converged means ||r|| <= tol * ||b||.  Stops early,
-    at the current iterate, once the direction or the step has vanished in
-    floating point.  Raises Breakdown if a non-zero direction has
-    <d, Ad> <= 0, which signals a non-SPD operator.
+    Starts at x0 (at 0 for None, which costs no matvec) and takes at most
+    ``maxiter`` steps (default 2N) along d = direction(r) with the exact line
+    search alpha = <d, r> / <d, A d>, handing each step s = alpha d and
+    y = A s to ``observe(s, y)``.  Stops and raises as ``classic_cg`` says.
     """
-    b = np.asarray(b, dtype=float)
-    if b.shape != (A.dim,):
-        raise DimensionMismatch("rhs does not match operator dimension")
     if tol <= 0:
         raise ValueError("tol must be positive")
-    n = A.dim
-    maxiter = 2 * n if maxiter is None else int(maxiter)
-    x = np.zeros(n)
-    matvecs = 0
-    r = b.copy()
-    d = r.copy()
-    nb = float(np.linalg.norm(b))
-    res = [float(np.linalg.norm(r))]
-    iterates = [x.copy()]
-    rayleigh: List[float] = []
-    for _ in range(maxiter):
-        if res[-1] <= tol * nb or float(d @ d) == 0.0:
-            break
-        Ad = A(d)
-        matvecs += 1
-        dAd = float(d @ Ad)
-        if dAd <= 0.0:
-            raise Breakdown(f"<d, Ad> = {dAd:.3e} <= 0; operator not SPD")
-        alpha = float(d @ r) / dAd
-        s = alpha * d
-        ss = float(s @ s)
-        if ss == 0.0:
-            break
-        x = x + s
-        y = alpha * Ad
-        rayleigh.append(float(s @ y) / ss)
-        r_new = r - y
-        beta = float(r_new @ r_new) / float(r @ r)
-        d = r_new + beta * d
-        r = r_new
-        res.append(float(np.linalg.norm(r)))
-        iterates.append(x.copy())
-    return SolveReport(solution=x, iterations=len(res) - 1, residual_norms=res,
-                       converged=res[-1] <= tol * nb, prior=None,
-                       iterates=iterates, rayleigh_quotients=rayleigh,
-                       matvecs=matvecs)
-
-
-def solve_probabilistic(A: LinearOperator, b, belief: Optional[MatrixBelief] = None,
-                        tol: float = 1e-8, maxiter: Optional[int] = None) -> SolveReport:
-    """Solve A x = b by stepping along the posterior-mean directions.
-
-    Each iteration moves along d_i = H_i r_i with the exact line search
-    alpha = <d, r> / <d, A d>, then absorbs the pair (s_i, y_i = A s_i) into
-    the belief.  With a fresh identity belief the iterate sequence matches
-    classic CG; starting from a recycled belief the initial iterate is
-    x0 = H0 b and the prior mean preconditions the directions.
-
-    After m steps the direction costs O(N m + m^2): S, Y and D = S - H0 Y
-    sit in column blocks whose capacity doubles when full, S'Y and Y'D gain
-    one row and column per step, and the Cholesky factor of the scaled S'Y
-    is grown by bordering.  Its jitter climbs the ladder 0, 1e-14, ..., 1e-8
-    and never comes back down; past the last rung an eigenvalue-clipped
-    solve takes over.  Both are recorded in the report.
-
-    The solve stops early, at the current iterate, once the direction or the
-    step has vanished in floating point; ``converged`` is then the usual
-    residual test.  Raises Breakdown if a non-zero direction has
-    <d, Ad> <= 0.
-    """
-    b = np.asarray(b, dtype=float)
-    if belief is None:
-        belief = identity_belief(len(b))
-    if b.shape != (belief.dim,):
-        raise BeliefDimensionMismatch("rhs does not match belief dimension")
-    if belief.dim != A.dim:
-        raise BeliefDimensionMismatch("belief does not match operator dimension")
-    if tol <= 0:
-        raise ValueError("tol must be positive")
-    n = A.dim
-    maxiter = 2 * n if maxiter is None else int(maxiter)
-    matvecs = 0
-    if belief.w is not None:
-        x = _mean_apply(belief, b)
-        r = b - A(x)
-        matvecs += 1
+    maxiter = 2 * A.dim if maxiter is None else int(maxiter)
+    if x0 is None:
+        x, r, matvecs = np.zeros(A.dim), b.copy(), 0
     else:
-        x = np.zeros(n)
-        r = b.copy()
+        x, r, matvecs = x0, b - A(x0), 1
     nb = float(np.linalg.norm(b))
     res = [float(np.linalg.norm(r))]
     iterates = [x.copy()]
     rayleigh: List[float] = []
-    # obs[:, i] = (s_i, y_i, d_i = s_i - H0 y_i) for the steps i < m taken
-    obs = np.empty((3, max(1, min(_INITIAL_CAPACITY, maxiter)), n))
-    ytd = np.empty((obs.shape[1],) * 2)
-    factor = _BorderedCholesky(obs.shape[1])
-    m = 0
     for _ in range(maxiter):
         if res[-1] <= tol * nb:
             break
-        d = _mean_apply(belief, r)
-        if m:
-            S, D = obs[0, :m], obs[2, :m]
-            g = factor.solve(S @ r)
-            d += D.T @ g + S.T @ factor.solve(D @ r - ytd[:m, :m] @ g)
+        d = direction(r)
         if float(d @ d) == 0.0:
             break
         Ad = A(d)
@@ -464,6 +378,80 @@ def solve_probabilistic(A: LinearOperator, b, belief: Optional[MatrixBelief] = N
         x = x + s
         r = r - y
         rayleigh.append(float(s @ y) / ss)
+        observe(s, y)
+        res.append(float(np.linalg.norm(r)))
+        iterates.append(x.copy())
+    return SolveReport(solution=x, iterations=len(res) - 1, residual_norms=res,
+                       converged=res[-1] <= tol * nb, prior=None,
+                       iterates=iterates, rayleigh_quotients=rayleigh,
+                       matvecs=matvecs)
+
+
+def classic_cg(A: LinearOperator, b, tol: float = 1e-8,
+               maxiter: Optional[int] = None) -> SolveReport:
+    """Plain conjugate gradients with the usual two-term recurrences.
+
+    Starts from x0 = 0.  Converged means ||r|| <= tol * ||b||.  Stops early,
+    at the current iterate, once the direction or the step has vanished in
+    floating point.  Raises Breakdown if a non-zero direction has
+    <d, Ad> <= 0, which signals a non-SPD operator.
+    """
+    b = np.asarray(b, dtype=float)
+    if b.shape != (A.dim,):
+        raise DimensionMismatch("rhs does not match operator dimension")
+    last = None   # ||r||^2 and the direction of the previous step
+
+    def direction(r):
+        nonlocal last
+        rr = float(r @ r)
+        d = r.copy() if last is None else r + (rr / last[0]) * last[1]
+        last = rr, d
+        return d
+
+    return _conjugate_directions(A, b, None, tol, maxiter, direction, lambda s, y: None)
+
+
+def solve_probabilistic(A: LinearOperator, b, belief: Optional[MatrixBelief] = None,
+                        tol: float = 1e-8, maxiter: Optional[int] = None) -> SolveReport:
+    """Solve A x = b by stepping along the posterior-mean directions.
+
+    Each iteration moves along d_i = H_i r_i with the exact line search
+    alpha = <d, r> / <d, A d>, then absorbs the pair (s_i, y_i = A s_i) into
+    the belief.  With a fresh identity belief the iterate sequence matches
+    classic CG; starting from a recycled belief the initial iterate is
+    x0 = H0 b and the prior mean preconditions the directions.
+
+    After m steps the direction costs O(N m + m^2): S, Y and D = S - H0 Y
+    sit in column blocks whose capacity doubles when full, S'Y and Y'D gain
+    one row and column per step, and the Cholesky factor of the scaled S'Y
+    is grown by bordering (see ``_BorderedCholesky``).  The report records
+    the rung of its jitter ladder and whether its eigenvalue-clipped solve ran.
+
+    It stops, converges and raises Breakdown as ``classic_cg`` does.
+    """
+    b = np.asarray(b, dtype=float)
+    if belief is None:
+        belief = identity_belief(len(b))
+    if b.shape != (belief.dim,):
+        raise BeliefDimensionMismatch("rhs does not match belief dimension")
+    if belief.dim != A.dim:
+        raise BeliefDimensionMismatch("belief does not match operator dimension")
+    # obs[:, i] = (s_i, y_i, d_i = s_i - H0 y_i) for the steps i < m taken
+    obs = np.empty((3, _INITIAL_CAPACITY, A.dim))
+    ytd = np.empty((_INITIAL_CAPACITY,) * 2)
+    factor = _BorderedCholesky()
+    m = 0
+
+    def direction(r):
+        d = _mean_apply(belief, r)
+        if m:
+            S, D = obs[0, :m], obs[2, :m]
+            g = factor.solve(S @ r)
+            d += D.T @ g + S.T @ factor.solve(D @ r - ytd[:m, :m] @ g)
+        return d
+
+    def observe(s, y):
+        nonlocal obs, ytd, m
         obs = _reserve(obs, m, (1,))
         ytd = _reserve(ytd, m, (0, 1))
         obs[:, m] = s, y, s - _mean_apply(belief, y)
@@ -472,16 +460,14 @@ def solve_probabilistic(A: LinearOperator, b, belief: Optional[MatrixBelief] = N
         ytd[:m + 1, m] = Y @ D[m]
         ytd[m, :m] = D[:m] @ y
         m += 1
-        res.append(float(np.linalg.norm(r)))
-        iterates.append(x.copy())
+
+    x0 = None if belief.w is None else _mean_apply(belief, b)
+    report = _conjugate_directions(A, b, x0, tol, maxiter, direction, observe)
+    report.prior = belief
+    report.jitter, report.eig_fallback = factor.jitter, factor.eig_fallback
     # copies, so the report does not hold the whole (3, capacity, N) buffer
-    observations = (obs[0, :m].copy().T, obs[1, :m].copy().T) if m else None
-    return SolveReport(solution=x, iterations=len(res) - 1, residual_norms=res,
-                       converged=res[-1] <= tol * nb, prior=belief,
-                       iterates=iterates, rayleigh_quotients=rayleigh,
-                       matvecs=matvecs, jitter=factor.jitter,
-                       eig_fallback=factor.eig_fallback,
-                       observations=observations)
+    report.observations = (obs[0, :m].copy().T, obs[1, :m].copy().T) if m else None
+    return report
 
 
 def calibrate_scale(report: SolveReport) -> float:
@@ -535,21 +521,23 @@ def load_operator(config: dict) -> LinearOperator:
     """Build an operator from a config mapping.
 
     Supported kinds: ``csv`` / ``npy`` (dense matrix files), ``random_spd``
-    (seeded, log-uniform spectrum) and ``diagonal`` (explicit entries).
+    (seeded, log-uniform spectrum) and ``diagonal`` (explicit entries).  A
+    key the kind does not read raises ValueError.
     """
-    kind = config.get("kind")
-    check = bool(config.get("check", True))
+    config = dict(config)
+    kind = config.pop("kind", None)
+    check = bool(config.pop("check", True))
     if kind == "csv":
-        A = np.loadtxt(Path(config["path"]), delimiter=",")
-        return LinearOperator.from_dense(A, check=check)
-    if kind == "npy":
-        A = np.load(Path(config["path"]))
-        return LinearOperator.from_dense(A, check=check)
-    if kind == "random_spd":
-        A = random_spd(int(config["dim"]), int(config.get("seed", 0)),
-                       float(config.get("cond", 20.0)))
-        return LinearOperator.from_dense(A, check=check)
-    if kind == "diagonal":
-        d = np.asarray(config["entries"], dtype=float)
-        return LinearOperator.from_dense(np.diag(d), check=check)
-    raise ValueError(f"unknown operator kind {kind!r}")
+        A = np.loadtxt(Path(config.pop("path")), delimiter=",")
+    elif kind == "npy":
+        A = np.load(Path(config.pop("path")))
+    elif kind == "random_spd":
+        A = random_spd(int(config.pop("dim")), int(config.pop("seed", 0)),
+                       float(config.pop("cond", 20.0)))
+    elif kind == "diagonal":
+        A = np.diag(np.asarray(config.pop("entries"), dtype=float))
+    else:
+        raise ValueError(f"unknown operator kind {kind!r}")
+    if config:
+        raise ValueError(f"unknown {kind} operator keys: {sorted(config)}")
+    return LinearOperator.from_dense(A, check=check)

@@ -12,8 +12,7 @@ from dataclasses import dataclass
 from typing import Callable, Optional, Tuple
 
 import numpy as np
-from scipy.special import logsumexp
-from scipy.stats import norm
+from scipy.special import logsumexp, ndtr
 
 from .gp import _as_box
 from .records import ConvergenceRecord
@@ -61,13 +60,14 @@ def make_evidence_problem(name: str, **params) -> EvidenceProblem:
     at ``mu`` with scale ``sigma`` > 0 on the box [-half_width, half_width]^d, so
     Z = prod_j (Phi((hi - mu)/sigma) - Phi((lo - mu)/sigma)) / volume.
     ``constant``: likelihood identically ``value`` > 0 (Z = value) on the
-    unit box of dimension ``dim`` >= 1.  Other values raise ValueError.
+    unit box of dimension ``dim`` >= 1.  Other values, and a parameter the
+    problem does not read, raise ValueError.
     """
     if name in ("gaussian-1d", "gaussian-2d"):
         d = 1 if name.endswith("1d") else 2
-        half = float(params.get("half_width", 5.0))
-        sigma = float(params.get("sigma", 1.0))
-        mu = float(params.get("mu", 0.0))
+        half = float(params.pop("half_width", 5.0))
+        sigma = float(params.pop("sigma", 1.0))
+        mu = float(params.pop("mu", 0.0))
         if not (0.0 < sigma < np.inf and 0.0 < half < np.inf):
             raise ValueError(f"{name} needs finite sigma, half_width > 0: got {sigma}, {half}")
         box = np.tile([[-half, half]], (d, 1))
@@ -77,21 +77,25 @@ def make_evidence_problem(name: str, **params) -> EvidenceProblem:
             return (-0.5 * ((theta - mu) ** 2).sum(axis=1) / sigma ** 2
                     - d * np.log(sigma * np.sqrt(2 * np.pi)))
 
-        mass = (norm.cdf((half - mu) / sigma) - norm.cdf((-half - mu) / sigma)) ** d
+        mass = (ndtr((half - mu) / sigma) - ndtr((-half - mu) / sigma)) ** d
         vol = (2 * half) ** d
-        return EvidenceProblem(name=name, log_likelihood=log_likelihood,
-                               box=box, true_log_z=float(np.log(mass / vol)))
-    if name == "constant":
-        value = float(params.get("value", 1.0))
-        d = int(params.get("dim", 1))
+        problem = EvidenceProblem(name=name, log_likelihood=log_likelihood,
+                                  box=box, true_log_z=float(np.log(mass / vol)))
+    elif name == "constant":
+        value = float(params.pop("value", 1.0))
+        d = int(params.pop("dim", 1))
         if not (0.0 < value < np.inf and d >= 1):
             raise ValueError(f"constant needs finite value > 0, dim >= 1: got {value}, {d}")
         box = np.tile([[0.0, 1.0]], (d, 1))
-        return EvidenceProblem(
+        problem = EvidenceProblem(
             name=name, box=box, true_log_z=float(np.log(value)),
             log_likelihood=lambda theta: np.full(np.atleast_2d(theta).shape[0],
                                                  np.log(value)))
-    raise ValueError(f"unknown evidence problem {name!r}")
+    else:
+        raise ValueError(f"unknown evidence problem {name!r}")
+    if params:
+        raise ValueError(f"unknown {name} parameters: {sorted(params)}")
+    return problem
 
 
 def _power_of_two_budgets(n: int) -> list:
@@ -110,7 +114,9 @@ def smc_integrate(problem: EvidenceProblem, n: int,
     """Simple Monte Carlo: mean likelihood over n prior draws.
 
     The running estimate and its standard error are recorded at every
-    power-of-two sample count (plus n itself).
+    power-of-two sample count (plus n itself).  The error is the two-pass
+    sample deviation of the likelihoods less the first one, which is exactly
+    0 when every likelihood is equal.
     """
     if n < 1:
         raise ValueError("need at least one sample")
@@ -119,15 +125,9 @@ def smc_integrate(problem: EvidenceProblem, n: int,
     lik = np.exp(problem.log_likelihood(theta))
     record = ConvergenceRecord()
     csum = np.cumsum(lik)
-    csum2 = np.cumsum(lik ** 2)
     for m in _power_of_two_budgets(n):
-        est = csum[m - 1] / m
-        if m > 1:
-            var = max(csum2[m - 1] / m - est ** 2, 0.0) * m / (m - 1)
-            stderr = float(np.sqrt(var / m))
-        else:
-            stderr = float("inf")
-        record.append(budget=m, estimate=float(est), spread=stderr)
+        stderr = np.std(lik[:m] - lik[0], ddof=1) / np.sqrt(m) if m > 1 else np.inf
+        record.append(budget=m, estimate=float(csum[m - 1] / m), spread=float(stderr))
     return float(csum[-1] / n), record
 
 

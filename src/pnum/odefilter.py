@@ -63,48 +63,54 @@ class IVProblem:
 
 
 def named_problem(name: str, **params) -> IVProblem:
-    """Problems selectable by name: linear, logistic, stiff-linear, lotka-volterra."""
+    """Problems selectable by name: linear, logistic, stiff-linear, lotka-volterra.
+
+    A parameter the problem does not read raises ValueError.
+    """
     if name == "linear":
-        a = float(params.get("a", 1.0))
-        x0 = float(params.get("x0", 1.0))
-        t_end = float(params.get("t_end", 1.0))
-        return IVProblem(f=lambda x, t: a * x, x0=np.array([x0]), t0=0.0,
-                         t_end=t_end, exact=lambda t: np.array([x0 * np.exp(a * t)]))
-    if name == "logistic":
-        r = float(params.get("r", 2.0))
-        k = float(params.get("k", 1.0))
-        x0 = float(params.get("x0", 0.1))
-        t_end = float(params.get("t_end", 2.0))
+        a = float(params.pop("a", 1.0))
+        x0 = float(params.pop("x0", 1.0))
+        t_end = float(params.pop("t_end", 1.0))
+        problem = IVProblem(f=lambda x, t: a * x, x0=np.array([x0]), t0=0.0, t_end=t_end,
+                            exact=lambda t: np.array([x0 * np.exp(a * t)]))
+    elif name == "logistic":
+        r = float(params.pop("r", 2.0))
+        k = float(params.pop("k", 1.0))
+        x0 = float(params.pop("x0", 0.1))
+        t_end = float(params.pop("t_end", 2.0))
 
         def exact(t):
             e = np.exp(r * t)
             return np.array([k * x0 * e / (k + x0 * (e - 1.0))])
 
-        return IVProblem(f=lambda x, t: r * x * (1.0 - x / k), x0=np.array([x0]),
-                         t0=0.0, t_end=t_end, exact=exact)
-    if name == "stiff-linear":
-        lam = float(params.get("lam", -20.0))
+        problem = IVProblem(f=lambda x, t: r * x * (1.0 - x / k), x0=np.array([x0]),
+                            t0=0.0, t_end=t_end, exact=exact)
+    elif name == "stiff-linear":
+        lam = float(params.pop("lam", -20.0))
         if lam >= 0:
             raise ValueError("stiff-linear requires lam < 0")
-        x0 = float(params.get("x0", 1.0))
-        t_end = float(params.get("t_end", 1.0))
-        return IVProblem(f=lambda x, t: lam * x, x0=np.array([x0]), t0=0.0,
-                         t_end=t_end, exact=lambda t: np.array([x0 * np.exp(lam * t)]))
-    if name == "lotka-volterra":
-        a = float(params.get("a", 1.5))
-        b = float(params.get("b", 1.0))
-        c = float(params.get("c", 3.0))
-        d = float(params.get("d", 1.0))
-        x0 = params.get("x0", (1.0, 1.0))
-        t_end = float(params.get("t_end", 2.0))
+        x0 = float(params.pop("x0", 1.0))
+        t_end = float(params.pop("t_end", 1.0))
+        problem = IVProblem(f=lambda x, t: lam * x, x0=np.array([x0]), t0=0.0, t_end=t_end,
+                            exact=lambda t: np.array([x0 * np.exp(lam * t)]))
+    elif name == "lotka-volterra":
+        a = float(params.pop("a", 1.5))
+        b = float(params.pop("b", 1.0))
+        c = float(params.pop("c", 3.0))
+        d = float(params.pop("d", 1.0))
+        x0 = params.pop("x0", (1.0, 1.0))
+        t_end = float(params.pop("t_end", 2.0))
 
         def f(x, t):
             return np.array([a * x[0] - b * x[0] * x[1],
                              -c * x[1] + d * x[0] * x[1]])
 
-        return IVProblem(f=f, x0=np.asarray(x0, dtype=float), t0=0.0,
-                         t_end=t_end)
-    raise ValueError(f"unknown problem name {name!r}")
+        problem = IVProblem(f=f, x0=np.asarray(x0, dtype=float), t0=0.0, t_end=t_end)
+    else:
+        raise ValueError(f"unknown problem name {name!r}")
+    if params:
+        raise ValueError(f"unknown {name} parameters: {sorted(params)}")
+    return problem
 
 
 # ---------------------------------------------------------------------------

@@ -145,6 +145,8 @@ class TestQuadCommand:
          "smc needs a callable integrand"),
         ({"integrand": "spline-draw", "methods": ["trapezoid", "smc"],
           "budgets": [10]}, "smc needs a callable integrand"),
+        ({"domain": [-3, 1e400]}, "lo < hi"),
+        ({"domain": [-np.inf, 3]}, "lo < hi"),
     ])
     def test_rejected_config_exit_code(self, tmp_path, capsys, config, message):
         code, _ = run_cli(tmp_path, "quad", {"integrand": "paper-example",
@@ -173,8 +175,8 @@ class TestEvidenceCommand:
             assert float(r["abs_log_error"]) >= 0.0
 
     def test_rejected_config_exit_code(self, tmp_path, capsys):
-        # an unknown problem, a budget warped BQ rejects and problem
-        # parameters outside their range: exit 2, no traceback
+        # an unknown problem, a budget warped BQ rejects, problem parameters
+        # outside their range and an unknown one: exit 2, no traceback
         for config, message in [
                 ({"problem": "nope"}, "unknown evidence problem"),
                 ({"methods": ["warped-bq"], "bq_budget": 2, "seeds": [0]},
@@ -186,7 +188,9 @@ class TestEvidenceCommand:
                 ({"problem": "constant", "problem_params": {"value": -1}},
                  "value > 0"),
                 ({"problem": "constant", "problem_params": {"dim": 0}},
-                 "dim >= 1")]:
+                 "dim >= 1"),
+                ({"problem_params": {"sgima": 2}},
+                 "unknown gaussian-2d parameters: ['sgima']")]:
             code, _ = run_cli(tmp_path, "evidence", config)
             assert code == 2
             err = capsys.readouterr().err
@@ -228,8 +232,8 @@ class TestLinsolveCommand:
 
     def test_rejected_config_exit_code(self, tmp_path, capsys):
         # an unknown operator kind, a list rhs of the wrong length, an rhs
-        # the operator cannot supply, an unknown rhs, a non-object operator
-        # and negative convolution indices
+        # the operator cannot supply, an unknown rhs, a non-object operator,
+        # negative convolution indices and keys an operator kind does not read
         spd = {"kind": "random_spd", "dim": 4}
         for config, message in [
                 ({"operator": {"kind": "nope"}}, "unknown operator kind"),
@@ -241,7 +245,13 @@ class TestLinsolveCommand:
                 ({"operator": {"kind": "convolution", "index": -1},
                   "rhs": "from_problem"}, "index must be >= 0, got -1"),
                 ({"operator": {"kind": "convolution", "index": -5},
-                  "rhs": "from_problem"}, "index must be >= 0, got -5")]:
+                  "rhs": "from_problem"}, "index must be >= 0, got -5"),
+                ({"operator": {"kind": "random_spd", "dim": 8, "cnd": 1e6}},
+                 "unknown random_spd operator keys: ['cnd']"),
+                ({"operator": {"kind": "diagonal", "entries": [1, 2, 3],
+                               "dim": 9}}, "unknown diagonal operator keys: ['dim']"),
+                ({"operator": {"kind": "convolution", "dimm": 16}},
+                 "unknown convolution operator keys: ['dimm']")]:
             code, _ = run_cli(tmp_path, "linsolve", config)
             assert code == 2
             err = capsys.readouterr().err
@@ -369,6 +379,8 @@ class TestOdeCommand:
         ({"mode": "trajectory", "problem": "logistic", "h": None}, "NoneType"),
         ({"mode": "phase-portrait", "problem": "logistic"},
          "unknown ode mode 'phase-portrait'"),
+        ({"problem": "linear", "problem_params": {"alpha": 5}},
+         "unknown linear parameters: ['alpha']"),
     ])
     def test_rejected_step_sizes_exit_code(self, tmp_path, capsys, config,
                                            message):

@@ -495,3 +495,14 @@ class TestOperatorLoading:
     def test_unknown_kind(self):
         with pytest.raises(ValueError):
             load_operator({"kind": "mystery"})
+
+    def test_unknown_key_rejected_and_config_kept(self):
+        for config in ({"kind": "random_spd", "dim": 8, "cnd": 1e6},
+                       {"kind": "diagonal", "entries": [1, 2, 3], "dim": 9}):
+            kept = dict(config)
+            with pytest.raises(ValueError, match="unknown .* operator keys"):
+                load_operator(config)
+            assert config == kept
+        config = {"kind": "random_spd", "dim": 8, "seed": 1, "cond": 1e3}
+        load_operator(config)
+        assert config == {"kind": "random_spd", "dim": 8, "seed": 1, "cond": 1e3}

@@ -1,10 +1,25 @@
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 from scipy.stats import norm
 
+import pnum
 from pnum import (ConvergenceRecord, ais_evidence, make_evidence_problem,
                   smc_integrate)
 from pnum.mc import EvidenceProblem
+
+
+def test_import_leaves_out_scipy_stats():
+    # a fresh interpreter, since this one has imported scipy.stats already
+    src = str(Path(pnum.__file__).resolve().parents[1])
+    code = (f"import sys; sys.path.insert(0, {src!r}); import pnum; "
+            "print('scipy.stats' in sys.modules)")
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                         text=True, check=True)
+    assert out.stdout.strip() == "False"
 
 
 class TestProblems:
@@ -68,6 +83,14 @@ class TestSMC:
         ests = np.array([smc_integrate(p, n, seed=s)[0] for s in range(1000)])
         se_of_mean = ests.std(ddof=1) / np.sqrt(len(ests))
         assert abs(ests.mean() - z) <= 3.0 * se_of_mean
+
+    def test_equal_samples_have_zero_spread(self):
+        # every likelihood is 0.37: the sample deviation is exactly 0 at
+        # every budget, also where a sum of the 0.37s rounds
+        p = make_evidence_problem("constant", value=0.37, dim=2)
+        _, record = smc_integrate(p, 1000, seed=0)
+        assert record.spreads[0] == np.inf
+        assert all(s == 0.0 for s in record.spreads[1:])
 
     def test_deterministic_per_seed(self):
         p = make_evidence_problem("gaussian-2d")

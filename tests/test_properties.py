@@ -107,6 +107,30 @@ def cold_and_warm_solves(system, warm):
 
 @checks
 @given(systems, warm_starts)
+def test_every_step_is_an_exact_line_search(system, warm):
+    # classic CG and the cold and warm probabilistic solves, checked from
+    # their iterates alone: s_k = x_{k+1} - x_k is orthogonal to the true
+    # residual b - A x_{k+1}, and each Rayleigh quotient is s_k'A s_k / s_k's_k.
+    # s_k from the iterates carries the rounding of x_{k+1} - x_k, so the
+    # quotient's tolerance grows as ||s_k|| falls below ||x_k||.
+    eps = np.finfo(float).eps
+    (op, b, cold), warm_solve = cold_and_warm_solves(system, warm)
+    for A, b, rep in [(op, b, classic_cg(op, b, tol=1e-10)), (op, b, cold),
+                      warm_solve]:
+        A = A.dense
+        norm_a = np.linalg.norm(A, 2)
+        xs = rep.iterates
+        assert len(rep.rayleigh_quotients) == len(xs) - 1
+        for x, x_next, q in zip(xs, xs[1:], rep.rayleigh_quotients):
+            s = x_next - x
+            ns, nx = np.linalg.norm(s), np.linalg.norm(x_next)
+            assert abs(s @ (b - A @ x_next)) <= 500 * eps * ns * norm_a * nx
+            scale = norm_a * (1.0 + (np.linalg.norm(x) + nx) / ns)
+            assert abs(q - s @ A @ s / (s @ s)) <= 100 * eps * scale
+
+
+@checks
+@given(systems, warm_starts)
 def test_posterior_mean_is_symmetric(system, warm):
     n = system[0]
     for _, _, rep in cold_and_warm_solves(system, warm):

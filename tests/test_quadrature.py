@@ -176,6 +176,25 @@ class TestBQPosterior:
         assert scaled.mean == pytest.approx(3.5 * base.mean, rel=1e-12)
         assert scaled.variance == pytest.approx(base.variance, rel=1e-12)
 
+    @pytest.mark.parametrize("below, clamped", [(0.5e-8, True), (2e-8, False)])
+    def test_negative_variance_clamped_or_raised(self, monkeypatch, below,
+                                                 clamped):
+        # z0 lowered so that z0 - z'K^-1 z lands `below` * z0 under zero: a
+        # slightly negative variance is clamped, one past 1e-8 * z0 raises
+        kernel = linear_spline(1.0, 1.0)
+        nodes = np.linspace(-3, 3, 201)
+        st = state_with(kernel, nodes, np.cos(nodes))
+        z_func, z0 = kernel_embeddings(kernel)
+        shifted = z0 - bq_posterior(st).variance - below * z0
+        monkeypatch.setattr(quadrature, "kernel_embeddings",
+                            lambda k: (z_func, shifted))
+        if not clamped:
+            with pytest.raises(SingularGram, match="below clamp threshold"):
+                bq_posterior(st)
+            return
+        est = bq_posterior(st)
+        assert est.clamped and est.variance == 0.0
+
 
 class TestNodeSelection:
     def test_grid_two_nodes(self):
