@@ -139,22 +139,6 @@ def _config_errors():
         raise ConfigError(f"cannot read file: {exc}") from exc
 
 
-class _Clock:
-    """Wall timer whose readings are zeroed under --reproducible."""
-
-    def __init__(self, reproducible: bool):
-        self.reproducible = reproducible
-        self._start = time.perf_counter()
-
-    def restart(self):
-        self._start = time.perf_counter()
-
-    def ms(self) -> float:
-        if self.reproducible:
-            return 0.0
-        return 1000.0 * (time.perf_counter() - self._start)
-
-
 # ---------------------------------------------------------------------------
 # quad
 # ---------------------------------------------------------------------------
@@ -175,10 +159,8 @@ _QUAD_FIELDS = ["method", "integrand", "seed", "budget", "estimate",
 
 
 def _bq_estimate(kernel: gp.Kernel, nodes: np.ndarray, values: np.ndarray):
-    state = quadrature.BQState.for_kernel(kernel)
-    for x, y in zip(nodes, values):
-        state = state.with_node(x, y)
-    return quadrature.bq_posterior(state)
+    return quadrature.bq_posterior(quadrature.BQState(
+        kernel, tuple(map(float, nodes)), tuple(map(float, values))))
 
 
 def _eq_kernel_for(cfg, domain, nodes, values) -> gp.Kernel:
@@ -191,12 +173,12 @@ def _eq_kernel_for(cfg, domain, nodes, values) -> gp.Kernel:
     return gp.exp_quadratic(cfg["eq_theta"], float(lam), domain)
 
 
-def _quad_methods_on_values(cfg, domain, nodes, values, est_rows, common, clock):
+def _quad_methods_on_values(cfg, domain, nodes, values, est_rows, common):
     spline = gp.linear_spline(cfg["spline_c"], cfg["spline_b"], domain)
     for method in cfg["methods"]:
         if method == "smc":
             continue
-        clock.restart()
+        start = time.perf_counter()
         if method == "trapezoid":
             est, spread = quadrature.trapezoid(nodes, values), ""
         elif method == "spline-bq":
@@ -208,17 +190,14 @@ def _quad_methods_on_values(cfg, domain, nodes, values, est_rows, common, clock)
             est, spread = post.mean, post.std
         else:
             raise ConfigError(f"unknown quad method {method!r}")
-        est_rows.append(dict(common, method=method, estimate=est,
-                             spread=spread, wall_ms=clock.ms()))
+        est_rows.append(dict(common, method=method, estimate=est, spread=spread,
+                             wall_ms=1000.0 * (time.perf_counter() - start)))
 
 
-def cmd_quad(cfg: dict, seeds: List[int], reproducible: bool) -> _Table:
+def cmd_quad(cfg: dict, seeds: List[int]) -> _Table:
     lo, hi = cfg["domain"]
-    domain = (float(lo), float(hi))
-    if not -np.inf < domain[0] < domain[1] < np.inf:
-        raise ConfigError(f"domain must be (lo, hi) with finite lo < hi, got {cfg['domain']}")
+    domain = tuple(gp._as_box((lo, hi))[0].tolist())
     budgets = [int(n) for n in cfg["budgets"]]
-    clock = _Clock(reproducible)
     rows: List[dict] = []
     integrand = cfg["integrand"]
     if integrand != "paper-example" and "smc" in cfg["methods"]:
@@ -230,7 +209,7 @@ def cmd_quad(cfg: dict, seeds: List[int], reproducible: bool) -> _Table:
             nodes = quadrature.select_nodes_grid(domain, n)
             values = f(nodes)
             common = dict(integrand=integrand, seed="", budget=n, oracle=oracle)
-            _quad_methods_on_values(cfg, domain, nodes, values, rows, common, clock)
+            _quad_methods_on_values(cfg, domain, nodes, values, rows, common)
         if "smc" in cfg["methods"]:
             width = domain[1] - domain[0]
             for seed in seeds:
@@ -238,12 +217,13 @@ def cmd_quad(cfg: dict, seeds: List[int], reproducible: bool) -> _Table:
                 draws = rng.uniform(domain[0], domain[1], size=max(budgets))
                 fd = f(draws)
                 for n in budgets:
-                    clock.restart()
+                    start = time.perf_counter()
                     est = float(fd[:n].mean()) * width
                     spread = float(fd[:n].std(ddof=1) / np.sqrt(n)) * width if n > 1 else ""
                     rows.append(dict(method="smc", integrand=integrand, seed=seed,
                                      budget=n, estimate=est, oracle=oracle,
-                                     spread=spread, wall_ms=clock.ms()))
+                                     spread=spread,
+                                     wall_ms=1000.0 * (time.perf_counter() - start)))
     elif integrand == "spline-draw":
         kernel = gp.linear_spline(cfg["spline_c"], cfg["spline_b"], domain)
         fine = np.linspace(domain[0], domain[1], FINE_GRID_SIZE)
@@ -259,7 +239,7 @@ def cmd_quad(cfg: dict, seeds: List[int], reproducible: bool) -> _Table:
                 nodes = fine[::stride]
                 values = path[::stride]
                 common = dict(integrand=integrand, seed=seed, budget=n, oracle=oracle)
-                _quad_methods_on_values(cfg, domain, nodes, values, rows, common, clock)
+                _quad_methods_on_values(cfg, domain, nodes, values, rows, common)
     elif integrand == "custom-grid-values":
         if cfg["custom_nodes"] is None or cfg["custom_values"] is None:
             raise ConfigError("custom-grid-values needs custom_nodes and custom_values")
@@ -269,7 +249,7 @@ def cmd_quad(cfg: dict, seeds: List[int], reproducible: bool) -> _Table:
             raise ConfigError(f"custom_values has shape {values.shape}, "
                               f"custom_nodes {nodes.shape}")
         common = dict(integrand=integrand, seed="", budget=nodes.size, oracle="")
-        _quad_methods_on_values(cfg, domain, nodes, values, rows, common, clock)
+        _quad_methods_on_values(cfg, domain, nodes, values, rows, common)
     else:
         raise ConfigError(f"unknown integrand {integrand!r}")
     for row in rows:
@@ -315,16 +295,16 @@ def _record_rows(method: str, seed: int, record, oracle: float,
     return rows
 
 
-def cmd_evidence(cfg: dict, seeds: List[int], reproducible: bool) -> _Table:
+def cmd_evidence(cfg: dict, seeds: List[int]) -> _Table:
     problem = mc.make_evidence_problem(cfg["problem"], **cfg["problem_params"])
     oracle = problem.true_log_z
-    clock = _Clock(reproducible)
     rows: List[dict] = []
     for seed in seeds:
         if "smc" in cfg["methods"]:
-            clock.restart()
+            start = time.perf_counter()
             _, record = mc.smc_integrate(problem, int(cfg["smc_budget"]), seed)
-            rows += _record_rows("smc", seed, record, oracle, clock.ms())
+            rows += _record_rows("smc", seed, record, oracle,
+                                 1000.0 * (time.perf_counter() - start))
         if "warped-bq" in cfg["methods"]:
             log_prior = -np.log(problem.volume)
 
@@ -332,13 +312,14 @@ def cmd_evidence(cfg: dict, seeds: List[int], reproducible: bool) -> _Table:
                 pt = np.atleast_2d(np.asarray(x, dtype=float))
                 return float(np.exp(problem.log_likelihood(pt)[0] + log_prior))
 
-            clock.restart()
+            start = time.perf_counter()
             _, record = quadrature.warped_bq_integrate(
                 integrand, problem.box, int(cfg["bq_budget"]), seed)
-            rows += _record_rows("warped-bq", seed, record, oracle, clock.ms())
+            rows += _record_rows("warped-bq", seed, record, oracle,
+                                 1000.0 * (time.perf_counter() - start))
         if "ais" in cfg["methods"]:
             for n_temps in cfg["ais_n_temps"]:
-                clock.restart()
+                start = time.perf_counter()
                 result = mc.ais_evidence(problem, int(n_temps),
                                          int(cfg["ais_n_chains"]),
                                          int(cfg["ais_mh_steps"]), seed)
@@ -347,7 +328,7 @@ def cmd_evidence(cfg: dict, seeds: List[int], reproducible: bool) -> _Table:
                                  log_z=result.log_z, oracle_log_z=oracle,
                                  abs_log_error=abs(result.log_z - oracle),
                                  spread=result.record.spreads[-1],
-                                 wall_ms=clock.ms()))
+                                 wall_ms=1000.0 * (time.perf_counter() - start)))
     rows.sort(key=lambda r: (r["method"], r["seed"], r["evaluations"]))
     return _EVIDENCE_FIELDS, rows
 
@@ -387,7 +368,7 @@ def _build_operator(op_config: dict, seed: int):
     return linalg.load_operator(op_config), None
 
 
-def cmd_linsolve(cfg: dict, seeds: List[int], reproducible: bool) -> _Table:
+def cmd_linsolve(cfg: dict, seeds: List[int]) -> _Table:
     seed = seeds[0]
     op, problem_rhs = _build_operator(cfg["operator"], seed)
     rhs_choice = cfg["rhs"]
@@ -438,7 +419,7 @@ _RECYCLE_FIELDS = ["variant", "problem_index", "iterations",
                    "initial_residual", "final_residual", "matvecs"]
 
 
-def cmd_recycle(cfg: dict, seeds: List[int], reproducible: bool) -> _Table:
+def cmd_recycle(cfg: dict, seeds: List[int]) -> _Table:
     config = deconv.SequenceConfig(dim=int(cfg["dim"]), length=int(cfg["length"]),
                                    drift=float(cfg["drift"]), noise=float(cfg["noise"]),
                                    kernel_size=int(cfg["kernel_size"]))
@@ -472,7 +453,7 @@ def _named_solver(name: str, rho2: float):
     return odefilter.rk_solver(name)
 
 
-def cmd_ode(cfg: dict, seeds: List[int], reproducible: bool) -> _Table:
+def cmd_ode(cfg: dict, seeds: List[int]) -> _Table:
     problem = odefilter.named_problem(cfg["problem"], **cfg["problem_params"])
     if cfg["mode"] == "order-study":
         rows = []
@@ -541,13 +522,15 @@ def main(argv=None) -> int:
         with _config_errors():
             cfg = _load_config(args.config, allowed, required)
             seeds = _resolve_seeds(cfg, args.seed)
-            fields, rows = runner(cfg, seeds, args.reproducible)
+            fields, rows = runner(cfg, seeds)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
     except (PnumError, np.linalg.LinAlgError, FloatingPointError) as exc:
         print(f"numerical failure: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 3
+    if args.reproducible and "wall_ms" in fields:
+        rows = [dict(row, wall_ms=0.0) for row in rows]
     Path(args.out).parent.mkdir(parents=True, exist_ok=True)
     _write_csv(args.out, fields, rows)
     _write_sidecar(args.out, args.command, cfg, seeds, args.reproducible)

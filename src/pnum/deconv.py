@@ -74,7 +74,9 @@ def generate_sequence(config: SequenceConfig, seed: int) -> ConvolutionProblem:
     With zero drift all operators are identical; otherwise the per-step
     relative Frobenius drift is guaranteed <= config.drift by halving the
     random-walk step until the bound holds.  The drifts are not stored: they
-    follow from consecutive ``op.dense``.
+    follow from consecutive ``op.dense``.  The noise is drawn from the same
+    generator as the random walk, so after the first system the operators of
+    a noisy sequence differ from those of the noiseless one with the same seed.
     """
     rng = np.random.default_rng(seed)
     n = config.dim

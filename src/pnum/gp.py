@@ -53,7 +53,8 @@ def _as_box(domain) -> np.ndarray:
     if box.ndim != 2 or box.shape[1] != 2 or len(box) == 0 or not all(
             -np.inf < lo < hi < np.inf for lo, hi in box.tolist()):
         raise ValueError(
-            f"domain must be a finite (lo, hi) or a sequence of such pairs, got {domain}")
+            f"domain must be a finite (lo, hi) with lo < hi, or a sequence of such "
+            f"pairs, got {domain}")
     return box
 
 

@@ -60,8 +60,9 @@ def make_evidence_problem(name: str, **params) -> EvidenceProblem:
     at ``mu`` with scale ``sigma`` > 0 on the box [-half_width, half_width]^d, so
     Z = prod_j (Phi((hi - mu)/sigma) - Phi((lo - mu)/sigma)) / volume.
     ``constant``: likelihood identically ``value`` > 0 (Z = value) on the
-    unit box of dimension ``dim`` >= 1.  Other values, and a parameter the
-    problem does not read, raise ValueError.
+    unit box of dimension ``dim`` >= 1.  Other values, a ``mu`` that leaves
+    the box no prior mass in floating point, and a parameter the problem does
+    not read, raise ValueError.
     """
     if name in ("gaussian-1d", "gaussian-2d"):
         d = 1 if name.endswith("1d") else 2
@@ -78,6 +79,8 @@ def make_evidence_problem(name: str, **params) -> EvidenceProblem:
                     - d * np.log(sigma * np.sqrt(2 * np.pi)))
 
         mass = (ndtr((half - mu) / sigma) - ndtr((-half - mu) / sigma)) ** d
+        if not mass > 0.0:
+            raise ValueError(f"{name} with mu = {mu} leaves no prior mass in the box")
         vol = (2 * half) ** d
         problem = EvidenceProblem(name=name, log_likelihood=log_likelihood,
                                   box=box, true_log_z=float(np.log(mass / vol)))

@@ -5,7 +5,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from pnum import deconv, linalg, odefilter, quadrature
+from pnum import deconv, gp, linalg, odefilter, quadrature
 from pnum.cli import benchmark_integral_truth, main, smooth_benchmark_integrand
 
 
@@ -94,6 +94,17 @@ class TestQuadCommand:
         trap = [r for r in rows if r["method"] == "trapezoid"][0]
         assert float(trap["estimate"]) == pytest.approx(22.0)
 
+    def test_eq_bq_on_two_nodes_uses_fallback_lengthscale(self, tmp_path):
+        # too few nodes to fit: lambda = width / 6 = 1 on [-3, 3], theta = 1
+        code, out = run_cli(tmp_path, "quad", {
+            "integrand": "custom-grid-values", "methods": ["eq-bq"],
+            "custom_nodes": [-3.0, 3.0], "custom_values": [1.0, 2.0]})
+        assert code == 0
+        (row,) = read_rows(out)
+        post = quadrature.bq_posterior(quadrature.BQState(
+            gp.exp_quadratic(1.0, 1.0, (-3, 3)), (-3.0, 3.0), (1.0, 2.0)))
+        assert (float(row["estimate"]), float(row["spread"])) == (post.mean, post.std)
+
     def test_unknown_key_rejected(self, tmp_path):
         code, _ = run_cli(tmp_path, "quad", {"integrand": "paper-example",
                                              "mystery_knob": 3})
@@ -156,18 +167,14 @@ class TestQuadCommand:
         assert err.startswith("config error:") and message in err
 
 
+SMALL_EVIDENCE = {"problem": "gaussian-2d", "methods": ["smc", "warped-bq", "ais"],
+                  "smc_budget": 256, "bq_budget": 5, "ais_n_temps": [8],
+                  "ais_n_chains": 8, "ais_mh_steps": 2, "seeds": [0]}
+
+
 class TestEvidenceCommand:
     def test_small_race(self, tmp_path):
-        code, out = run_cli(tmp_path, "evidence", {
-            "problem": "gaussian-2d",
-            "methods": ["smc", "warped-bq", "ais"],
-            "smc_budget": 256,
-            "bq_budget": 5,
-            "ais_n_temps": [8],
-            "ais_n_chains": 8,
-            "ais_mh_steps": 2,
-            "seeds": [0],
-        })
+        code, out = run_cli(tmp_path, "evidence", SMALL_EVIDENCE)
         assert code == 0
         rows = read_rows(out)
         assert {r["method"] for r in rows} == {"smc", "warped-bq", "ais-T8"}
@@ -176,7 +183,8 @@ class TestEvidenceCommand:
 
     def test_rejected_config_exit_code(self, tmp_path, capsys):
         # an unknown problem, a budget warped BQ rejects, problem parameters
-        # outside their range and an unknown one: exit 2, no traceback
+        # outside their range, means that leave the box no prior mass and an
+        # unknown parameter: exit 2, no traceback
         for config, message in [
                 ({"problem": "nope"}, "unknown evidence problem"),
                 ({"methods": ["warped-bq"], "bq_budget": 2, "seeds": [0]},
@@ -189,6 +197,8 @@ class TestEvidenceCommand:
                  "value > 0"),
                 ({"problem": "constant", "problem_params": {"dim": 0}},
                  "dim >= 1"),
+                ({"problem_params": {"mu": 38}}, "leaves no prior mass"),
+                ({"problem_params": {"mu": 1e300}}, "leaves no prior mass"),
                 ({"problem_params": {"sgima": 2}},
                  "unknown gaussian-2d parameters: ['sgima']")]:
             code, _ = run_cli(tmp_path, "evidence", config)
@@ -278,6 +288,11 @@ class TestRecycleCommand:
         rows = read_rows(out)
         assert {r["variant"] for r in rows} == {"cold", "warm"}
         assert len(rows) == 8
+
+    def test_noisy_sequence_runs(self, tmp_path):
+        code, _ = run_cli(tmp_path, "recycle", {"dim": 16, "length": 4,
+                                                "noise": 0.01})
+        assert code == 0
 
     def test_rejected_config_exit_code(self, tmp_path, capsys):
         # a negative rank and a drift the generator rejects: exit 2, no traceback
@@ -398,6 +413,8 @@ class TestDeterminism:
         ("recycle", {"dim": 16, "length": 3, "drift": 0.02, "rank": 16}),
         ("ode", {"mode": "order-study", "problem": "linear",
                  "solvers": ["euler"], "h_values": [0.1, 0.05, 0.025, 0.0125]}),
+        ("evidence", SMALL_EVIDENCE),
+        ("linsolve", {"operator": {"kind": "random_spd", "dim": 16, "seed": 0}}),
     ])
     def test_reproducible_runs_byte_identical(self, tmp_path, command, config):
         _, out1 = run_cli(tmp_path, command, config, name="a.csv",
@@ -408,6 +425,25 @@ class TestDeterminism:
         side1 = Path(str(out1) + ".config.json").read_text()
         side2 = Path(str(out2) + ".config.json").read_text()
         assert side1.replace("a.csv", "") == side2.replace("b.csv", "")
+
+    @pytest.mark.parametrize("command,config", [
+        ("quad", {"integrand": "paper-example",
+                  "methods": ["trapezoid", "spline-bq", "eq-bq", "smc"],
+                  "budgets": [4, 8]}),
+        ("evidence", SMALL_EVIDENCE),
+    ])
+    def test_reproducible_zeroes_wall_ms_and_drops_timestamp(self, tmp_path,
+                                                             command, config):
+        for extra, name in [((), "timed.csv"), (("--reproducible",), "rep.csv")]:
+            code, out = run_cli(tmp_path, command, config, name=name, extra=extra)
+            assert code == 0
+            walls = [float(r["wall_ms"]) for r in read_rows(out)]
+            side = json.loads(Path(str(out) + ".config.json").read_text())
+            assert side["reproducible"] == bool(extra)
+            if extra:
+                assert walls == [0.0] * len(walls) and "timestamp" not in side
+            else:
+                assert min(walls) > 0.0 and "timestamp" in side
 
     def test_seed_flag_overrides(self, tmp_path):
         cfg = {"integrand": "spline-draw", "methods": ["spline-bq"],

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -26,6 +28,21 @@ class TestGenerate:
         for op, rhs in problem.systems:
             residual = rhs - op.dense @ problem.signal
             assert np.linalg.norm(residual) <= 1e-12 * np.linalg.norm(rhs)
+
+    def test_noise_scales_rhs_deviation(self):
+        # same seed, same draws: the operators match bit for bit and the
+        # deviation rhs - A x_ref is linear in the noise level
+        cfg = SequenceConfig(dim=16, length=5, drift=0.02, noise=0.05)
+        low = generate_sequence(cfg, seed=3)
+        high = generate_sequence(replace(cfg, noise=0.1), seed=3)
+        assert np.array_equal(low.signal, high.signal)
+        for (op_lo, rhs_lo), (op_hi, rhs_hi) in zip(low.systems, high.systems):
+            assert np.array_equal(op_lo.dense, op_hi.dense)
+            dev_lo = rhs_lo - op_lo.dense @ low.signal
+            dev_hi = rhs_hi - op_hi.dense @ high.signal
+            assert np.linalg.norm(dev_lo) > 0.0
+            assert (np.linalg.norm(dev_hi - 2.0 * dev_lo)
+                    <= 1e-12 * np.linalg.norm(dev_hi))
 
     def test_operators_pass_spd_probe(self):
         problem = generate_sequence(SequenceConfig(dim=24, length=6, drift=0.05),

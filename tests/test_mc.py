@@ -40,10 +40,17 @@ class TestProblems:
         ("gaussian-1d", {"sigma": 0.0}), ("gaussian-2d", {"sigma": -1.0}),
         ("gaussian-1d", {"sigma": np.inf}), ("gaussian-2d", {"half_width": 0.0}),
         ("constant", {"value": -1.0}), ("constant", {"value": 0.0}),
-        ("constant", {"dim": 0})])
+        ("constant", {"dim": 0}),
+        # the prior mass underflows to 0: (4e-239)^2, and exactly 0
+        ("gaussian-2d", {"mu": 38.0}), ("gaussian-1d", {"mu": np.inf})])
     def test_invalid_parameters_rejected(self, name, params):
         with pytest.raises(ValueError):
             make_evidence_problem(name, **params)
+
+    def test_far_mean_with_tiny_mass_kept(self):
+        # mass ~ 4e-239 is small but representable, so the problem stands
+        p = make_evidence_problem("gaussian-1d", mu=38.0)
+        assert p.true_log_z == pytest.approx(-551.2189473627321, rel=1e-12)
 
     def test_dimension_cap(self):
         with pytest.raises(ValueError):
