@@ -445,12 +445,12 @@ _ODE_ALLOWED = {
 }
 
 _ODE_ORDER_FIELDS = ["solver", "h", "abs_error", "slope", "zero_error"]
+_FILTER_ORDERS = {"filter-q1": 1, "filter-q2": 2}    # other names are RK methods
 
 
 def _named_solver(name: str, rho2: float):
-    if name.startswith("filter-q"):
-        return odefilter.filter_solver(q=int(name[-1]), rho2=rho2)
-    return odefilter.rk_solver(name)
+    q = _FILTER_ORDERS.get(name)
+    return odefilter.filter_solver(q=q, rho2=rho2) if q else odefilter.rk_solver(name)
 
 
 def cmd_ode(cfg: dict, seeds: List[int]) -> _Table:
@@ -472,9 +472,9 @@ def cmd_ode(cfg: dict, seeds: List[int]) -> _Table:
         d = problem.dim
         fields = (["t"] + [f"mean_{i}" for i in range(d)]
                   + [f"std_{i}" for i in range(d)])
-        if name.startswith("filter-q"):
-            result = odefilter.solve_ivp_filter(problem, q=int(name[-1]), h=h,
-                                                rho2=float(cfg["rho2"]))
+        q = _FILTER_ORDERS.get(name)
+        if q:
+            result = odefilter.solve_ivp_filter(problem, q=q, h=h, rho2=float(cfg["rho2"]))
             ts, xs, std = result.ts, result.mean, result.std
         else:
             ts, xs = odefilter.rk_reference(problem, odefilter.rk_method(name), h)

@@ -14,13 +14,15 @@ field.  So the filter runs in two passes: a data-free covariance pass on P1
 with one batched PSD check, then a mean pass, the only loop that evaluates
 the field, which updates the (q+1) x d mean.  The covariance pass steps
 only until its recursion turns stationary and fills in the rest; the mean
-pass costs a constant per step, so total cost is linear in the steps.
+pass costs a constant per step, so total cost is linear in the steps.  A
+field value passes its finiteness check in one call when y . y is finite;
+only otherwise, as when a finite square overflows, is it tested entrywise.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import factorial
+from math import factorial, isfinite
 from typing import Callable, Optional, Sequence, Tuple
 
 import numpy as np
@@ -56,8 +58,10 @@ class IVProblem:
         return self.x0.size
 
     def eval_field(self, x: np.ndarray, t: float) -> np.ndarray:
+        """f(x, t), or ``NonFiniteField`` if an entry is not finite: a finite
+        y . y clears it in one call, else the exact entrywise test decides."""
         y = self.f(x, t)
-        if not np.isfinite(y).all():
+        if not isfinite(np.vdot(y, y)) and not np.isfinite(y).all():
             raise NonFiniteField(f"vector field returned non-finite value at t={t}")
         return y
 
@@ -134,14 +138,14 @@ class RKMethod:
         object.__setattr__(self, "a", a)
         object.__setattr__(self, "b", b)
         object.__setattr__(self, "c", c)
+        s = (b.size,)
+        if (a.shape, b.shape, c.shape) != (s + s, s, s) or np.triu(a).any():
+            raise ValueError("tableau not explicit: a must be s x s and zero on and "
+                             "above the diagonal, b and c of length s")
         if not np.allclose(a.sum(axis=1), c, atol=1e-12):
             raise ValueError("tableau inconsistent: row sums of a must equal c")
         if not np.isclose(b.sum(), 1.0, atol=1e-12):
             raise ValueError("tableau weights must sum to 1")
-
-    @property
-    def stages(self) -> int:
-        return self.b.size
 
 
 def rk_method(name: str) -> RKMethod:
@@ -171,22 +175,27 @@ def _step_count(problem: IVProblem, h: float) -> int:
 
 
 def rk_reference(problem: IVProblem, method: RKMethod, h: float) -> Tuple[np.ndarray, np.ndarray]:
-    """Classical explicit RK trajectory on the fixed step grid.
-
-    Returns (times, states) with states of shape (n_steps + 1, dim).
-    """
+    """Classical explicit RK trajectory on the fixed step grid: (times, states),
+    states of shape (n_steps + 1, dim).  A stage adds (h a_sj) k_j for each nonzero
+    a_sj, which rounds like h (a_sj k_j) where a_sj is a power of two, as in the
+    built-in tableaux; other tableaux move at rounding level against that form."""
     n = _step_count(problem, h)
     d = problem.dim
     ts = problem.t0 + h * np.arange(n + 1)
     xs = np.empty((n + 1, d))
     xs[0] = problem.x0
-    k = np.empty((method.stages, d))
-    for i in range(n):
-        t, x = ts[i], xs[i]
-        for s in range(method.stages):
-            xi = x + h * (method.a[s, :s] @ k[:s]) if s else x.copy()
-            k[s] = problem.eval_field(xi, t + method.c[s] * h)
-        xs[i + 1] = x + h * (method.b @ k)
+    k = np.empty((method.b.size, d))
+    stages = [([(j, h * a_sj) for j, a_sj in enumerate(row[:s]) if a_sj], c_s * h)
+              for s, (row, c_s) in enumerate(zip(method.a.tolist(), method.c.tolist()))]
+    field, b = problem.eval_field, method.b
+    for i, t in enumerate(ts[:-1].tolist()):
+        x = xs[i]
+        for s, (terms, dt) in enumerate(stages):
+            xi = x.copy()
+            for j, ha in terms:
+                xi += ha * k[j]
+            k[s] = field(xi, t + dt)
+        xs[i + 1] = x + h * (b @ k)
     return ts, xs
 
 

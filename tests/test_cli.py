@@ -396,6 +396,15 @@ class TestOdeCommand:
          "unknown ode mode 'phase-portrait'"),
         ({"problem": "linear", "problem_params": {"alpha": 5}},
          "unknown linear parameters: ['alpha']"),
+        # a filter solver is filter-q1 or filter-q2, not any name ending in 1 or 2
+        ({"mode": "trajectory", "problem": "logistic", "solver": "filter-q12"},
+         "unknown RK method 'filter-q12'"),
+        ({"mode": "trajectory", "problem": "logistic", "solver": "filter-qq1"},
+         "unknown RK method 'filter-qq1'"),
+        ({"mode": "order-study", "problem": "linear",
+          "solvers": ["filter-q1", "filter-q12"]}, "unknown RK method 'filter-q12'"),
+        ({"mode": "order-study", "problem": "linear", "solvers": ["filter-qq1"]},
+         "unknown RK method 'filter-qq1'"),
     ])
     def test_rejected_step_sizes_exit_code(self, tmp_path, capsys, config,
                                            message):

@@ -55,6 +55,40 @@ class TestRKReference:
         big = np.array([1.7e308, 1.7e308, -1.7e308])
         assert np.array_equal(prob.eval_field(big, 0.0), big)
 
+    def test_nonfinite_interior_stage_stops_the_solve(self):
+        # rk4's second stage of the second step sits at t = 0.25 + 0.125
+        calls = []
+
+        def field(x, t):
+            calls.append(t)
+            return x * np.nan if t == 0.375 else -x
+
+        prob = IVProblem(f=field, x0=[1.0, 2.0], t0=0.0, t_end=1.0)
+        with pytest.raises(NonFiniteField, match=r"at t=0\.375$"):
+            rk_reference(prob, rk_method("rk4"), 0.25)
+        assert calls == [0.0, 0.0, 0.125, 0.125, 0.25, 0.25, 0.375]
+
+    @pytest.mark.parametrize("name, wrap", [
+        ("lotka-volterra", lambda y: y.tolist()),
+        ("logistic", lambda y: float(y[0])),
+        ("lotka-volterra", lambda y: y[None, :]),
+    ], ids=["list", "float", "row"])
+    def test_field_values_that_are_not_1d_arrays(self, name, wrap):
+        base = named_problem(name)
+        prob = IVProblem(f=lambda x, t: wrap(base.f(x, t)), x0=base.x0,
+                         t0=base.t0, t_end=base.t_end)
+        for method in ("euler", "midpoint", "rk4"):
+            _, ref = rk_reference(base, rk_method(method), 0.05)
+            _, xs = rk_reference(prob, rk_method(method), 0.05)
+            assert xs.tobytes() == ref.tobytes()
+        for q in (1, 2):
+            ref = solve_ivp_filter(base, q=q, h=0.05).state_mean
+            assert solve_ivp_filter(prob, q=q, h=0.05).state_mean.tobytes() == ref.tobytes()
+        echo = IVProblem(f=lambda x, t: wrap(x), x0=base.x0, t0=0.0, t_end=1.0)
+        for bad in (np.inf, -np.inf, np.nan):
+            with pytest.raises(NonFiniteField):
+                echo.eval_field(np.full(echo.dim, bad), 0.0)
+
     def test_tableau_consistency(self):
         for name in ("euler", "midpoint", "rk4"):
             m = rk_method(name)
@@ -67,6 +101,17 @@ class TestRKReference:
     def test_inconsistent_tableau_rejected(self, c, b, message):
         with pytest.raises(ValueError, match=message):
             RKMethod("bad", a=[[0.0, 0.0], [0.5, 0.0]], b=b, c=c)
+
+    @pytest.mark.parametrize("a, b, c", [
+        ([[0.0, 0.0], [0.5, 0.5]], [0.5, 0.5], [0.0, 1.0]),    # implicit trapezoid
+        ([[1.0]], [1.0], [1.0]),                               # backward Euler
+        ([[0.0, 0.0], [0.5, 0.0]], [1.0], [0.0, 0.5]),         # b of length 1
+    ], ids=["trapezoid", "backward-euler", "short-b"])
+    def test_non_explicit_tableau_rejected(self, a, b, c):
+        # rk_reference runs explicit stages only: any other tableau would
+        # silently run a different method
+        with pytest.raises(ValueError, match="tableau not explicit"):
+            RKMethod("bad", a=a, b=b, c=c)
 
 
 class TestFilter:
