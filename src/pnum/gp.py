@@ -12,9 +12,10 @@ this profiled likelihood.  Two covariance families are supported:
   on a box of any dimension, one lengthscale per dimension; its sample paths
   are extremely smooth.  The interval is the d = 1 case.
 
-Linear-spline prior draws cost O(n): its Gram on a sorted grid is rank-2
-semiseparable, and so is the Cholesky factor the draw is taken from.  Other
-draws factor the dense Gram.  Nothing is cached between calls.
+Linear-spline prior draws are exact and cost O(n): on an interval the prior
+is the linear interpolation of its two end values plus an independent
+Brownian bridge.  Other draws factor the jittered dense Gram.  Nothing is
+cached between calls.
 
 All types are immutable after construction; operations are pure given their
 inputs plus an explicit seed.
@@ -169,14 +170,6 @@ def _solve_refined(factor, K: np.ndarray, b: np.ndarray) -> np.ndarray:
     return w + cho_solve(factor, b - K @ w)
 
 
-def _jitters(scale: float):
-    """The jitter ladder for a Gram whose mean diagonal is ``scale``."""
-    jitter = JITTER_REL_START * scale
-    while jitter <= JITTER_REL_MAX * scale * (1 + 1e-9):
-        yield jitter
-        jitter *= 10.0
-
-
 def _factorize(K: np.ndarray):
     """Cholesky-factorize K + jitter*I, escalating jitter on failure.
 
@@ -187,10 +180,12 @@ def _factorize(K: np.ndarray):
     if not (scale > 0 and np.isfinite(K).all()):
         raise SingularGram("Gram is not finite with a positive diagonal")
     eye = np.eye(K.shape[0])
-    for jitter in _jitters(scale):
+    jitter = JITTER_REL_START * scale
+    while jitter <= JITTER_REL_MAX * scale * (1 + 1e-9):
         L, info = dpotrf(K + jitter * eye, lower=1, clean=0)
         if info == 0:
             return (L, True), jitter
+        jitter *= 10.0
     raise SingularGram(
         f"Cholesky failed up to jitter {JITTER_REL_MAX * scale:.2e}")
 
@@ -280,9 +275,14 @@ def fit_hyperparameters(family: KernelFamily, nodes, values,
 
     All-identical values leave the scale unidentifiable; in that case the
     scale is pinned to its lower bound and ``degenerate`` is flagged.
+    Non-finite values raise ValueError, and SingularGram is raised when no
+    shape yields a finite likelihood.
     """
     nodes = np.asarray(nodes, dtype=float)
     values = np.asarray(values, dtype=float)
+    if not np.isfinite(values).all():
+        raise ValueError(f"values to fit must be finite, got "
+                         f"{values[~np.isfinite(values)].tolist()}")
     if nodes.size < 3:
         raise ValueError("need at least 3 nodes to fit hyperparameters")
     if domain is None:
@@ -322,74 +322,50 @@ def fit_hyperparameters(family: KernelFamily, nodes, values,
     i = int(np.argmin([neg_profiled(h) for h in shapes]))
     minimize_scalar(lambda t: neg_profiled(float(np.exp(t))), method="bounded",
                     bounds=np.log(shapes[[max(i - 1, 0), min(i + 1, 15)]]))
+    if best[0] == -np.inf:
+        raise SingularGram(f"no {h_name} in [{h_lo}, {h_hi}] gave a finite likelihood")
     kern = _make_kernel(family, best[1], float(best[2]), domain)
     return FitResult(kernel=kern)
 
 
-def _spline_cholesky(kernel: Kernel, grid: np.ndarray):
-    """Generators of the Cholesky factor L of the jittered linear-spline Gram
-    on a sorted grid, in O(n).
+def _spline_draw(kernel: Kernel, grid: np.ndarray, z: np.ndarray) -> np.ndarray:
+    """The linear-spline prior on a sorted grid, drawn exactly from n + 1
+    standard normals z.
 
-    For x_i >= x_j the Gram is k_ij = u_i + v_j, with v = (cb/3)(x - m) and
-    u = c(1+b) - v, so L_ij = p_i' w_j below the diagonal, p_i = (u_i, 1).
-    One pass over the running sum S = sum_{k<j} w_k w_k' gives d_j = L_jj
-    and w_j.  Any shift m is exact; m at the grid's midpoint keeps draws as
-    accurate as the dense factor's, where m = 0 loses up to 3e-6 relative
-    near the box width at which the Gram turns singular.  The jitter
-    escalates as in :func:`_factorize`, on any d_j^2 <= 0.
-
-    Returns (d, w as a (2, n) array, u, jitter).
+    With alpha = c(1+b), beta = cb/3 and span s, the ends have covariance
+    [[alpha, alpha - beta s], [alpha - beta s, alpha]], drawn from z[:2]
+    through its Cholesky factor; in between the path is their linear
+    interpolation plus sqrt(2 beta s) times a Brownian bridge in
+    u = (x - grid[0]) / s, built from z[2:].  Raises SingularGram if the
+    kernel is indefinite on the span (2 alpha < beta s beyond rounding).
     """
-    k_xx = kernel_eval(kernel, grid, grid)      # rejects points outside the box
-    c, (b,) = kernel.scale, kernel.shape
-    v = (c * b / 3.0) * (grid - 0.5 * (grid[0] + grid[-1]))
-    u = k_xx - v
-    pairs = list(zip(u.tolist(), v.tolist()))
-    scale = float(np.mean(k_xx))
-    for jitter in _jitters(scale):
-        pivot = float(k_xx[0]) + jitter
-        d, w0s, w1s = [], [], []
-        s00 = s01 = s11 = 0.0
-        for ui, vi in pairs:
-            sp0 = s00 * ui + s01                # S p
-            sp1 = s01 * ui + s11
-            d2 = pivot - (ui * sp0 + sp1)
-            if not d2 > 0.0:
-                break
-            dj = sqrt(d2)
-            w0 = (1.0 - sp0) / dj               # (q - S p) / d_j, q = (1, v_j)
-            w1 = (vi - sp1) / dj
-            s00 += w0 * w0
-            s01 += w0 * w1
-            s11 += w1 * w1
-            d.append(dj)
-            w0s.append(w0)
-            w1s.append(w1)
-        else:
-            return np.array(d), np.array((w0s, w1s)), u, jitter
-    raise SingularGram(f"Cholesky failed up to jitter {JITTER_REL_MAX * scale:.2e}")
+    a, r = kernel_eval(kernel, grid[0], grid[[0, -1]])     # alpha, alpha - beta s
+    if a + r < -JITTER_REL_START * a:
+        raise SingularGram(f"linear-spline kernel indefinite on the span "
+                           f"{grid[-1] - grid[0]} of the grid")
+    u = (grid - grid[0]) / ((grid[-1] - grid[0]) or 1.0)   # one node: u = 0
+    w = np.concatenate(([0.0], np.cumsum(np.sqrt(np.diff(u)) * z[2:])))
+    y0 = sqrt(a) * z[0]
+    y1 = (r * z[0] + sqrt((a - r) * max(a + r, 0.0)) * z[1]) / sqrt(a)
+    return y0 + u * (y1 - y0) + sqrt(2.0 * (a - r)) * (w - u * w[-1])
 
 
 def sample_path(kernel: Kernel, grid, seed: int) -> np.ndarray:
-    """One draw L z from the zero-mean prior restricted to ``grid``, for the
-    Cholesky factor L of the jittered Gram and z standard normal.
+    """One draw from the zero-mean prior restricted to ``grid``.
 
     Deterministic given ``seed``.  The grid must be sorted, distinct and in
-    the kernel box.  Linear-spline draws cost O(n) time and memory, from
-    the generators of L's semiseparable form; other kernels factor the
-    dense Gram.  Nothing is cached between calls.
+    the kernel box.  Linear-spline draws are exact and cost O(n): the end
+    values plus a Brownian bridge (:func:`_spline_draw`), from n + 1
+    standard normals.  Other kernels draw L z for the Cholesky factor L of
+    the jittered dense Gram and n standard normals z.
     """
     grid = np.asarray(grid, dtype=float)
     if grid.ndim != 1 or grid.size < 1:
         raise ValueError("grid must be a non-empty 1-D array")
-    if np.any(np.diff(grid) <= 0):
-        raise ValueError("grid must be sorted and distinct")
-    z = np.random.default_rng(seed).standard_normal(grid.size)
+    if not (np.diff(grid) > 0).all():
+        raise ValueError("grid must be sorted, distinct and free of NaN")
+    rng = np.random.default_rng(seed)
     if kernel.family is KernelFamily.LINEAR_SPLINE:
-        d, w, u, _ = _spline_cholesky(kernel, grid)
-        # exclusive cumulative sums: acc[:, i] = sum_{j<i} w_j z_j
-        acc = np.zeros_like(w)
-        np.cumsum(w[:, :-1] * z[:-1], axis=1, out=acc[:, 1:])
-        return d * z + u * acc[0] + acc[1]
+        return _spline_draw(kernel, grid, rng.standard_normal(grid.size + 1))
     factor, _ = _factorize(gram_matrix(kernel, grid))
-    return np.tril(factor[0]) @ z
+    return np.tril(factor[0]) @ rng.standard_normal(grid.size)

@@ -381,7 +381,7 @@ def solve_ivp_filter(problem: IVProblem, q: int, h: float, rho2: float = 1.0,
         y = problem.eval_field(M[0], times[k])
         r = y - M[1]
         if calibrate_diffusion and s[k] > 0.0:
-            residual += float(r @ r) / s[k]
+            residual += float(np.vdot(r, r)) / s[k]
         M = np.dot(A1, M + gains[k] * r, out=Ms[k + 1])
 
     if calibrate_diffusion:

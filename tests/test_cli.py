@@ -463,6 +463,16 @@ class TestDeterminism:
                           extra=("--seed", "4", "--reproducible"))
         assert out1.read_bytes() != out2.read_bytes()
 
+    def test_spline_draw_reruns_are_byte_identical(self, tmp_path):
+        cfg = {"integrand": "spline-draw", "methods": ["trapezoid", "spline-bq"],
+               "budgets": [5, 10]}
+        outs = [run_cli(tmp_path, "quad", cfg, name=name,
+                        extra=("--seed", "3", "--reproducible"))[1]
+                for name in ("a.csv", "b.csv")]
+        assert outs[0].read_bytes() == outs[1].read_bytes()
+        assert (Path(str(outs[0]) + ".config.json").read_bytes()
+                == Path(str(outs[1]) + ".config.json").read_bytes())
+
 
 class TestBenchmarkTruth:
     def test_benchmark_truth_repeatable_and_sane(self):

@@ -3,11 +3,10 @@ import warnings
 import numpy as np
 import pytest
 
-from pnum import (KernelFamily, SingularGram, exp_quadratic, fit_hyperparameters,
+from pnum import (KernelFamily, SingularGram, exp_quadratic, fit_hyperparameters, gp,
                   gram_matrix, kernel_eval, linear_spline, log_marginal_likelihood,
                   sample_path)
-from pnum.gp import (JITTER_REL_START, _factorize, _solve_refined, _spline_cholesky,
-                     default_bounds)
+from pnum.gp import JITTER_REL_START, _factorize, _solve_refined, default_bounds
 
 
 def random_kernel(rng):
@@ -183,6 +182,30 @@ class TestFit:
         with pytest.raises(ValueError):
             fit_hyperparameters(KernelFamily.EXP_QUADRATIC, [0.0, 1.0], [1.0, 2.0])
 
+    @pytest.mark.parametrize("family, bounds", [
+        (KernelFamily.LINEAR_SPLINE, {"c": (0.1, 10.0), "b": (0.1, 1.0)}),
+        (KernelFamily.EXP_QUADRATIC, {"theta": (0.1, 10.0), "lam": (0.1, 3.0)}),
+        (KernelFamily.EXP_QUADRATIC, None),
+    ])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_nonfinite_values_rejected(self, family, bounds, bad):
+        nodes = np.linspace(-3.0, 3.0, 8)
+        values = np.sin(nodes)
+        values[3] = bad
+        with pytest.raises(ValueError, match=f"finite, got \\[{bad}\\]"):
+            fit_hyperparameters(family, nodes, values, bounds=bounds)
+
+    @pytest.mark.parametrize("family", list(KernelFamily))
+    def test_no_finite_likelihood_raises(self, family, monkeypatch):
+        # every shape fails the profiled likelihood: no kernel to return
+        def singular(*args, **kwargs):
+            raise SingularGram("profiled quadratic form is not finite")
+
+        monkeypatch.setattr(gp, "_profiled_likelihood", singular)
+        nodes = np.linspace(-3.0, 3.0, 8)
+        with pytest.raises(SingularGram, match="finite likelihood"):
+            fit_hyperparameters(family, nodes, np.sin(nodes))
+
 
 class TestSamplePath:
     def test_deterministic(self):
@@ -221,7 +244,8 @@ class TestSamplePath:
     def test_spline_jitter_escalates_like_factorize(self, rung):
         # on (0, 12 + delta) the kernel 2 - |x - x'| / 3 is indefinite: the
         # Gram of the two ends has eigenvalue -delta / 3, so the first rung
-        # to pass is the one with jitter above it
+        # to pass is the one with jitter above it.  The exact draw takes
+        # no jitter: it forgives only the rounding band of rung 0
         delta = 1.5 * JITTER_REL_START * 10.0 ** rung
         k = linear_spline(1.0, 1.0, (0.0, 12.0 + delta))
         for n in (2, 7, 50):
@@ -229,8 +253,11 @@ class TestSamplePath:
             expected = _factorize(gram_matrix(k, grid))[1]
             assert expected == pytest.approx(2.0 * JITTER_REL_START * 10.0 ** rung,
                                              rel=1e-9, abs=0.0)
-            assert _spline_cholesky(k, grid)[3] == expected
-            assert np.isfinite(sample_path(k, grid, seed=0)).all()
+            if rung == 0:
+                assert np.isfinite(sample_path(k, grid, seed=0)).all()
+            else:
+                with pytest.raises(SingularGram):
+                    sample_path(k, grid, seed=0)
 
     def test_spline_jitter_ceiling_raises(self):
         delta = 1.5e-5     # eigenvalue -5e-6, past the ceiling 2e-6

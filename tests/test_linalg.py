@@ -263,6 +263,15 @@ class TestBelief:
         assert np.array_equal(post.c[:6, :6], prior.c)
         assert not post.c[:6, 6:].any() and np.array_equal(post.c, post.c.T)
 
+    def test_conditioning_that_keeps_no_direction_returns_the_prior(self):
+        # zero steps leave N = S'Y = 0, so no direction is identifiable
+        op, b = seeded_system(16, 23)
+        for prior in (identity_belief(16),
+                      truncate_belief(solve_probabilistic(op, b, tol=1e-10).belief, 6)):
+            for k in (1, 3):
+                zeros = np.zeros((16, k))
+                assert condition_on_observations(prior, zeros, zeros) is prior
+
     def test_apply_dimension_mismatch(self):
         with pytest.raises(DimensionMismatch):
             posterior_mean_apply(identity_belief(4), np.ones(5))

@@ -245,6 +245,18 @@ class TestFilter:
                 assert np.allclose(cal, res.rho2 * ref, rtol=1e-10,
                                    atol=1e-12 * res.rho2 * np.abs(ref).max())
 
+    def test_calibrated_row_field_is_the_array_field(self):
+        # a field value of shape (1, d) calibrates like its (d,) form
+        base = named_problem("lotka-volterra")
+        row = IVProblem(f=lambda x, t: base.f(x, t)[None, :], x0=base.x0,
+                        t0=base.t0, t_end=base.t_end)
+        for q in (1, 2):
+            ref = solve_ivp_filter(base, q=q, h=0.1, calibrate_diffusion=True)
+            res = solve_ivp_filter(row, q=q, h=0.1, calibrate_diffusion=True)
+            assert res.state_mean.tobytes() == ref.state_mean.tobytes()
+            assert res.cov_factor.tobytes() == ref.cov_factor.tobytes()
+            assert res.rho2 == ref.rho2
+
     def test_calibration_is_not_clipped(self):
         prob = named_problem("stiff-linear")
         res = solve_ivp_filter(prob, q=2, h=0.01, calibrate_diffusion=True)

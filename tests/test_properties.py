@@ -31,7 +31,7 @@ from pnum import (BQState, IVProblem, KernelFamily, LinearOperator,
                   posterior_mean_apply, random_spd, rk_method, rk_reference,
                   sample_path, solve_ivp_filter, solve_probabilistic,
                   trapezoid, truncate_belief)
-from pnum.gp import (_factorize, _profiled_likelihood, _spline_cholesky,
+from pnum.gp import (_factorize, _profiled_likelihood, _spline_draw,
                      default_bounds)
 from pnum.quadrature import (_candidate_grid, _pair_embed, _profile_theta_fit,
                              _variance_reductions)
@@ -237,37 +237,25 @@ def spline_box(c, b, lo, frac):
 
 
 @checks
-@given(spline_kernels, st.lists(st.floats(0.0, 1.0), min_size=1, max_size=200))
-def test_spline_factor_generators_rebuild_the_gram(kernel_input, unit):
-    # L_ij = p_i' w_j below the diagonal, p_i = (u_i, 1): L L' is the
-    # jittered Gram on any distinct grid, near-coincident nodes included
+@given(spline_kernels, st.lists(st.floats(0.0, 1.0), min_size=1, max_size=200),
+       st.integers(0, 2**32 - 1))
+@example((1.0, 1.0, 0.0, 50 / 49), [j / 50 for j in range(1, 51)], 0)
+@example((2.0, 0.5, -1.0, 1.0), [0.0, 0.3, 0.3 + 1e-12, 1.0], 1)
+def test_spline_draw_is_exact(kernel_input, unit, seed):
+    # the draws on the n + 1 unit vectors are the columns of a factor M of
+    # the unjittered Gram on any distinct grid, near-coincident nodes and
+    # spans at which the Gram turns singular included: the first explicit
+    # example's grid spans 12, that width for b = 1, and the second's the
+    # whole box of frac = 1.  sample_path is the draw on its seeded normals
     kern, lo, width = spline_box(*kernel_input)
     grid = np.unique(lo + width * np.array(unit))
-    d, w, u, jitter = _spline_cholesky(kern, grid)
-    L = np.diag(d) + np.tril(np.outer(u, w[0]) + w[1], -1)
-    K = gram_matrix(kern, grid) + jitter * np.eye(grid.size)
-    assert np.abs(L @ L.T - K).max() <= 1e-13 * K.max()
-
-
-@checks
-@given(spline_kernels, st.lists(st.floats(0.05, 1.0), min_size=1, max_size=200),
-       st.integers(0, 2**32 - 1))
-@example((1.0, 1.0, 0.0, 50 / 49), [1.0] * 50, 0)
-def test_spline_draw_is_the_dense_cholesky_draw(kernel_input, gaps, seed):
-    # the grid ends at the box's right end and its smallest spacing is at
-    # least 1/4000 of the box.  Nearer nodes leave pivots of the size of the
-    # jitter, which every float64 Cholesky, the dense one included, meets
-    # with relative errors of order 1e-16 / 1e-10.  The explicit example's
-    # grid spans 12, the width at which the Gram of b = 1 turns singular;
-    # there the generators need the grid's midpoint as origin
-    kern, lo, width = spline_box(*kernel_input)
-    ends = np.cumsum(gaps)
-    grid = lo + width * (ends / ends[-1])
-    jitter = _spline_cholesky(kern, grid)[3]
-    L = np.linalg.cholesky(gram_matrix(kern, grid) + jitter * np.eye(grid.size))
-    z = np.random.default_rng(seed).standard_normal(grid.size)
+    M = np.column_stack([_spline_draw(kern, grid, e) for e in np.eye(grid.size + 1)])
+    K = gram_matrix(kern, grid)
+    assert np.abs(M @ M.T - K).max() <= 1e-13 * K.max()
     draw = sample_path(kern, grid, seed)
-    assert np.abs(draw - L @ z).max() <= 1e-11 * max(1.0, np.abs(draw).max())
+    z = np.random.default_rng(seed).standard_normal(grid.size + 1)
+    assert np.array_equal(draw, _spline_draw(kern, grid, z))
+    assert np.isfinite(draw).all()
 
 
 eq_kernels = st.tuples(
