@@ -200,6 +200,8 @@ def cmd_quad(cfg: dict, seeds: List[int]) -> _Table:
     budgets = [int(n) for n in cfg["budgets"]]
     rows: List[dict] = []
     integrand = cfg["integrand"]
+    if integrand not in ("paper-example", "spline-draw", "custom-grid-values"):
+        raise ConfigError(f"unknown integrand {integrand!r}")
     if integrand != "paper-example" and "smc" in cfg["methods"]:
         raise ConfigError("smc needs a callable integrand, not fixed grid values")
     if integrand == "paper-example":
@@ -250,8 +252,6 @@ def cmd_quad(cfg: dict, seeds: List[int]) -> _Table:
                               f"custom_nodes {nodes.shape}")
         common = dict(integrand=integrand, seed="", budget=nodes.size, oracle="")
         _quad_methods_on_values(cfg, domain, nodes, values, rows, common)
-    else:
-        raise ConfigError(f"unknown integrand {integrand!r}")
     for row in rows:
         if row["oracle"] != "":
             row["abs_error"] = abs(row["estimate"] - row["oracle"])

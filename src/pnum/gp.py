@@ -15,7 +15,8 @@ this profiled likelihood.  Two covariance families are supported:
 Linear-spline prior draws are exact and cost O(n): on an interval the prior
 is the linear interpolation of its two end values plus an independent
 Brownian bridge.  Other draws factor the jittered dense Gram.  Nothing is
-cached between calls.
+cached between calls.  A Gram factor is the bare lower factor L that LAPACK's
+``dpotrf`` writes (upper triangle unset); solves call ``dpotrs(L, b, lower=1)``.
 
 All types are immutable after construction; operations are pure given their
 inputs plus an explicit seed.
@@ -29,8 +30,7 @@ from math import log, pi, sqrt
 from typing import Dict, Optional, Tuple
 
 import numpy as np
-from scipy.linalg import cho_solve
-from scipy.linalg.lapack import dpotrf
+from scipy.linalg.lapack import dpotrf, dpotrs
 from scipy.optimize import minimize_scalar
 
 from .exceptions import SingularGram
@@ -160,21 +160,22 @@ def gram_matrix(kernel: Kernel, nodes, other=None) -> np.ndarray:
     return kernel_eval(kernel, X[:, None], Y[None, :])
 
 
-def _solve_refined(factor, K: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Solve K w = b through the jittered factor plus iterative refinement.
+def _solve_refined(L: np.ndarray, K: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Solve K w = b through the jittered factor L plus iterative refinement.
 
     One refinement sweep against the unjittered K removes most of the bias
     the jitter introduces into the weights (and hence into interpolation).
     """
-    w = cho_solve(factor, b)
-    return w + cho_solve(factor, b - K @ w)
+    w = dpotrs(L, b, lower=1)[0]
+    return w + dpotrs(L, b - K @ w, lower=1)[0]
 
 
 def _factorize(K: np.ndarray):
     """Cholesky-factorize K + jitter*I, escalating jitter on failure.
 
-    Returns (factor in ``cho_factor``'s form, jitter actually used).  Raises
-    SingularGram for a non-finite Gram and once the jitter ceiling is passed.
+    Returns (L, jitter actually used), L the bare ``dpotrf`` factor: lower
+    triangle set, upper unset.  Raises SingularGram for a non-finite Gram
+    and once the jitter ceiling is passed.
     """
     scale = float(np.mean(np.diag(K)))
     if not (scale > 0 and np.isfinite(K).all()):
@@ -184,24 +185,24 @@ def _factorize(K: np.ndarray):
     while jitter <= JITTER_REL_MAX * scale * (1 + 1e-9):
         L, info = dpotrf(K + jitter * eye, lower=1, clean=0)
         if info == 0:
-            return (L, True), jitter
+            return L, jitter
         jitter *= 10.0
     raise SingularGram(
         f"Cholesky failed up to jitter {JITTER_REL_MAX * scale:.2e}")
 
 
-def _profiled_likelihood(factor, y: np.ndarray, m_lo: float,
+def _profiled_likelihood(L: np.ndarray, y: np.ndarray, m_lo: float,
                          m_hi: float = np.inf):
     """Log evidence of y under m * K1 at its maximizer m = clip(y' K1^-1 y / n),
-    given the jittered factor of the unit Gram K1: (log evidence, m).  sqrt(m)
-    times that factor is the factor of m * K1.  Raises SingularGram if the
-    quadratic form is not finite."""
-    q = float(y @ cho_solve(factor, y, check_finite=False))
+    given the jittered factor L of the unit Gram K1: (log evidence, m).
+    sqrt(m) L is the factor of m * K1.  Raises SingularGram if the quadratic
+    form is not finite."""
+    q = float(y @ dpotrs(L, y, lower=1)[0])
     if not np.isfinite(q):
         raise SingularGram(f"profiled quadratic form y' K1^-1 y = {q}")
     n = y.size
     m = min(max(q / n, m_lo), m_hi)
-    logdet = 2.0 * float(np.sum(np.log(np.diag(factor[0]))))
+    logdet = 2.0 * float(np.sum(np.log(np.diag(L))))
     ll = -0.5 * q / m - 0.5 * n * log(m) - 0.5 * logdet - 0.5 * n * log(2 * pi)
     return ll, m
 
@@ -213,8 +214,8 @@ def _profiled_scan(K1s: np.ndarray, y: np.ndarray, m_lo: float):
     fits = []
     for i, K1 in enumerate(K1s):
         try:
-            factor, _ = _factorize(K1)
-            fits.append((i, *_profiled_likelihood(factor, y, m_lo), factor))
+            L, _ = _factorize(K1)
+            fits.append((i, *_profiled_likelihood(L, y, m_lo), L))
         except SingularGram:
             pass
     if not fits:
@@ -224,8 +225,8 @@ def _profiled_scan(K1s: np.ndarray, y: np.ndarray, m_lo: float):
 
 def log_marginal_likelihood(kernel: Kernel, nodes, values) -> float:
     """Gaussian log evidence of (nodes, values) under the kernel prior."""
-    factor, _ = _factorize(gram_matrix(kernel, nodes))
-    return _profiled_likelihood(factor, np.asarray(values, dtype=float), 1.0, 1.0)[0]
+    L, _ = _factorize(gram_matrix(kernel, nodes))
+    return _profiled_likelihood(L, np.asarray(values, dtype=float), 1.0, 1.0)[0]
 
 
 @dataclass(frozen=True)
@@ -275,14 +276,15 @@ def fit_hyperparameters(family: KernelFamily, nodes, values,
 
     All-identical values leave the scale unidentifiable; in that case the
     scale is pinned to its lower bound and ``degenerate`` is flagged.
-    Non-finite values raise ValueError, and SingularGram is raised when no
-    shape yields a finite likelihood.
+    Non-finite nodes or values raise ValueError, and SingularGram is raised
+    when no shape yields a finite likelihood.
     """
     nodes = np.asarray(nodes, dtype=float)
     values = np.asarray(values, dtype=float)
-    if not np.isfinite(values).all():
-        raise ValueError(f"values to fit must be finite, got "
-                         f"{values[~np.isfinite(values)].tolist()}")
+    for name, arr in (("nodes", nodes), ("values", values)):
+        if not np.isfinite(arr).all():
+            raise ValueError(f"{name} to fit must be finite, got "
+                             f"{arr[~np.isfinite(arr)].tolist()}")
     if nodes.size < 3:
         raise ValueError("need at least 3 nodes to fit hyperparameters")
     if domain is None:
@@ -311,8 +313,8 @@ def fit_hyperparameters(family: KernelFamily, nodes, values,
     def neg_profiled(shape):
         nonlocal best
         try:
-            factor, _ = _factorize(_unit_kernel(family, (shape,), (diff,)))
-            ll, m = _profiled_likelihood(factor, values, m_lo, m_hi)
+            L, _ = _factorize(_unit_kernel(family, (shape,), (diff,)))
+            ll, m = _profiled_likelihood(L, values, m_lo, m_hi)
         except SingularGram:
             return np.inf
         best = max(best, (ll, m, shape))
@@ -367,5 +369,5 @@ def sample_path(kernel: Kernel, grid, seed: int) -> np.ndarray:
     rng = np.random.default_rng(seed)
     if kernel.family is KernelFamily.LINEAR_SPLINE:
         return _spline_draw(kernel, grid, rng.standard_normal(grid.size + 1))
-    factor, _ = _factorize(gram_matrix(kernel, grid))
-    return np.tril(factor[0]) @ rng.standard_normal(grid.size)
+    L, _ = _factorize(gram_matrix(kernel, grid))
+    return np.tril(L) @ rng.standard_normal(grid.size)

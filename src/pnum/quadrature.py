@@ -21,7 +21,7 @@ from dataclasses import dataclass, replace
 from typing import Callable, Tuple
 
 import numpy as np
-from scipy.linalg import cho_solve
+from scipy.linalg.lapack import dpotrs
 from scipy.special import erf
 
 from .exceptions import (NoCandidates, NonPositiveEvaluation, SingularGram,
@@ -147,17 +147,19 @@ def bq_posterior(state: BQState) -> QuadratureEstimate:
 
     With no nodes this is the prior (mean 0, variance Z0).  A variance more
     negative than -1e-8 * Z0 raises; a slightly negative one is clamped to
-    zero with ``clamped`` set.
+    zero with ``clamped`` set.  Non-finite values raise ValueError.
     """
     z_func, z0 = kernel_embeddings(state.kernel)
     if not state.nodes:
         return QuadratureEstimate(mean=0.0, variance=z0)
+    if not np.isfinite(state.values).all():
+        raise ValueError(f"BQ values must be finite, got {state.values}")
     nodes = state.node_array
     K = gram_matrix(state.kernel, nodes)
-    factor, _ = _factorize(K)
+    L, _ = _factorize(K)
     zvec = z_func(nodes)
-    mean = float(zvec @ _solve_refined(factor, K, np.array(state.values)))
-    variance = float(z0 - zvec @ _solve_refined(factor, K, zvec))
+    mean = float(zvec @ _solve_refined(L, K, np.array(state.values)))
+    variance = float(z0 - zvec @ _solve_refined(L, K, zvec))
     clamped = False
     if variance < 0.0:
         if variance < -NEG_VAR_REL_TOL * z0:
@@ -212,21 +214,21 @@ def select_node_active(state: BQState, candidates=None) -> float:
         reduction = z_cand ** 2 / k_cc
         return float(candidates[int(np.argmax(reduction))])
     nodes = state.node_array
-    factor, _ = _factorize(gram_matrix(state.kernel, nodes))
+    L, _ = _factorize(gram_matrix(state.kernel, nodes))
     k_xc = kernel_eval(state.kernel, nodes[:, None], candidates[None, :])
-    reduction = _variance_reductions(factor, k_xc, k_cc, z_cand, z_func(nodes),
+    reduction = _variance_reductions(L, k_xc, k_cc, z_cand, z_func(nodes),
                                      1e-300)
     return float(candidates[int(np.argmax(reduction))])
 
 
-def _variance_reductions(factor, k_xc: np.ndarray, k_cc, e_c: np.ndarray,
+def _variance_reductions(L: np.ndarray, k_xc: np.ndarray, k_cc, e_c: np.ndarray,
                          e: np.ndarray, floor: float) -> np.ndarray:
     """Drop in the integral variance from adding each candidate: the Schur
     complement (e_c - k_c' K^-1 e)^2 / max(k_cc - k_c' K^-1 k_c, floor) of
-    the node Gram K (``factor``) bordered by each column k_c of ``k_xc``."""
-    solved = cho_solve(factor, k_xc)
+    the node Gram K (factor ``L``) bordered by each column k_c of ``k_xc``."""
+    solved = dpotrs(L, k_xc, lower=1)[0]
     post_var = np.maximum(k_cc - np.einsum("ij,ij->j", k_xc, solved), floor)
-    return (e_c - k_xc.T @ cho_solve(factor, e)) ** 2 / post_var
+    return (e_c - k_xc.T @ dpotrs(L, e, lower=1)[0]) ** 2 / post_var
 
 
 def _pair_embed(kernel: Kernel, X: np.ndarray, Y: np.ndarray, rows=None):
@@ -268,13 +270,13 @@ def _profile_theta_fit(X: np.ndarray, g: np.ndarray, box: np.ndarray):
     S = X / widths
     D = np.sum((S[:, None, :] - S[None, :, :]) ** 2, axis=-1)
     mults = np.geomspace(0.05, 2.0, 16)
-    i, _, theta2, (L1, lower) = _profiled_scan(
+    i, _, theta2, L1 = _profiled_scan(
         np.exp(-D / mults[:, None, None] ** 2), g, 1e-16)
     kern = _make_kernel(KernelFamily.EXP_QUADRATIC, theta2, mults[i] * widths, box)
-    return kern, (kern.scale * L1, lower)
+    return kern, kern.scale * L1
 
 
-def _warped_moments(kern: Kernel, factor, X: np.ndarray,
+def _warped_moments(kern: Kernel, L: np.ndarray, X: np.ndarray,
                     g: np.ndarray, alpha_w: float):
     """Posterior mean and variance of the integral under the sqrt warp.
 
@@ -297,7 +299,7 @@ def _warped_moments(kern: Kernel, factor, X: np.ndarray,
     with w on the grid first (``_grid_terms``), which is accurate to rounding
     in v.  The variance is returned unclamped and can be slightly negative.
     """
-    w = cho_solve(factor, g)
+    w = dpotrs(L, g, lower=1)[0]
     P = _pair_embed(kern, X, X)
     volume = float(np.prod([hi - lo for lo, hi in kern.box]))
     mean = alpha_w * volume + 0.5 * float(w @ (P @ w))
@@ -321,7 +323,7 @@ def _warped_moments(kern: Kernel, factor, X: np.ndarray,
         As.append(A)
     quad_kk = theta ** 6 * float(w @ kk @ w)
     t2 = theta ** 4 * (kx @ w)
-    s = cho_solve(factor, t2)
+    s = dpotrs(L, t2, lower=1)[0]
     # kk and kx are entrywise positive, so |w|' kk |w| bounds the terms
     # that cancel in w' kk w (likewise for t2 and the projection t2' s)
     aw = np.abs(w)
@@ -330,7 +332,7 @@ def _warped_moments(kern: Kernel, factor, X: np.ndarray,
         + 2.0 * theta ** 4 * float(np.abs(s) @ kx @ aw))
     if bound > SEPARABLE_REL_TOL * quad_kk:
         quad_kk, t2 = _grid_terms(theta, Es, ws, As, w)
-        s = cho_solve(factor, t2)
+        s = dpotrs(L, t2, lower=1)[0]
     return mean, quad_kk - float(t2 @ s), w, P
 
 
@@ -404,8 +406,8 @@ def warped_bq_integrate(f: Callable, domain, budget: int,
         fa = np.asarray(fv)
         alpha_w = WARP_ALPHA_FACTOR * float(fa.min())
         g = np.sqrt(2.0 * (fa - alpha_w))
-        kern, factor = _profile_theta_fit(Xa, g, box)
-        mean, variance, w, P = _warped_moments(kern, factor, Xa, g, alpha_w)
+        kern, L = _profile_theta_fit(Xa, g, box)
+        mean, variance, w, P = _warped_moments(kern, L, Xa, g, alpha_w)
         clamped = variance < 0.0
         variance = max(variance, 0.0)
         record.append(budget=it + 1, estimate=mean, spread=np.sqrt(variance))
@@ -414,7 +416,7 @@ def warped_bq_integrate(f: Callable, domain, budget: int,
             break
         # value-frozen variance reduction of each candidate
         gain = _variance_reductions(
-            factor, gram_matrix(kern, Xa, candidates), kern.scale ** 2,
+            L, gram_matrix(kern, Xa, candidates), kern.scale ** 2,
             _pair_embed(kern, axes, Xa, rows) @ w, P @ w,
             1e-12 * kern.scale ** 2)
         i_next = int(np.argmax(np.where(taken, -np.inf, gain)))

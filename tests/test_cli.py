@@ -110,9 +110,11 @@ class TestQuadCommand:
                                              "mystery_knob": 3})
         assert code == 2
 
-    def test_bad_integrand_rejected(self, tmp_path):
-        code, _ = run_cli(tmp_path, "quad", {"integrand": "nonexistent"})
+    def test_bad_integrand_rejected(self, tmp_path, capsys):
+        # the default methods include smc, whose check must not come first
+        code, _ = run_cli(tmp_path, "quad", {"integrand": "paper-exmaple"})
         assert code == 2
+        assert "unknown integrand 'paper-exmaple'" in capsys.readouterr().err
 
     @pytest.mark.parametrize("text, message", [
         (None, "missing.json"),
@@ -158,6 +160,11 @@ class TestQuadCommand:
           "budgets": [10]}, "smc needs a callable integrand"),
         ({"domain": [-3, 1e400]}, "lo < hi"),
         ({"domain": [-np.inf, 3]}, "lo < hi"),
+        ({"integrand": "nonexistent", "methods": ["trapezoid"]},
+         "unknown integrand 'nonexistent'"),
+        ({"integrand": "custom-grid-values", "methods": ["trapezoid", "spline-bq"],
+          "custom_nodes": [-3.0, 0.0, 3.0], "custom_values": [1.0, np.nan, 2.0]},
+         "BQ values must be finite"),
     ])
     def test_rejected_config_exit_code(self, tmp_path, capsys, config, message):
         code, _ = run_cli(tmp_path, "quad", {"integrand": "paper-example",

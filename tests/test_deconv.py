@@ -102,3 +102,12 @@ class TestRecyclingBenchmark:
         rows = report.rows()
         assert len(rows) == 2 * 3
         assert all(list(row) == cli._RECYCLE_FIELDS for row in rows)
+
+
+@pytest.mark.parametrize("call, error, message", [
+    pytest.param(lambda: SequenceConfig(length=1),
+                 ValueError, "sequence length must be >= 2", id="one-system"),
+])
+def test_typed_rejections(call, error, message):
+    with pytest.raises(error, match=message):
+        call()

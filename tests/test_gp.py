@@ -195,6 +195,22 @@ class TestFit:
         with pytest.raises(ValueError, match=f"finite, got \\[{bad}\\]"):
             fit_hyperparameters(family, nodes, values, bounds=bounds)
 
+    @pytest.mark.parametrize("family, bounds", [
+        (KernelFamily.LINEAR_SPLINE, {"c": (0.1, 10.0), "b": (0.1, 1.0)}),
+        (KernelFamily.LINEAR_SPLINE, None),
+        (KernelFamily.EXP_QUADRATIC, {"theta": (0.1, 10.0), "lam": (0.1, 3.0)}),
+        (KernelFamily.EXP_QUADRATIC, None),
+    ])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_nonfinite_nodes_rejected(self, family, bounds, bad):
+        nodes = np.linspace(-3.0, 3.0, 8)
+        values = np.sin(nodes)
+        nodes[3] = bad
+        with pytest.raises(ValueError, match=f"nodes to fit must be finite, "
+                                             f"got \\[{bad}\\]"):
+            fit_hyperparameters(family, nodes, values, bounds=bounds,
+                                domain=(-3.0, 3.0))
+
     @pytest.mark.parametrize("family", list(KernelFamily))
     def test_no_finite_likelihood_raises(self, family, monkeypatch):
         # every shape fails the profiled likelihood: no kernel to return
@@ -267,3 +283,21 @@ class TestSamplePath:
             _factorize(gram_matrix(k, grid))
         with pytest.raises(SingularGram):
             sample_path(k, grid, seed=0)
+
+
+@pytest.mark.parametrize("call, error, message", [
+    pytest.param(lambda: linear_spline(domain=[(-1.0, 1.0), (-1.0, 1.0)]),
+                 ValueError, "defined on an interval only", id="spline-on-2d-box"),
+    pytest.param(lambda: kernel_eval(exp_quadratic(domain=[(-1.0, 1.0)] * 2),
+                                     np.zeros(3), np.zeros(3)),
+                 ValueError, "lack the 2 coordinates", id="points-without-coordinates"),
+    pytest.param(lambda: fit_hyperparameters(
+        KernelFamily.EXP_QUADRATIC, np.linspace(-3.0, 3.0, 8), np.arange(8.0),
+        bounds={"theta": (0.0, 1.0), "lam": (0.1, 1.0)}),
+                 ValueError, "bounds must be positive", id="fit-zero-bound"),
+    pytest.param(lambda: sample_path(linear_spline(), np.zeros((2, 2)), seed=0),
+                 ValueError, "non-empty 1-D array", id="draw-on-2d-grid"),
+])
+def test_typed_rejections(call, error, message):
+    with pytest.raises(error, match=message):
+        call()

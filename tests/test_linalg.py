@@ -515,3 +515,20 @@ class TestOperatorLoading:
         config = {"kind": "random_spd", "dim": 8, "seed": 1, "cond": 1e3}
         load_operator(config)
         assert config == {"kind": "random_spd", "dim": 8, "seed": 1, "cond": 1e3}
+
+
+@pytest.mark.parametrize("call, error, message", [
+    pytest.param(lambda: LinearOperator.from_dense(np.ones((2, 3))),
+                 ValueError, "must be a square matrix", id="non-square-operator"),
+    pytest.param(lambda: condition_on_observations(identity_belief(3), np.ones((3, 2)),
+                                                   np.ones((3, 1))),
+                 BeliefDimensionMismatch, "observations of shape", id="s-y-shapes-differ"),
+    pytest.param(lambda: truncate_belief(identity_belief(3), -1),
+                 ValueError, "rank must be >= 0", id="negative-rank"),
+    pytest.param(lambda: classic_cg(LinearOperator.from_dense(np.eye(3)), np.ones(4)),
+                 DimensionMismatch, "rhs does not match operator dimension",
+                 id="cg-rhs-length"),
+])
+def test_typed_rejections(call, error, message):
+    with pytest.raises(error, match=message):
+        call()

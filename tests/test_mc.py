@@ -165,3 +165,18 @@ class TestAIS:
         p = make_evidence_problem("gaussian-1d")
         result = ais_evidence(p, n_temps=8, n_chains=4, mh_steps=3, seed=0)
         assert result.n_likelihood_evals == 4 * (1 + 8 * 3)
+
+
+@pytest.mark.parametrize("call, error, message", [
+    pytest.param(lambda: smc_integrate(make_evidence_problem("gaussian-1d"), 0, 0),
+                 ValueError, "need at least one sample", id="smc-no-samples"),
+    pytest.param(lambda: ais_evidence(make_evidence_problem("gaussian-1d"), 0, 8, 2, 0),
+                 ValueError, "must be >= 1", id="ais-no-temperatures"),
+    pytest.param(lambda: ais_evidence(make_evidence_problem("gaussian-1d"), 8, 0, 2, 0),
+                 ValueError, "must be >= 1", id="ais-no-chains"),
+    pytest.param(lambda: ais_evidence(make_evidence_problem("gaussian-1d"), 8, 8, 0, 0),
+                 ValueError, "must be >= 1", id="ais-no-mh-steps"),
+])
+def test_typed_rejections(call, error, message):
+    with pytest.raises(error, match=message):
+        call()

@@ -441,3 +441,21 @@ class TestLinearCost:
                                   repeats=5)
         ratio = times[1] / times[0]
         assert 8.0 <= ratio <= 12.0
+
+
+@pytest.mark.parametrize("call, error, message", [
+    pytest.param(lambda: IVProblem(f=lambda x, t: x, x0=[1.0], t0=1.0, t_end=1.0),
+                 ValueError, "t_end must exceed t0", id="empty-horizon"),
+    pytest.param(lambda: named_problem("brusselator"),
+                 ValueError, "unknown problem name 'brusselator'", id="unknown-problem"),
+    pytest.param(lambda: solve_ivp_filter(named_problem("linear"), q=1, h=0.0),
+                 ValueError, "step size must be positive", id="zero-step"),
+    pytest.param(lambda: solve_ivp_filter(named_problem("linear"), q=2, h=-0.1),
+                 ValueError, "step size must be positive", id="negative-step"),
+    pytest.param(lambda: convergence_order_estimate(
+        filter_solver(1), named_problem("lotka-volterra"), [0.1, 0.05, 0.025, 0.0125]),
+                 ValueError, "closed-form solution", id="order-without-exact"),
+])
+def test_typed_rejections(call, error, message):
+    with pytest.raises(error, match=message):
+        call()

@@ -8,8 +8,10 @@ random SPD joint covariance of nodes and candidate nodes.  Prior
 draws: each example draws a linear-spline kernel, an interval, a grid in it
 and a seed.  Kernel:
 each example draws an exponentiated-quadratic kernel on a box of dimension
-1-4 and points in it.  Hyperparameter fit: each example draws a kernel
-family, an interval, nodes and values.  ODE filter: each example draws a
+1-4 and points in it.  Gram solves: each example draws a kernel family, its
+scale and shape, nodes on [-3, 3] and a 1-D or n x m right-hand side.
+Hyperparameter fit: each example draws a kernel family, an interval, nodes
+and values.  ODE filter: each example draws a
 prior order, a problem, a step and a diffusion scale, or a linear, logistic
 or Lotka-Volterra problem, a step and a diffusion scale for the q = 1 Euler
 identity, or two vector fields of one dimension, or a prior order, a step,
@@ -20,7 +22,8 @@ forcing term in t is added, a step and a built-in tableau.
 
 import numpy as np
 from hypothesis import assume, example, given, settings, strategies as st
-from scipy.linalg import cho_factor
+from scipy.linalg import cho_factor, cho_solve
+from scipy.linalg.lapack import dpotrs
 from scipy.special import erf
 
 from pnum import (BQState, IVProblem, KernelFamily, LinearOperator,
@@ -214,7 +217,7 @@ def test_variance_reduction_is_the_bordered_gram_difference(scan):
     G = random_spd(n + m, seed, cond=cond)
     v = np.random.default_rng(seed + 1).standard_normal(n + m)
     K, e = G[:n, :n], v[:n]
-    got = _variance_reductions(cho_factor(K, lower=True), G[:n, n:],
+    got = _variance_reductions(cho_factor(K, lower=True)[0], G[:n, n:],
                                np.diag(G)[n:], v[n:], e, 1e-300)
     base = e @ np.linalg.solve(K, e)
     for j in range(m):
@@ -339,6 +342,33 @@ def test_profiled_fit_is_never_below_the_scale_shape_grid(fit_input):
     assert log_marginal >= best - 1e-8 * (1.0 + abs(best))
 
 
+gram_solves = st.tuples(
+    st.sampled_from(tuple(KernelFamily)),
+    st.floats(0.1, 10.0), st.floats(0.1, 1.0),         # scale; b, or lam / width
+    st.lists(st.floats(0.0, 1.0), min_size=1, max_size=40),   # unit nodes
+    st.integers(0, 4), st.integers(0, 2**32 - 1))      # rhs columns (0: 1-D), seed
+
+
+@checks
+@given(gram_solves)
+def test_factor_solves_are_the_scipy_solves(draw):
+    # gp and quadrature solve with dpotrs on the bare factor of _factorize:
+    # that is cho_solve((L, True), b) bit for bit, and since dpotrs reads only
+    # the lower triangle, a NaN upper triangle leaves the solve unchanged
+    family, scale, shape, unit, m, seed = draw
+    nodes = np.unique(-3.0 + 6.0 * np.array(unit))
+    if family is KernelFamily.LINEAR_SPLINE:
+        kern = linear_spline(scale, shape, (-3.0, 3.0))   # b <= 1: PSD on width 6
+    else:
+        kern = exp_quadratic(scale, 6.0 * shape, (-3.0, 3.0))
+    L, _ = _factorize(gram_matrix(kern, nodes))
+    b = np.random.default_rng(seed).standard_normal((nodes.size, m) if m else nodes.size)
+    ref = cho_solve((L, True), b)
+    assert np.array_equal(dpotrs(L, b, lower=1)[0], ref)
+    L[np.triu_indices(nodes.size, 1)] = np.nan
+    assert np.array_equal(dpotrs(L, b, lower=1)[0], ref)
+
+
 warped_inputs = st.tuples(
     st.integers(1, 4),                                 # dimension
     st.lists(st.tuples(st.floats(-5.0, 5.0), st.floats(0.5, 6.0),
@@ -401,10 +431,10 @@ def test_stacked_scan_is_the_per_slice_scan(draw, gap_exp):
     S = X / widths
     D = np.sum((S[:, None, :] - S[None, :, :]) ** 2, axis=-1)
     mults = np.geomspace(0.05, 2.0, 16)
-    i, _, theta2, (L1, _) = per_slice_fit([np.exp(-D / m ** 2) for m in mults], g)
-    kern, (L, lower) = _profile_theta_fit(X, g, box)
+    i, _, theta2, L1 = per_slice_fit([np.exp(-D / m ** 2) for m in mults], g)
+    kern, L = _profile_theta_fit(X, g, box)
     assert kern == exp_quadratic(np.sqrt(theta2), mults[i] * widths, box)
-    assert lower and np.array_equal(L, kern.scale * L1)
+    assert np.array_equal(L, kern.scale * L1)
 
 
 filter_runs = st.tuples(

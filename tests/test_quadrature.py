@@ -17,7 +17,7 @@ from pnum.quadrature import _pair_embed, _warped_moments
 def grid_warped_moments(kern, factor, X, g, alpha_w, var_grid=33):
     """Reference: the linearized warped variance on the explicit 33^d tensor
     grid, as ``_warped_moments`` evaluated it before it became separable."""
-    w = cho_solve(factor, g)
+    w = cho_solve((factor, True), g)
     P = _pair_embed(kern, X, X)
     volume = float(np.prod([hi - lo for lo, hi in kern.box]))
     mean = alpha_w * volume + 0.5 * float(w @ (P @ w))
@@ -45,7 +45,7 @@ def grid_warped_moments(kern, factor, X, g, alpha_w, var_grid=33):
         t = np.moveaxis(np.tensordot(A, t, axes=([1], [j])), 0, j)
     quad_kk = kern.scale ** 2 * float(v @ t.reshape(-1))
     t2 = K_gx.T @ v
-    return mean, quad_kk - float(t2 @ cho_solve(factor, t2)), quad_kk
+    return mean, quad_kk - float(t2 @ cho_solve((factor, True), t2)), quad_kk
 
 
 def state_with(kernel, nodes, values):
@@ -194,6 +194,16 @@ class TestBQPosterior:
             return
         est = bq_posterior(st)
         assert est.clamped and est.variance == 0.0
+
+    @pytest.mark.parametrize("kernel", [linear_spline(), exp_quadratic()],
+                             ids=["spline", "eq"])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_nonfinite_values_rejected(self, kernel, bad):
+        # the solves do not scan their right-hand sides, so a non-finite value
+        # would otherwise come back as a non-finite mean
+        st = state_with(kernel, [-1.0, 0.0, 1.0], [1.0, bad, 2.0])
+        with pytest.raises(ValueError, match="BQ values must be finite"):
+            bq_posterior(st)
 
 
 class TestNodeSelection:
@@ -418,3 +428,14 @@ class TestProductKernel:
             -2, 2, epsabs=1e-12)
         z_func, _ = kernel_embeddings(k)
         assert z_func(X)[0] == pytest.approx(oracle, rel=1e-10)
+
+
+@pytest.mark.parametrize("call, error, message", [
+    pytest.param(lambda: trapezoid([0.0, 1.0, 2.0], [1.0, 2.0]),
+                 ValueError, "matching values", id="trapezoid-values-mismatch"),
+    pytest.param(lambda: warped_bq_integrate(lambda x: 1.0, [(0.0, 1.0)] * 5, 5, seed=0),
+                 ValueError, "dimension <= 4", id="warped-5d"),
+])
+def test_typed_rejections(call, error, message):
+    with pytest.raises(error, match=message):
+        call()
