@@ -158,11 +158,6 @@ _QUAD_FIELDS = ["method", "integrand", "seed", "budget", "estimate",
                 "oracle", "abs_error", "spread", "wall_ms"]
 
 
-def _bq_estimate(kernel: gp.Kernel, nodes: np.ndarray, values: np.ndarray):
-    return quadrature.bq_posterior(quadrature.BQState(
-        kernel, tuple(map(float, nodes)), tuple(map(float, values))))
-
-
 def _eq_kernel_for(cfg, domain, nodes, values) -> gp.Kernel:
     lam = cfg["eq_lambda"]
     if lam == "fit":
@@ -173,59 +168,20 @@ def _eq_kernel_for(cfg, domain, nodes, values) -> gp.Kernel:
     return gp.exp_quadratic(cfg["eq_theta"], float(lam), domain)
 
 
-def _quad_methods_on_values(cfg, domain, nodes, values, est_rows, common):
-    spline = gp.linear_spline(cfg["spline_c"], cfg["spline_b"], domain)
-    for method in cfg["methods"]:
-        if method == "smc":
-            continue
-        start = time.perf_counter()
-        if method == "trapezoid":
-            est, spread = quadrature.trapezoid(nodes, values), ""
-        elif method == "spline-bq":
-            post = _bq_estimate(spline, nodes, values)
-            est, spread = post.mean, post.std
-        elif method == "eq-bq":
-            post = _bq_estimate(_eq_kernel_for(cfg, domain, nodes, values),
-                                nodes, values)
-            est, spread = post.mean, post.std
-        else:
-            raise ConfigError(f"unknown quad method {method!r}")
-        est_rows.append(dict(common, method=method, estimate=est, spread=spread,
-                             wall_ms=1000.0 * (time.perf_counter() - start)))
-
-
-def cmd_quad(cfg: dict, seeds: List[int]) -> _Table:
-    lo, hi = cfg["domain"]
-    domain = tuple(gp._as_box((lo, hi))[0].tolist())
-    budgets = [int(n) for n in cfg["budgets"]]
-    rows: List[dict] = []
+def _node_sets(cfg, domain, budgets, seeds):
+    """Yield (seed, oracle, nodes, values) for each node set of the integrand;
+    seed and oracle are "" where it has none.  The integrand's config errors
+    are raised here, smc on fixed grid values among them."""
     integrand = cfg["integrand"]
-    if integrand not in ("paper-example", "spline-draw", "custom-grid-values"):
-        raise ConfigError(f"unknown integrand {integrand!r}")
-    if integrand != "paper-example" and "smc" in cfg["methods"]:
-        raise ConfigError("smc needs a callable integrand, not fixed grid values")
     if integrand == "paper-example":
         oracle = benchmark_integral_truth(domain)
-        f = smooth_benchmark_integrand
         for n in budgets:
             nodes = quadrature.select_nodes_grid(domain, n)
-            values = f(nodes)
-            common = dict(integrand=integrand, seed="", budget=n, oracle=oracle)
-            _quad_methods_on_values(cfg, domain, nodes, values, rows, common)
-        if "smc" in cfg["methods"]:
-            width = domain[1] - domain[0]
-            for seed in seeds:
-                rng = np.random.default_rng(seed)
-                draws = rng.uniform(domain[0], domain[1], size=max(budgets))
-                fd = f(draws)
-                for n in budgets:
-                    start = time.perf_counter()
-                    est = float(fd[:n].mean()) * width
-                    spread = float(fd[:n].std(ddof=1) / np.sqrt(n)) * width if n > 1 else ""
-                    rows.append(dict(method="smc", integrand=integrand, seed=seed,
-                                     budget=n, estimate=est, oracle=oracle,
-                                     spread=spread,
-                                     wall_ms=1000.0 * (time.perf_counter() - start)))
+            yield "", oracle, nodes, smooth_benchmark_integrand(nodes)
+    elif integrand not in ("spline-draw", "custom-grid-values"):
+        raise ConfigError(f"unknown integrand {integrand!r}")
+    elif "smc" in cfg["methods"]:
+        raise ConfigError("smc needs a callable integrand, not fixed grid values")
     elif integrand == "spline-draw":
         kernel = gp.linear_spline(cfg["spline_c"], cfg["spline_b"], domain)
         fine = np.linspace(domain[0], domain[1], FINE_GRID_SIZE)
@@ -238,11 +194,8 @@ def cmd_quad(cfg: dict, seeds: List[int]) -> _Table:
             oracle = quadrature.trapezoid(fine, path)
             for n in budgets:
                 stride = (FINE_GRID_SIZE - 1) // (n - 1)
-                nodes = fine[::stride]
-                values = path[::stride]
-                common = dict(integrand=integrand, seed=seed, budget=n, oracle=oracle)
-                _quad_methods_on_values(cfg, domain, nodes, values, rows, common)
-    elif integrand == "custom-grid-values":
+                yield seed, oracle, fine[::stride], path[::stride]
+    else:
         if cfg["custom_nodes"] is None or cfg["custom_values"] is None:
             raise ConfigError("custom-grid-values needs custom_nodes and custom_values")
         nodes = np.asarray(cfg["custom_nodes"], dtype=float)
@@ -250,13 +203,49 @@ def cmd_quad(cfg: dict, seeds: List[int]) -> _Table:
         if nodes.shape != values.shape:
             raise ConfigError(f"custom_values has shape {values.shape}, "
                               f"custom_nodes {nodes.shape}")
-        common = dict(integrand=integrand, seed="", budget=nodes.size, oracle="")
-        _quad_methods_on_values(cfg, domain, nodes, values, rows, common)
-    for row in rows:
-        if row["oracle"] != "":
-            row["abs_error"] = abs(row["estimate"] - row["oracle"])
-        else:
-            row["abs_error"] = ""
+        yield "", "", nodes, values
+
+
+def cmd_quad(cfg: dict, seeds: List[int]) -> _Table:
+    lo, hi = cfg["domain"]
+    domain = tuple(gp._as_box((lo, hi))[0].tolist())
+    budgets = [int(n) for n in cfg["budgets"]]
+    rows: List[dict] = []
+    integrand = cfg["integrand"]
+    for seed, oracle, nodes, values in _node_sets(cfg, domain, budgets, seeds):
+        spline = gp.linear_spline(cfg["spline_c"], cfg["spline_b"], domain)
+        for method in cfg["methods"]:
+            if method == "smc":
+                continue
+            start = time.perf_counter()
+            if method == "trapezoid":
+                est, spread = quadrature.trapezoid(nodes, values), ""
+            elif method in ("spline-bq", "eq-bq"):
+                kernel = (spline if method == "spline-bq"
+                          else _eq_kernel_for(cfg, domain, nodes, values))
+                post = quadrature.bq_posterior(quadrature.BQState(
+                    kernel, tuple(map(float, nodes)), tuple(map(float, values))))
+                est, spread = post.mean, post.std
+            else:
+                raise ConfigError(f"unknown quad method {method!r}")
+            rows.append(dict(method=method, integrand=integrand, seed=seed,
+                             budget=nodes.size, estimate=est, oracle=oracle,
+                             abs_error="" if oracle == "" else abs(est - oracle),
+                             spread=spread, wall_ms=1000.0 * (time.perf_counter() - start)))
+    # only paper-example gets here with smc, and all its node sets share one oracle
+    if "smc" in cfg["methods"]:
+        width = domain[1] - domain[0]
+        for seed in seeds:
+            fd = smooth_benchmark_integrand(np.random.default_rng(seed).uniform(
+                domain[0], domain[1], size=max(budgets)))
+            for n in budgets:
+                start = time.perf_counter()
+                est = float(fd[:n].mean()) * width
+                spread = float(fd[:n].std(ddof=1) / np.sqrt(n)) * width if n > 1 else ""
+                rows.append(dict(method="smc", integrand=integrand, seed=seed,
+                                 budget=n, estimate=est, oracle=oracle,
+                                 abs_error=abs(est - oracle), spread=spread,
+                                 wall_ms=1000.0 * (time.perf_counter() - start)))
     rows.sort(key=lambda r: (r["method"], str(r["seed"]), r["budget"]))
     return _QUAD_FIELDS, rows
 
@@ -448,44 +437,39 @@ _ODE_ORDER_FIELDS = ["solver", "h", "abs_error", "slope", "zero_error"]
 _FILTER_ORDERS = {"filter-q1": 1, "filter-q2": 2}    # other names are RK methods
 
 
-def _named_solver(name: str, rho2: float):
+def _trajectory(name: str, problem, h: float, rho2: float):
+    """(ts, mean, std) of the named solver on the problem at step h; the
+    states of an RK method have std 0."""
     q = _FILTER_ORDERS.get(name)
-    return odefilter.filter_solver(q=q, rho2=rho2) if q else odefilter.rk_solver(name)
+    if q:
+        result = odefilter.solve_ivp_filter(problem, q=q, h=h, rho2=rho2)
+        return result.ts, result.mean, result.std
+    ts, xs = odefilter.rk_reference(problem, odefilter.rk_method(name), h)
+    return ts, xs, np.zeros_like(xs)
 
 
 def cmd_ode(cfg: dict, seeds: List[int]) -> _Table:
     problem = odefilter.named_problem(cfg["problem"], **cfg["problem_params"])
     if cfg["mode"] == "order-study":
+        rho2 = float(cfg["rho2"])
         rows = []
         for name in cfg["solvers"]:
-            solver = _named_solver(name, float(cfg["rho2"]))
-            est = odefilter.convergence_order_estimate(solver, problem,
-                                                       cfg["h_values"])
+            est = odefilter.convergence_order_estimate(
+                lambda p, h: _trajectory(name, p, h, rho2)[1][-1], problem,
+                cfg["h_values"])
             for h, err in zip(est.hs, est.errors):
                 rows.append(dict(solver=name, h=h, abs_error=err,
                                  slope="" if est.slope is None else est.slope,
                                  zero_error=str(est.slope is None).lower()))
         return _ODE_ORDER_FIELDS, rows
     if cfg["mode"] == "trajectory":
-        name = cfg["solver"]
-        h = float(cfg["h"])
+        ts, xs, std = _trajectory(cfg["solver"], problem, float(cfg["h"]),
+                                  float(cfg["rho2"]))
         d = problem.dim
         fields = (["t"] + [f"mean_{i}" for i in range(d)]
                   + [f"std_{i}" for i in range(d)])
-        q = _FILTER_ORDERS.get(name)
-        if q:
-            result = odefilter.solve_ivp_filter(problem, q=q, h=h, rho2=float(cfg["rho2"]))
-            ts, xs, std = result.ts, result.mean, result.std
-        else:
-            ts, xs = odefilter.rk_reference(problem, odefilter.rk_method(name), h)
-            std = np.zeros_like(xs)
-        rows = []
-        for k, t in enumerate(ts):
-            row = {"t": float(t)}
-            row.update({f"mean_{i}": float(xs[k, i]) for i in range(d)})
-            row.update({f"std_{i}": float(std[k, i]) for i in range(d)})
-            rows.append(row)
-        return fields, rows
+        return fields, [dict(zip(fields, map(float, (t, *x, *s))))
+                        for t, x, s in zip(ts, xs, std)]
     raise ConfigError(f"unknown ode mode {cfg['mode']!r}")
 
 

@@ -31,7 +31,6 @@ from typing import Dict, Optional, Tuple
 
 import numpy as np
 from scipy.linalg.lapack import dpotrf, dpotrs
-from scipy.optimize import minimize_scalar
 
 from .exceptions import SingularGram
 
@@ -177,13 +176,15 @@ def _factorize(K: np.ndarray):
     triangle set, upper unset.  Raises SingularGram for a non-finite Gram
     and once the jitter ceiling is passed.
     """
-    scale = float(np.mean(np.diag(K)))
+    n = K.shape[0]
+    scale = K.trace() / n
     if not (scale > 0 and np.isfinite(K).all()):
         raise SingularGram("Gram is not finite with a positive diagonal")
-    eye = np.eye(K.shape[0])
+    Kj = K.copy()
     jitter = JITTER_REL_START * scale
     while jitter <= JITTER_REL_MAX * scale * (1 + 1e-9):
-        L, info = dpotrf(K + jitter * eye, lower=1, clean=0)
+        Kj.flat[::n + 1] = K.diagonal() + jitter
+        L, info = dpotrf(Kj, lower=1, clean=0)
         if info == 0:
             return L, jitter
         jitter *= 10.0
@@ -306,6 +307,8 @@ def fit_hyperparameters(family: KernelFamily, nodes, values,
         shape = float(np.sqrt(h_lo * h_hi))
         kern = _make_kernel(family, m_lo, shape, domain)
         return FitResult(kernel=kern, degenerate=True)
+
+    from scipy.optimize import minimize_scalar   # imported here: pnum loads without it
 
     diff = nodes[:, None] - nodes[None, :]
     best = (-np.inf, m_lo, h_lo)

@@ -52,11 +52,15 @@ WARP_ALPHA_FACTOR = 0.8
 
 
 def trapezoid(nodes, values) -> float:
-    """Trapezoid-rule estimate sum_i (f_i + f_{i-1})/2 * (x_i - x_{i-1})."""
+    """Trapezoid-rule estimate sum_i (f_i + f_{i-1})/2 * (x_i - x_{i-1}).
+    Non-finite values raise ValueError."""
     nodes = np.asarray(nodes, dtype=float)
     values = np.asarray(values, dtype=float)
     if nodes.ndim != 1 or nodes.size < 2 or nodes.shape != values.shape:
         raise ValueError("need >= 2 nodes with matching values")
+    if not np.isfinite(values).all():
+        raise ValueError(f"trapezoid values must be finite, got "
+                         f"{values[~np.isfinite(values)].tolist()}")
     dx = np.diff(nodes)
     if np.any(dx <= 0):
         raise UnsortedNodes("nodes must be strictly increasing")
@@ -147,7 +151,8 @@ def bq_posterior(state: BQState) -> QuadratureEstimate:
 
     With no nodes this is the prior (mean 0, variance Z0).  A variance more
     negative than -1e-8 * Z0 raises; a slightly negative one is clamped to
-    zero with ``clamped`` set.  Non-finite values raise ValueError.
+    zero with ``clamped`` set.  Non-finite values, and finite ones so large
+    that the mean overflows, raise ValueError.
     """
     z_func, z0 = kernel_embeddings(state.kernel)
     if not state.nodes:
@@ -158,7 +163,10 @@ def bq_posterior(state: BQState) -> QuadratureEstimate:
     K = gram_matrix(state.kernel, nodes)
     L, _ = _factorize(K)
     zvec = z_func(nodes)
-    mean = float(zvec @ _solve_refined(L, K, np.array(state.values)))
+    with np.errstate(over="ignore", invalid="ignore"):
+        mean = float(zvec @ _solve_refined(L, K, np.array(state.values)))
+    if not np.isfinite(mean):
+        raise ValueError(f"BQ values {state.values} overflow the posterior mean")
     variance = float(z0 - zvec @ _solve_refined(L, K, zvec))
     clamped = False
     if variance < 0.0:

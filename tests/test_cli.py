@@ -1,10 +1,14 @@
 import csv
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+import pnum
 from pnum import deconv, gp, linalg, odefilter, quadrature
 from pnum.cli import benchmark_integral_truth, main, smooth_benchmark_integrand
 
@@ -164,7 +168,13 @@ class TestQuadCommand:
          "unknown integrand 'nonexistent'"),
         ({"integrand": "custom-grid-values", "methods": ["trapezoid", "spline-bq"],
           "custom_nodes": [-3.0, 0.0, 3.0], "custom_values": [1.0, np.nan, 2.0]},
+         "trapezoid values"),
+        ({"integrand": "custom-grid-values", "methods": ["spline-bq"],
+          "custom_nodes": [-3.0, 0.0, 3.0], "custom_values": [1.0, np.nan, 2.0]},
          "BQ values must be finite"),
+        ({"integrand": "custom-grid-values", "methods": ["trapezoid"],
+          "custom_nodes": [-3.0, 0.0, 3.0], "custom_values": [1.0, np.nan, 2.0]},
+         "trapezoid values must be finite"),
     ])
     def test_rejected_config_exit_code(self, tmp_path, capsys, config, message):
         code, _ = run_cli(tmp_path, "quad", {"integrand": "paper-example",
@@ -326,6 +336,23 @@ class TestOdeCommand:
         slopes = {r["solver"]: float(r["slope"]) for r in rows}
         assert 0.8 <= slopes["euler"] <= 1.2
         assert abs(slopes["euler"] - slopes["filter-q1"]) <= 0.1
+
+    def test_module_entry_point(self, tmp_path):
+        # python -m pnum.cli runs main and exits with its code
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"problem": "linear", "solvers": ["euler"],
+                                   "h_values": [0.1, 0.05, 0.025, 0.0125]}))
+        out = tmp_path / "out.csv"
+        src = str(Path(pnum.__file__).resolve().parents[1])
+        proc = subprocess.run(
+            [sys.executable, "-m", "pnum.cli", "ode", "--config", str(cfg),
+             "--out", str(out)], capture_output=True, text=True,
+            env=dict(os.environ, PYTHONPATH=src))
+        assert proc.returncode == 0, proc.stderr
+        rows = read_rows(out)
+        assert [(r["solver"], float(r["h"])) for r in rows] == [
+            ("euler", h) for h in (0.1, 0.05, 0.025, 0.0125)]
+        assert 0.8 <= float(rows[0]["slope"]) <= 1.2
 
     def test_trajectory_export(self, tmp_path):
         code, out = run_cli(tmp_path, "ode", {

@@ -12,11 +12,12 @@ from pnum import (ConvergenceRecord, ais_evidence, make_evidence_problem,
 from pnum.mc import EvidenceProblem
 
 
-def test_import_leaves_out_scipy_stats():
-    # a fresh interpreter, since this one has imported scipy.stats already
+@pytest.mark.parametrize("module", ["scipy.stats", "scipy.optimize"])
+def test_import_leaves_out(module):
+    # a fresh interpreter, since this one has imported both modules already
     src = str(Path(pnum.__file__).resolve().parents[1])
     code = (f"import sys; sys.path.insert(0, {src!r}); import pnum; "
-            "print('scipy.stats' in sys.modules)")
+            f"print({module!r} in sys.modules)")
     out = subprocess.run([sys.executable, "-c", code], capture_output=True,
                          text=True, check=True)
     assert out.stdout.strip() == "False"

@@ -9,7 +9,9 @@ draws: each example draws a linear-spline kernel, an interval, a grid in it
 and a seed.  Kernel:
 each example draws an exponentiated-quadratic kernel on a box of dimension
 1-4 and points in it.  Gram solves: each example draws a kernel family, its
-scale and shape, nodes on [-3, 3] and a 1-D or n x m right-hand side.
+scale and shape, nodes on [-3, 3] and a 1-D or n x m right-hand side, or
+a family, its scale and shape, an interval on which a linear-spline kernel
+may be indefinite and nodes on it, for the jitter ladder.
 Hyperparameter fit: each example draws a kernel family, an interval, nodes
 and values.  ODE filter: each example draws a
 prior order, a problem, a step and a diffusion scale, or a linear, logistic
@@ -21,9 +23,10 @@ forcing term in t is added, a step and a built-in tableau.
 """
 
 import numpy as np
+import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 from scipy.linalg import cho_factor, cho_solve
-from scipy.linalg.lapack import dpotrs
+from scipy.linalg.lapack import dpotrf, dpotrs
 from scipy.special import erf
 
 from pnum import (BQState, IVProblem, KernelFamily, LinearOperator,
@@ -34,8 +37,8 @@ from pnum import (BQState, IVProblem, KernelFamily, LinearOperator,
                   posterior_mean_apply, random_spd, rk_method, rk_reference,
                   sample_path, solve_ivp_filter, solve_probabilistic,
                   trapezoid, truncate_belief)
-from pnum.gp import (_factorize, _profiled_likelihood, _spline_draw,
-                     default_bounds)
+from pnum.gp import (JITTER_REL_MAX, JITTER_REL_START, _factorize,
+                     _profiled_likelihood, _spline_draw, default_bounds)
 from pnum.quadrature import (_candidate_grid, _pair_embed, _profile_theta_fit,
                              _variance_reductions)
 
@@ -367,6 +370,56 @@ def test_factor_solves_are_the_scipy_solves(draw):
     assert np.array_equal(dpotrs(L, b, lower=1)[0], ref)
     L[np.triu_indices(nodes.size, 1)] = np.nan
     assert np.array_equal(dpotrs(L, b, lower=1)[0], ref)
+
+
+ladder_grams = st.tuples(
+    st.sampled_from(tuple(KernelFamily)),
+    st.floats(0.1, 10.0), st.floats(0.1, 2.0),         # scale; lam / width
+    st.sampled_from([6.0, 12.0]),                      # spline span, 6(1 + b)/b at 12
+    st.integers(-1, 5),                                # log10(excess span / 1.5e-10)
+    st.lists(st.floats(0.0, 1.0), max_size=40))        # unit nodes besides the ends
+
+
+def ladder_reference(K):
+    """_factorize as it was written with an identity matrix: (L, jitter),
+    or None past the ceiling."""
+    scale = float(np.mean(np.diag(K)))
+    eye = np.eye(K.shape[0])
+    jitter = JITTER_REL_START * scale
+    while jitter <= JITTER_REL_MAX * scale * (1 + 1e-9):
+        L, info = dpotrf(K + jitter * eye, lower=1, clean=0)
+        if info == 0:
+            return L, jitter
+        jitter *= 10.0
+    return None
+
+
+@checks
+@given(ladder_grams)
+@example((KernelFamily.LINEAR_SPLINE, 1.0, 1.0, 12.0, 2, [0.5]))
+@example((KernelFamily.LINEAR_SPLINE, 1.0, 1.0, 12.0, 5, [0.5]))
+def test_factorize_is_the_identity_matrix_form(draw):
+    # _factorize adds the jitter to the diagonal of a copy of K at each rung,
+    # and its scale is trace(K) / n: the factor and jitter are those of
+    # K + jitter * eye(n) bit for bit.  The linear-spline kernel with b = 1
+    # is indefinite on a span beyond 12, so spans 12 + 1.5e-10 * 10^e climb
+    # the ladder to rung e or past its ceiling
+    family, scale, shape, span, e, unit = draw
+    if family is KernelFamily.LINEAR_SPLINE:
+        hi = span + (0.0 if e < 0 else 1.5e-10 * 10.0 ** e)
+        kern = linear_spline(scale, 1.0, (0.0, hi))
+    else:
+        hi = 6.0
+        kern = exp_quadratic(scale, 6.0 * shape, (0.0, hi))
+    nodes = np.unique(np.concatenate(([0.0, hi], hi * np.array(unit))))
+    K = gram_matrix(kern, nodes)
+    ref = ladder_reference(K)
+    if ref is None:
+        with pytest.raises(SingularGram):
+            _factorize(K)
+        return
+    L, jitter = _factorize(K)
+    assert L.tobytes() == ref[0].tobytes() and jitter == ref[1]
 
 
 warped_inputs = st.tuples(

@@ -205,6 +205,21 @@ class TestBQPosterior:
         with pytest.raises(ValueError, match="BQ values must be finite"):
             bq_posterior(st)
 
+    @pytest.mark.parametrize("kernel", [linear_spline(), exp_quadratic(),
+                                        exp_quadratic(lam=0.3)],
+                             ids=["spline", "eq", "eq-lam0.3"])
+    @pytest.mark.parametrize("v", [1e307, 8e307, 1.7e308])
+    def test_huge_values_give_finite_mean_or_value_error(self, kernel, v):
+        # finite values this large can overflow K w in the refined solve:
+        # the mean is finite or the values are named, never a bare warning
+        st = state_with(kernel, [-2.0, -1.0, 0.5, 2.0], [v, -v, v, v])
+        try:
+            est = bq_posterior(st)
+        except ValueError as exc:
+            assert "overflow the posterior mean" in str(exc) and repr(v) in str(exc)
+        else:
+            assert np.isfinite(est.mean) and np.isfinite(est.variance)
+
 
 class TestNodeSelection:
     def test_grid_two_nodes(self):
@@ -433,6 +448,9 @@ class TestProductKernel:
 @pytest.mark.parametrize("call, error, message", [
     pytest.param(lambda: trapezoid([0.0, 1.0, 2.0], [1.0, 2.0]),
                  ValueError, "matching values", id="trapezoid-values-mismatch"),
+    pytest.param(lambda: trapezoid([0.0, 1.0, 2.0], [1.0, np.nan, np.inf]),
+                 ValueError, r"trapezoid values must be finite, got \[nan, inf\]",
+                 id="trapezoid-nonfinite-values"),
     pytest.param(lambda: warped_bq_integrate(lambda x: 1.0, [(0.0, 1.0)] * 5, 5, seed=0),
                  ValueError, "dimension <= 4", id="warped-5d"),
 ])
