@@ -246,11 +246,15 @@ def _make_kernel(family: KernelFamily, mult: float, shape, domain) -> Kernel:
 
 
 def default_bounds(family: KernelFamily, nodes, values) -> Dict[str, Tuple[float, float]]:
-    """Log-grid search bounds derived from data scale and node spacing."""
+    """Log-grid search bounds derived from data scale and node spacing.
+    Values whose spread overflows raise ValueError."""
     nodes = np.asarray(nodes, dtype=float)
     values = np.asarray(values, dtype=float)
     width = float(nodes.max() - nodes.min())
-    spread = float(np.std(values))
+    with np.errstate(over="ignore", invalid="ignore"):
+        spread = float(np.std(values))
+    if not np.isfinite(spread):
+        raise ValueError(f"values {values.tolist()} overflow their spread")
     scale_ref = max(spread, 1e-8)
     if family is KernelFamily.LINEAR_SPLINE:
         # c has units of variance, b is dimensionless slope

@@ -10,14 +10,14 @@ n nodes, so the dimension cap is a policy choice, not a memory limit; only
 the grid contraction that takes over for ill-conditioned Grams holds
 33^d + 33^(d-1) n values (12 MB at d = 4, n = 10).
 
-For the linear-spline kernel on an endpoint-inclusive grid, the posterior
-mean coincides with the trapezoid rule; the posterior variance is what the
-probabilistic treatment adds.
+Given the nodes, the linear-spline prior splits into Brownian bridges and
+one end piece, so its posterior is closed-form in O(n): on an endpoint grid
+its mean is the trapezoid rule, and its variance is what BQ adds.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Callable, Tuple
 
 import numpy as np
@@ -53,17 +53,22 @@ WARP_ALPHA_FACTOR = 0.8
 
 def trapezoid(nodes, values) -> float:
     """Trapezoid-rule estimate sum_i (f_i + f_{i-1})/2 * (x_i - x_{i-1}).
-    Non-finite values raise ValueError."""
+    Non-finite nodes or values raise ValueError."""
     nodes = np.asarray(nodes, dtype=float)
     values = np.asarray(values, dtype=float)
     if nodes.ndim != 1 or nodes.size < 2 or nodes.shape != values.shape:
         raise ValueError("need >= 2 nodes with matching values")
-    if not np.isfinite(values).all():
-        raise ValueError(f"trapezoid values must be finite, got "
-                         f"{values[~np.isfinite(values)].tolist()}")
+    for name, arr in (("nodes", nodes), ("values", values)):
+        if not np.isfinite(arr).all():
+            raise ValueError(f"trapezoid {name} must be finite, got "
+                             f"{arr[~np.isfinite(arr)].tolist()}")
     dx = np.diff(nodes)
     if np.any(dx <= 0):
         raise UnsortedNodes("nodes must be strictly increasing")
+    return _trapezoid_sum(dx, values)
+
+
+def _trapezoid_sum(dx: np.ndarray, values: np.ndarray) -> float:
     return float(np.sum(0.5 * (values[1:] + values[:-1]) * dx))
 
 
@@ -133,8 +138,8 @@ class BQState:
         return cls(kernel=kernel)
 
     def with_node(self, x: float, value: float) -> "BQState":
-        return replace(self, nodes=self.nodes + (float(x),),
-                       values=self.values + (float(value),))
+        return BQState(self.kernel, self.nodes + (float(x),),
+                       self.values + (float(value),))
 
     @property
     def node_array(self) -> np.ndarray:
@@ -149,25 +154,35 @@ class BQState:
 def bq_posterior(state: BQState) -> QuadratureEstimate:
     """Posterior over the integral: mean z' K^-1 y, variance Z0 - z' K^-1 z.
 
-    With no nodes this is the prior (mean 0, variance Z0).  A variance more
-    negative than -1e-8 * Z0 raises; a slightly negative one is clamped to
-    zero with ``clamped`` set.  Non-finite values, and finite ones so large
-    that the mean overflows, raise ValueError.
-    """
+    With no nodes this is the prior (mean 0, variance Z0).  Linear-spline
+    nodes split the prior into Brownian bridges of rate 2 beta, of integral
+    variance (beta / 6) h^3 on a gap h, and the end pieces of
+    :func:`_spline_ends`; EQ solves the dense Gram.  A variance below
+    -1e-8 * Z0 raises; a slightly negative one becomes 0 with ``clamped`` set.
+    Non-finite values, ones that overflow the mean, and NaN or out-of-box
+    nodes raise ValueError; repeated spline nodes raise UnsortedNodes."""
     z_func, z0 = kernel_embeddings(state.kernel)
     if not state.nodes:
         return QuadratureEstimate(mean=0.0, variance=z0)
     if not np.isfinite(state.values).all():
         raise ValueError(f"BQ values must be finite, got {state.values}")
-    nodes = state.node_array
-    K = gram_matrix(state.kernel, nodes)
-    L, _ = _factorize(K)
-    zvec = z_func(nodes)
-    with np.errstate(over="ignore", invalid="ignore"):
-        mean = float(zvec @ _solve_refined(L, K, np.array(state.values)))
+    if state.kernel.family is KernelFamily.LINEAR_SPLINE:
+        x, order, h, beta = _spline_nodes(state.kernel, state.node_array)
+        y = np.asarray(state.values)[order]
+        w1, wn, v_ends = _spline_ends(state.kernel, beta, x[0], x[-1])
+        with np.errstate(over="ignore", invalid="ignore"):
+            mean = float(_trapezoid_sum(h, y) + (w1 * y[0] + wn * y[-1]))
+        variance = float(beta / 6.0 * np.sum(h ** 3) + v_ends)
+    else:
+        nodes = state.node_array
+        K = gram_matrix(state.kernel, nodes)
+        L, _ = _factorize(K)
+        zvec = z_func(nodes)
+        with np.errstate(over="ignore", invalid="ignore"):
+            mean = float(zvec @ _solve_refined(L, K, np.array(state.values)))
+        variance = float(z0 - zvec @ _solve_refined(L, K, zvec))
     if not np.isfinite(mean):
         raise ValueError(f"BQ values {state.values} overflow the posterior mean")
-    variance = float(z0 - zvec @ _solve_refined(L, K, zvec))
     clamped = False
     if variance < 0.0:
         if variance < -NEG_VAR_REL_TOL * z0:
@@ -175,6 +190,37 @@ def bq_posterior(state: BQState) -> QuadratureEstimate:
                 f"integral variance {variance:.3e} below clamp threshold")
         variance, clamped = 0.0, True
     return QuadratureEstimate(mean=mean, variance=variance, clamped=clamped)
+
+
+def _spline_nodes(kernel: Kernel, nodes: np.ndarray):
+    """The nodes sorted, their order and gaps, and beta = c b / 3 of
+    k = c (1 + b) - beta |x - x'|.  Repeated nodes raise UnsortedNodes."""
+    order = np.argsort(nodes)
+    x = nodes[order]
+    h = np.diff(x)
+    if not h.all():
+        raise UnsortedNodes(f"repeated abscissae {np.unique(x[1:][h == 0]).tolist()}")
+    return x, order, h, kernel.scale * kernel.shape[0] / 3.0
+
+
+def _spline_ends(kernel: Kernel, beta: float, x1, xn):
+    """Weights (w1, wn) of y_1, y_n in the posterior mean over the end pieces
+    [lo, x1] and [xn, hi], which see only those two values, and its variance,
+    broadcast over x1 <= xn.  Their covariance [[a, a - beta s], [a - beta s,
+    a]], a = c (1 + b), s = xn - x1, has eigenvectors (1, +-1), so with
+    D = 2a - beta s, dl = x1 - lo, dr = hi - xn, q = dl^2 + dr^2 and
+    g = beta q / 2D: w = (dl - g, dr - g), variance beta (2/3 (dl^3 + dr^3)
+    - q g).  NaN or out-of-box ends raise ValueError, D <= 0 SingularGram."""
+    ((lo, hi),) = kernel.box
+    dl, dr = x1 - lo, hi - xn
+    if not ((dl >= 0.0) & (dr >= 0.0)).all():
+        raise ValueError(f"abscissa is NaN or outside the kernel box {kernel.box}")
+    D = 2.0 * kernel.scale * (1.0 + kernel.shape[0]) - beta * (xn - x1)
+    if (D <= 0.0).any():
+        raise SingularGram(f"linear-spline kernel indefinite on span {np.max(xn - x1)}")
+    q = dl * dl + dr * dr
+    g = beta * q / (2.0 * D)
+    return dl - g, dr - g, beta * (2.0 / 3.0 * (dl ** 3 + dr ** 3) - q * g)
 
 
 def select_nodes_grid(domain: Tuple[float, float], n: int) -> np.ndarray:
@@ -190,14 +236,14 @@ def _default_candidates(state: BQState) -> np.ndarray:
     cand = np.linspace(lo, hi, DEFAULT_CANDIDATE_COUNT)
     # force exact mirror symmetry about the midpoint so that a symmetric
     # state produces bitwise-equal variances at mirrored candidates and the
-    # documented smallest-abscissa tie-break is reachable
+    # documented smallest-abscissa tie-break is reachable; clipped to the box
     mid = 0.5 * (lo + hi)
     offsets = cand - mid
-    cand = mid + 0.5 * (offsets - offsets[::-1])
+    cand = np.clip(mid + 0.5 * (offsets - offsets[::-1]), lo, hi)
     if state.nodes:
-        tol = 1e-12 * (hi - lo)
-        keep = np.all(np.abs(cand[:, None] - state.node_array[None, :]) > tol, axis=1)
-        cand = cand[keep]
+        nodes = np.concatenate(([-np.inf], np.sort(state.node_array), [np.inf]))
+        i = np.searchsorted(nodes, cand)
+        cand = cand[np.minimum(cand - nodes[i - 1], nodes[i] - cand) > 1e-12 * (hi - lo)]
     return cand
 
 
@@ -207,13 +253,17 @@ def select_node_active(state: BQState, candidates=None) -> float:
     The posterior variance does not depend on observed values, so no
     integrand evaluation is needed.  Candidates are scanned in ascending
     order and ties break toward the smallest abscissa.  The default candidate
-    set is 512 equidistant points minus the existing nodes.
+    set is 512 equidistant points minus the existing nodes.  Linear-spline
+    candidates are scored in closed form once there are nodes.
     """
     if candidates is None:
         candidates = _default_candidates(state)
     candidates = np.sort(np.asarray(candidates, dtype=float))
     if candidates.size == 0:
         raise NoCandidates("empty candidate set")
+    if state.nodes and state.kernel.family is KernelFamily.LINEAR_SPLINE:
+        reduction = _spline_reductions(state.kernel, state.node_array, candidates)
+        return float(candidates[int(np.argmax(reduction))])
     z_func, _ = kernel_embeddings(state.kernel)
     z_cand = z_func(candidates)
     k_cc = kernel_eval(state.kernel, candidates, candidates)
@@ -227,6 +277,22 @@ def select_node_active(state: BQState, candidates=None) -> float:
     reduction = _variance_reductions(L, k_xc, k_cc, z_cand, z_func(nodes),
                                      1e-300)
     return float(candidates[int(np.argmax(reduction))])
+
+
+def _spline_reductions(kernel: Kernel, nodes: np.ndarray,
+                       cand: np.ndarray) -> np.ndarray:
+    """Drop in the linear-spline integral variance from adding each sorted
+    candidate: (beta / 2) a (h - a) h at offset a in a gap h, which splits
+    its bridge (h = 0 outside the nodes); plus the old end variance less
+    (beta / 6) gap^3 and the end variance with the candidate as an end."""
+    x, _, _, beta = _spline_nodes(kernel, nodes)
+    xp = np.concatenate(([x[0]], x, [x[-1]]))
+    i = np.searchsorted(x, cand, side="right")
+    a, h = cand - xp[i], xp[i + 1] - xp[i]
+    gap = np.maximum(np.maximum(x[0] - cand, cand - x[-1]), 0.0)
+    v_new = _spline_ends(kernel, beta, np.minimum(cand, x[0]), np.maximum(cand, x[-1]))[2]
+    v_old = _spline_ends(kernel, beta, x[0], x[-1])[2]
+    return 0.5 * beta * a * (h - a) * h + (v_old - beta / 6.0 * gap ** 3 - v_new)
 
 
 def _variance_reductions(L: np.ndarray, k_xc: np.ndarray, k_cc, e_c: np.ndarray,

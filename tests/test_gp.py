@@ -297,6 +297,13 @@ class TestSamplePath:
                  ValueError, "bounds must be positive", id="fit-zero-bound"),
     pytest.param(lambda: sample_path(linear_spline(), np.zeros((2, 2)), seed=0),
                  ValueError, "non-empty 1-D array", id="draw-on-2d-grid"),
+    # the spread of these values overflows np.std, which would otherwise
+    # warn and leave an infinite scale in the search bounds
+    pytest.param(lambda: fit_hyperparameters(
+        KernelFamily.EXP_QUADRATIC, [-3.0, -1.0, 1.0, 3.0],
+        [1e307, -1e307, 1e307, 1e307]),
+                 ValueError, r"values \[1e\+307, -1e\+307, 1e\+307, 1e\+307\] "
+                 "overflow their spread", id="fit-values-overflow-spread"),
 ])
 def test_typed_rejections(call, error, message):
     with pytest.raises(error, match=message):

@@ -32,14 +32,15 @@ from scipy.special import erf
 from pnum import (BQState, IVProblem, KernelFamily, LinearOperator,
                   RKMethod, SingularGram, bq_posterior, classic_cg,
                   exp_quadratic, fit_hyperparameters, gram_matrix,
-                  identity_belief, kernel_embeddings, linear_spline,
+                  identity_belief, kernel_embeddings, kernel_eval, linear_spline,
                   log_marginal_likelihood, named_problem, odefilter,
                   posterior_mean_apply, random_spd, rk_method, rk_reference,
                   sample_path, solve_ivp_filter, solve_probabilistic,
                   trapezoid, truncate_belief)
 from pnum.gp import (JITTER_REL_MAX, JITTER_REL_START, _factorize,
                      _profiled_likelihood, _spline_draw, default_bounds)
-from pnum.quadrature import (_candidate_grid, _pair_embed, _profile_theta_fit,
+from pnum.quadrature import (_candidate_grid, _default_candidates, _pair_embed,
+                             _profile_theta_fit, _spline_reductions,
                              _variance_reductions)
 
 systems = st.tuples(st.integers(2, 48), st.floats(1.0, 1e4),
@@ -191,7 +192,8 @@ def test_spline_bq_mean_is_trapezoid(rule):
     # spacing is at least 1/800 of the interval.  The width is a fraction of
     # 3 (1 + b) / b, where the kernel c (1 + b - b |x - x'| / 3) reaches 0.
     # The posterior is then a chain of Brownian bridges of rate 2 c b / 3,
-    # whose integral variance is (c b / 18) sum_i h_i^3 exactly.
+    # whose integral variance is (c b / 18) sum_i h_i^3 exactly, and the end
+    # pieces are empty: the mean is the trapezoid sum to the bit.
     c, b, lo, frac, pairs = rule
     width = frac * 3.0 * (1.0 + b) / b
     gaps, values = (np.array(v) for v in zip(*pairs))
@@ -201,9 +203,9 @@ def test_spline_bq_mean_is_trapezoid(rule):
     for x, y in zip(nodes, values):
         state = state.with_node(x, y)
     est = bq_posterior(state)
-    assert abs(est.mean - trapezoid(nodes, values)) <= 1e-9 * trapezoid(nodes, np.abs(values))
+    assert est.mean == trapezoid(nodes, values)
     bridges = c * b / 18.0 * np.sum(np.diff(nodes) ** 3)
-    assert abs(est.variance - bridges) <= 1e-12 * state.z0
+    assert abs(est.variance - bridges) <= 1e-13 * est.variance
 
 
 schur_scans = st.tuples(st.integers(1, 8), st.integers(1, 6),  # nodes, candidates
@@ -240,6 +242,69 @@ def spline_box(c, b, lo, frac):
     # Gram singular.  lo + width * t, t in [0, 1], stays in the box
     width = frac * 6.0 * (1.0 + b) / b
     return linear_spline(c, b, (lo, lo + width)), lo, width
+
+
+bq_layouts = st.tuples(
+    st.just(0.0) | st.floats(0.0, 0.3),    # empty share of the box left of the nodes
+    st.just(0.0) | st.floats(0.0, 0.3),    # and right of them
+    st.lists(st.tuples(st.floats(0.05, 1.0), st.floats(-10.0, 10.0)),
+             min_size=1, max_size=30),                 # (gap, value) pairs
+    st.booleans())                                     # nodes added in reverse
+
+
+def spline_bq_case(kernel_input, layout):
+    """A linear-spline state on a box of up to 0.9 of the widest, whose nodes
+    leave the given shares of the box empty at its ends (a share of 0 puts a
+    node on that end), with the dense Gram solve of its posterior."""
+    c, b, lo, frac = kernel_input
+    kern, lo, width = spline_box(c, b, lo, 0.9 * frac)
+    left, right, pairs, reverse = layout
+    gaps, values = (np.array(v) for v in zip(*pairs))
+    u = np.cumsum(gaps) - gaps[0]
+    nodes = lo + width * (left + (1.0 - left - right) * u / (u[-1] or 1.0))
+    if right == 0.0 and nodes.size > 1:
+        nodes[-1] = lo + width
+    nodes = np.minimum(nodes, lo + width)
+    order = slice(None, None, -1) if reverse else slice(None)
+    state = BQState(kern, tuple(nodes[order]), tuple(values[order]))
+    z_func, z0 = kernel_embeddings(kern)
+    z, factor = z_func(nodes), cho_factor(gram_matrix(kern, nodes))
+    dense = (z @ cho_solve(factor, values), z0 - z @ cho_solve(factor, z))
+    return state, nodes, values, width, factor, dense
+
+
+@checks
+@given(spline_kernels, bq_layouts)
+def test_spline_bq_is_the_dense_gram_solve(kernel_input, layout):
+    # the closed form (trapezoid rule and Brownian bridges plus the 2 x 2
+    # end piece) against z' K^-1 y and Z0 - z' K^-1 z on the same state, in
+    # any node order, with and without nodes on the ends of the box
+    state, nodes, values, width, _, (mean, variance) = spline_bq_case(
+        kernel_input, layout)
+    est = bq_posterior(state)
+    assert abs(est.mean - mean) <= 1e-11 * np.abs(values).max() * width
+    assert abs(est.variance - variance) <= 1e-13 * state.z0
+
+
+@checks
+@given(spline_kernels, bq_layouts)
+def test_spline_active_reductions_are_the_dense_schur_complements(kernel_input,
+                                                                 layout):
+    # each default candidate's closed-form variance drop against the Schur
+    # complement of the node Gram bordered by its column; the picks agree
+    # but for ties within 1e-13 of the larger drop
+    state, nodes, _, _, factor, _ = spline_bq_case(kernel_input, layout)
+    kern = state.kernel
+    cand = _default_candidates(state)
+    got = _spline_reductions(kern, state.node_array, cand)
+    z_func, z0 = kernel_embeddings(kern)
+    k_xc = gram_matrix(kern, nodes, cand)
+    schur = kernel_eval(kern, cand, cand) - np.einsum(
+        "ij,ij->j", k_xc, cho_solve(factor, k_xc))
+    dense = (z_func(cand) - k_xc.T @ cho_solve(factor, z_func(nodes))) ** 2 / schur
+    assert np.abs(got - dense).max() <= 1e-13 * z0
+    i, j = int(np.argmax(got)), int(np.argmax(dense))
+    assert i == j or got[i] - got[j] <= 1e-13 * got[i]
 
 
 @checks

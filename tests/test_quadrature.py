@@ -180,9 +180,11 @@ class TestBQPosterior:
     def test_negative_variance_clamped_or_raised(self, monkeypatch, below,
                                                  clamped):
         # z0 lowered so that z0 - z'K^-1 z lands `below` * z0 under zero: a
-        # slightly negative variance is clamped, one past 1e-8 * z0 raises
-        kernel = linear_spline(1.0, 1.0)
-        nodes = np.linspace(-3, 3, 201)
+        # slightly negative variance is clamped, one past 1e-8 * z0 raises.
+        # The EQ kernel is used because the linear-spline variance is formed
+        # without z0.
+        kernel = exp_quadratic(1.0, 1.0)
+        nodes = np.linspace(-3, 3, 13)
         st = state_with(kernel, nodes, np.cos(nodes))
         z_func, z0 = kernel_embeddings(kernel)
         shifted = z0 - bq_posterior(st).variance - below * z0
@@ -280,6 +282,13 @@ class TestNodeSelection:
         sel_var = bq_posterior(st.with_node(sel, 0.0)).variance
         for xc in candidates:
             assert sel_var <= bq_posterior(st.with_node(xc, 0.0)).variance + 1e-12
+
+    def test_default_candidates_stay_in_an_asymmetric_box(self):
+        # on this box the mirrored grid's first point rounds below lo
+        k = linear_spline(1.0, 1.0, (-0.1362285189277883, 7.15784354351724))
+        for nodes in ([], [1.0]):
+            sel = select_node_active(state_with(k, nodes, np.ones(len(nodes))))
+            assert k.box[0][0] <= sel <= k.box[0][1]
 
     def test_empty_candidates_rejected(self):
         with pytest.raises(NoCandidates):
@@ -451,8 +460,30 @@ class TestProductKernel:
     pytest.param(lambda: trapezoid([0.0, 1.0, 2.0], [1.0, np.nan, np.inf]),
                  ValueError, r"trapezoid values must be finite, got \[nan, inf\]",
                  id="trapezoid-nonfinite-values"),
+    pytest.param(lambda: trapezoid([-3.0, np.nan, 3.0], [1.0, 2.0, 3.0]),
+                 ValueError, r"trapezoid nodes must be finite, got \[nan\]",
+                 id="trapezoid-nonfinite-nodes"),
     pytest.param(lambda: warped_bq_integrate(lambda x: 1.0, [(0.0, 1.0)] * 5, 5, seed=0),
                  ValueError, "dimension <= 4", id="warped-5d"),
+    pytest.param(lambda: bq_posterior(state_with(linear_spline(), [1.0, -2.0, 1.0],
+                                                 [0.0, 1.0, 2.0])),
+                 UnsortedNodes, r"repeated abscissae \[1.0\]", id="spline-bq-repeated-node"),
+    pytest.param(lambda: bq_posterior(state_with(linear_spline(), [0.0, np.nan],
+                                                 [1.0, 2.0])),
+                 ValueError, "NaN or outside the kernel box", id="spline-bq-nan-node"),
+    pytest.param(lambda: bq_posterior(state_with(linear_spline(), [0.0, 3.5],
+                                                 [1.0, 2.0])),
+                 ValueError, "NaN or outside the kernel box", id="spline-bq-node-outside"),
+    # 2 c (1 + b) = 4 < (c b / 3) * 13: the kernel is indefinite on the nodes
+    pytest.param(lambda: bq_posterior(state_with(linear_spline(domain=(0.0, 13.0)),
+                                                 [0.0, 13.0], [1.0, 2.0])),
+                 SingularGram, "indefinite on span 13.0", id="spline-bq-indefinite"),
+    pytest.param(lambda: select_node_active(state_with(linear_spline(), [0.0], [1.0]),
+                                            candidates=[-1.0, np.nan]),
+                 ValueError, "NaN or outside the kernel box", id="spline-active-nan-candidate"),
+    pytest.param(lambda: select_node_active(state_with(linear_spline(), [0.0], [1.0]),
+                                            candidates=[-1.0, 4.0]),
+                 ValueError, "NaN or outside the kernel box", id="spline-active-candidate-outside"),
 ])
 def test_typed_rejections(call, error, message):
     with pytest.raises(error, match=message):
