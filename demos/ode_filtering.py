@@ -7,10 +7,12 @@ reproduces explicit Euler exactly in the mean while also carrying a
 covariance; the q = 2 configuration is empirically second order.
 """
 
+from functools import partial
+
 import numpy as np
 
-from pnum import (convergence_order_estimate, filter_solver, named_problem,
-                  rk_method, rk_reference, rk_solver, solve_ivp_filter)
+from pnum import (convergence_order_estimate, named_problem, rk_method,
+                  rk_reference, solve_ivp_filter, trajectory)
 
 
 def main():
@@ -29,12 +31,8 @@ def main():
     print("\nempirical convergence orders on x' = x (global error at t_end):")
     hs = (0.1, 0.05, 0.025, 0.0125)
     linear = named_problem("linear", a=1.0, t_end=1.0)
-    for name, solver in (("euler", rk_solver("euler")),
-                         ("midpoint", rk_solver("midpoint")),
-                         ("rk4", rk_solver("rk4")),
-                         ("filter q=1", filter_solver(q=1)),
-                         ("filter q=2", filter_solver(q=2))):
-        est = convergence_order_estimate(solver, linear, hs)
+    for name in ("euler", "midpoint", "rk4", "filter-q1", "filter-q2"):
+        est = convergence_order_estimate(partial(trajectory, name), linear, hs)
         print(f"  {name:<11} slope {est.slope:+.2f}   errors "
               + "  ".join(f"{e:.1e}" for e in est.errors))
 

@@ -21,9 +21,9 @@ from .linalg import (LinearOperator, MatrixBelief, SolveReport, calibrate_scale,
                      solve_probabilistic, truncate_belief, warm_start_sequence)
 from .mc import AISResult, EvidenceProblem, ais_evidence, make_evidence_problem, smc_integrate
 from .odefilter import (FilterResult, IVProblem, OrderEstimate, RKMethod,
-                        convergence_order_estimate, filter_solver,
-                        iwp_transition, named_problem, rk_method, rk_reference,
-                        rk_solver, solve_ivp_filter)
+                        convergence_order_estimate, iwp_transition,
+                        named_problem, rk_method, rk_reference,
+                        solve_ivp_filter, trajectory)
 from .quadrature import (BQState, QuadratureEstimate, bq_posterior,
                          kernel_embeddings, select_node_active,
                          select_nodes_grid, trapezoid, warped_bq_integrate)

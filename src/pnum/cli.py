@@ -32,6 +32,7 @@ import sys
 import time
 from contextlib import contextmanager
 from datetime import datetime, timezone
+from functools import partial
 from pathlib import Path
 from typing import Dict, List, Optional, Tuple
 
@@ -434,18 +435,6 @@ _ODE_ALLOWED = {
 }
 
 _ODE_ORDER_FIELDS = ["solver", "h", "abs_error", "slope", "zero_error"]
-_FILTER_ORDERS = {"filter-q1": 1, "filter-q2": 2}    # other names are RK methods
-
-
-def _trajectory(name: str, problem, h: float, rho2: float):
-    """(ts, mean, std) of the named solver on the problem at step h; the
-    states of an RK method have std 0."""
-    q = _FILTER_ORDERS.get(name)
-    if q:
-        result = odefilter.solve_ivp_filter(problem, q=q, h=h, rho2=rho2)
-        return result.ts, result.mean, result.std
-    ts, xs = odefilter.rk_reference(problem, odefilter.rk_method(name), h)
-    return ts, xs, np.zeros_like(xs)
 
 
 def cmd_ode(cfg: dict, seeds: List[int]) -> _Table:
@@ -455,16 +444,15 @@ def cmd_ode(cfg: dict, seeds: List[int]) -> _Table:
         rows = []
         for name in cfg["solvers"]:
             est = odefilter.convergence_order_estimate(
-                lambda p, h: _trajectory(name, p, h, rho2)[1][-1], problem,
-                cfg["h_values"])
+                partial(odefilter.trajectory, name, rho2=rho2), problem, cfg["h_values"])
             for h, err in zip(est.hs, est.errors):
                 rows.append(dict(solver=name, h=h, abs_error=err,
                                  slope="" if est.slope is None else est.slope,
                                  zero_error=str(est.slope is None).lower()))
         return _ODE_ORDER_FIELDS, rows
     if cfg["mode"] == "trajectory":
-        ts, xs, std = _trajectory(cfg["solver"], problem, float(cfg["h"]),
-                                  float(cfg["rho2"]))
+        ts, xs, std = odefilter.trajectory(cfg["solver"], problem, float(cfg["h"]),
+                                           float(cfg["rho2"]))
         d = problem.dim
         fields = (["t"] + [f"mean_{i}" for i in range(d)]
                   + [f"std_{i}" for i in range(d)])

@@ -198,7 +198,8 @@ def _profiled_likelihood(L: np.ndarray, y: np.ndarray, m_lo: float,
     given the jittered factor L of the unit Gram K1: (log evidence, m).
     sqrt(m) L is the factor of m * K1.  Raises SingularGram if the quadratic
     form is not finite."""
-    q = float(y @ dpotrs(L, y, lower=1)[0])
+    with np.errstate(over="ignore", invalid="ignore"):
+        q = float(y @ dpotrs(L, y, lower=1)[0])
     if not np.isfinite(q):
         raise SingularGram(f"profiled quadratic form y' K1^-1 y = {q}")
     n = y.size
@@ -281,8 +282,9 @@ def fit_hyperparameters(family: KernelFamily, nodes, values,
 
     All-identical values leave the scale unidentifiable; in that case the
     scale is pinned to its lower bound and ``degenerate`` is flagged.
-    Non-finite nodes or values raise ValueError, and SingularGram is raised
-    when no shape yields a finite likelihood.
+    Non-finite nodes or values, and values whose scale bound overflows its
+    square, raise ValueError; SingularGram is raised when no shape yields a
+    finite likelihood.
     """
     nodes = np.asarray(nodes, dtype=float)
     values = np.asarray(values, dtype=float)
@@ -305,7 +307,11 @@ def fit_hyperparameters(family: KernelFamily, nodes, values,
         if h_hi < h_lo:
             raise ValueError(f"b >= {h_lo} leaves the linear-spline kernel "
                              f"indefinite on the box {domain}")
-    m_lo, m_hi = s_lo ** power, s_hi ** power
+    try:
+        m_lo, m_hi = s_lo ** power, s_hi ** power
+    except OverflowError:
+        raise ValueError(f"values {values.tolist()} overflow the squared {s_name} "
+                         f"bound {s_hi:g}") from None
 
     if np.ptp(values) == 0.0:
         shape = float(np.sqrt(h_lo * h_hi))

@@ -17,6 +17,9 @@ only until its recursion turns stationary and fills in the rest; the mean
 pass costs a constant per step, so total cost is linear in the steps.  A
 field value passes its finiteness check in one call when y . y is finite;
 only otherwise, as when a finite square overflows, is it tested entrywise.
+
+:func:`trajectory` maps a solver name to its run: ``filter-q1`` and
+``filter-q2`` filter, any other name runs :func:`rk_method` of that name.
 """
 
 from __future__ import annotations
@@ -126,7 +129,6 @@ def named_problem(name: str, **params) -> IVProblem:
 class RKMethod:
     """Explicit Runge-Kutta tableau (stage matrix a, weights b, nodes c)."""
 
-    name: str
     a: np.ndarray
     b: np.ndarray
     c: np.ndarray
@@ -151,18 +153,12 @@ class RKMethod:
 def rk_method(name: str) -> RKMethod:
     name = name.lower()
     if name == "euler":
-        return RKMethod("euler", a=np.zeros((1, 1)), b=np.array([1.0]),
-                        c=np.array([0.0]))
+        return RKMethod(a=[[0.0]], b=[1.0], c=[0.0])
     if name == "midpoint":
-        return RKMethod("midpoint", a=np.array([[0.0, 0.0], [0.5, 0.0]]),
-                        b=np.array([0.0, 1.0]), c=np.array([0.0, 0.5]))
+        return RKMethod(a=[[0.0, 0.0], [0.5, 0.0]], b=[0.0, 1.0], c=[0.0, 0.5])
     if name == "rk4":
-        a = np.array([[0.0, 0.0, 0.0, 0.0],
-                      [0.5, 0.0, 0.0, 0.0],
-                      [0.0, 0.5, 0.0, 0.0],
-                      [0.0, 0.0, 1.0, 0.0]])
-        return RKMethod("rk4", a=a, b=np.array([1, 2, 2, 1]) / 6.0,
-                        c=np.array([0.0, 0.5, 0.5, 1.0]))
+        return RKMethod(a=np.diag([0.5, 0.5, 1.0], -1), b=np.array([1, 2, 2, 1]) / 6.0,
+                        c=[0.0, 0.5, 0.5, 1.0])
     raise ValueError(f"unknown RK method {name!r}")
 
 
@@ -394,6 +390,20 @@ def solve_ivp_filter(problem: IVProblem, q: int, h: float, rho2: float = 1.0,
                         stationary_step=stationary_step)
 
 
+_FILTER_ORDERS = {"filter-q1": 1, "filter-q2": 2}    # other names are RK methods
+
+
+def trajectory(name: str, problem: IVProblem, h: float, rho2: float = 1.0):
+    """(ts, mean, std) of the named solver on the problem at step h; the
+    states of an RK method have std 0."""
+    q = _FILTER_ORDERS.get(name)
+    if q:
+        result = solve_ivp_filter(problem, q=q, h=h, rho2=rho2)
+        return result.ts, result.mean, result.std
+    ts, xs = rk_reference(problem, rk_method(name), h)
+    return ts, xs, np.zeros_like(xs)
+
+
 # ---------------------------------------------------------------------------
 # empirical convergence order
 # ---------------------------------------------------------------------------
@@ -409,29 +419,14 @@ class OrderEstimate:
     errors: Tuple[float, ...]
 
 
-def rk_solver(method_name: str) -> Callable[[IVProblem, float], np.ndarray]:
-    method = rk_method(method_name)
-
-    def solve(problem: IVProblem, h: float) -> np.ndarray:
-        _, xs = rk_reference(problem, method, h)
-        return xs[-1]
-
-    return solve
-
-
-def filter_solver(q: int, rho2: float = 1.0) -> Callable[[IVProblem, float], np.ndarray]:
-    def solve(problem: IVProblem, h: float) -> np.ndarray:
-        return solve_ivp_filter(problem, q=q, h=h, rho2=rho2).mean[-1]
-
-    return solve
-
-
-def convergence_order_estimate(solver: Callable[[IVProblem, float], np.ndarray],
+def convergence_order_estimate(solver: Callable[[IVProblem, float], Tuple],
                                problem: IVProblem,
                                hs: Sequence[float]) -> OrderEstimate:
     """Global-error slope at t_end over a geometric sequence of step sizes.
 
-    Requires >= 4 step sizes in geometric progression and a problem with a
+    ``solver(problem, h)`` returns a trajectory (ts, states, ...), such as
+    ``partial(trajectory, name)``; its last state is the estimate.  Requires
+    >= 4 step sizes in geometric progression and a problem with a
     closed-form solution.  If the solver is exact on the problem the slope
     is meaningless and left as None, which is the estimate's flag.
     """
@@ -446,7 +441,7 @@ def convergence_order_estimate(solver: Callable[[IVProblem, float], np.ndarray],
     truth = np.atleast_1d(problem.exact(problem.t_end))
     errors = []
     for h in hs:
-        est = np.atleast_1d(solver(problem, h))
+        est = np.atleast_1d(solver(problem, h)[1][-1])
         errors.append(float(np.linalg.norm(est - truth)))
     exact = min(errors) <= 1e-14 * max(1.0, float(np.linalg.norm(truth)))
     slope = None if exact else float(np.polyfit(np.log(hs), np.log(errors), 1)[0])

@@ -53,7 +53,8 @@ WARP_ALPHA_FACTOR = 0.8
 
 def trapezoid(nodes, values) -> float:
     """Trapezoid-rule estimate sum_i (f_i + f_{i-1})/2 * (x_i - x_{i-1}).
-    Non-finite nodes or values raise ValueError."""
+    Non-finite nodes or values, and finite ones whose sum overflows, raise
+    ValueError."""
     nodes = np.asarray(nodes, dtype=float)
     values = np.asarray(values, dtype=float)
     if nodes.ndim != 1 or nodes.size < 2 or nodes.shape != values.shape:
@@ -62,10 +63,15 @@ def trapezoid(nodes, values) -> float:
         if not np.isfinite(arr).all():
             raise ValueError(f"trapezoid {name} must be finite, got "
                              f"{arr[~np.isfinite(arr)].tolist()}")
-    dx = np.diff(nodes)
+    with np.errstate(over="ignore", invalid="ignore"):
+        dx = np.diff(nodes)
+        total = _trapezoid_sum(dx, values)
     if np.any(dx <= 0):
         raise UnsortedNodes("nodes must be strictly increasing")
-    return _trapezoid_sum(dx, values)
+    if not np.isfinite(total):
+        raise ValueError(f"trapezoid nodes {nodes.tolist()} and values "
+                         f"{values.tolist()} overflow the sum")
+    return total
 
 
 def _trapezoid_sum(dx: np.ndarray, values: np.ndarray) -> float:
@@ -263,19 +269,18 @@ def select_node_active(state: BQState, candidates=None) -> float:
         raise NoCandidates("empty candidate set")
     if state.nodes and state.kernel.family is KernelFamily.LINEAR_SPLINE:
         reduction = _spline_reductions(state.kernel, state.node_array, candidates)
-        return float(candidates[int(np.argmax(reduction))])
-    z_func, _ = kernel_embeddings(state.kernel)
-    z_cand = z_func(candidates)
-    k_cc = kernel_eval(state.kernel, candidates, candidates)
-    if len(state.nodes) == 0:
-        # variance reduction of a single node: z_c^2 / k(x_c, x_c)
-        reduction = z_cand ** 2 / k_cc
-        return float(candidates[int(np.argmax(reduction))])
-    nodes = state.node_array
-    L, _ = _factorize(gram_matrix(state.kernel, nodes))
-    k_xc = kernel_eval(state.kernel, nodes[:, None], candidates[None, :])
-    reduction = _variance_reductions(L, k_xc, k_cc, z_cand, z_func(nodes),
-                                     1e-300)
+    else:
+        z_func, _ = kernel_embeddings(state.kernel)
+        z_cand = z_func(candidates)
+        k_cc = kernel_eval(state.kernel, candidates, candidates)
+        if not state.nodes:
+            # variance reduction of a single node: z_c^2 / k(x_c, x_c)
+            reduction = z_cand ** 2 / k_cc
+        else:
+            nodes = state.node_array
+            L, _ = _factorize(gram_matrix(state.kernel, nodes))
+            k_xc = kernel_eval(state.kernel, nodes[:, None], candidates[None, :])
+            reduction = _variance_reductions(L, k_xc, k_cc, z_cand, z_func(nodes), 1e-300)
     return float(candidates[int(np.argmax(reduction))])
 
 

@@ -175,6 +175,9 @@ class TestQuadCommand:
         ({"integrand": "custom-grid-values", "methods": ["trapezoid"],
           "custom_nodes": [-3.0, 0.0, 3.0], "custom_values": [1.0, np.nan, 2.0]},
          "trapezoid values must be finite"),
+        ({"integrand": "custom-grid-values", "methods": ["trapezoid"],
+          "custom_nodes": [0.0, 1.0], "custom_values": [1.7e308, 1.7e308]},
+         "overflow the sum"),
     ])
     def test_rejected_config_exit_code(self, tmp_path, capsys, config, message):
         code, _ = run_cli(tmp_path, "quad", {"integrand": "paper-example",

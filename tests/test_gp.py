@@ -172,6 +172,17 @@ class TestFit:
         assert res.kernel.shape[0] <= 1.5
         assert np.isfinite(log_marginal_likelihood(res.kernel, nodes, values))
 
+    @pytest.mark.parametrize("family, v", [(KernelFamily.EXP_QUADRATIC, 1e152),
+                                           (KernelFamily.LINEAR_SPLINE, 1e153)],
+                             ids=["eq", "spline"])
+    def test_shapes_whose_quadratic_form_overflows_are_skipped(self, family, v):
+        # y' K1^-1 y overflows for some shapes: they are skipped without a
+        # warning, and the fit is finite
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            res = fit_hyperparameters(family, [-3.0, -1.0, 1.0, 3.0], [v, -v, v, v])
+        assert np.isfinite([res.kernel.scale, *res.kernel.shape]).all()
+
     def test_spline_bounds_past_the_cap_rejected(self):
         nodes = np.linspace(-5.0, 5.0, 21)
         with pytest.raises(ValueError, match="indefinite"):
@@ -304,6 +315,12 @@ class TestSamplePath:
         [1e307, -1e307, 1e307, 1e307]),
                  ValueError, r"values \[1e\+307, -1e\+307, 1e\+307, 1e\+307\] "
                  "overflow their spread", id="fit-values-overflow-spread"),
+    # the spread is finite, but the square of its theta bound is not
+    pytest.param(lambda: fit_hyperparameters(
+        KernelFamily.EXP_QUADRATIC, [-3.0, -1.0, 1.0, 3.0],
+        [1e153, -1e153, 1e153, 1e153]),
+                 ValueError, r"values \[1e\+153, -1e\+153, 1e\+153, 1e\+153\] "
+                 "overflow the squared theta bound", id="fit-values-overflow-theta-bound"),
 ])
 def test_typed_rejections(call, error, message):
     with pytest.raises(error, match=message):

@@ -1,13 +1,14 @@
 import timeit
+from functools import partial
 from typing import List, Sequence
 
 import numpy as np
 import pytest
 
 from pnum import (CovarianceBreakdown, IVProblem, NonFiniteField, RKMethod,
-                  convergence_order_estimate, filter_solver, iwp_transition,
-                  named_problem, odefilter, rk_method, rk_reference, rk_solver,
-                  solve_ivp_filter)
+                  convergence_order_estimate, iwp_transition, named_problem,
+                  odefilter, rk_method, rk_reference, solve_ivp_filter,
+                  trajectory)
 from pnum.odefilter import PSD_SLACK_REL
 
 
@@ -100,7 +101,7 @@ class TestRKReference:
     ])
     def test_inconsistent_tableau_rejected(self, c, b, message):
         with pytest.raises(ValueError, match=message):
-            RKMethod("bad", a=[[0.0, 0.0], [0.5, 0.0]], b=b, c=c)
+            RKMethod(a=[[0.0, 0.0], [0.5, 0.0]], b=b, c=c)
 
     @pytest.mark.parametrize("a, b, c", [
         ([[0.0, 0.0], [0.5, 0.5]], [0.5, 0.5], [0.0, 1.0]),    # implicit trapezoid
@@ -111,7 +112,7 @@ class TestRKReference:
         # rk_reference runs explicit stages only: any other tableau would
         # silently run a different method
         with pytest.raises(ValueError, match="tableau not explicit"):
-            RKMethod("bad", a=a, b=b, c=c)
+            RKMethod(a=a, b=b, c=c)
 
 
 class TestFilter:
@@ -388,37 +389,55 @@ class TestConvergenceOrder:
     HS = (0.1, 0.05, 0.025, 0.0125)
 
     def test_euler_first_order(self):
-        est = convergence_order_estimate(rk_solver("euler"),
+        est = convergence_order_estimate(partial(trajectory, "euler"),
                                          named_problem("linear", a=1.0), self.HS)
         assert 0.8 <= est.slope <= 1.2
 
     def test_rk4_fourth_order(self):
-        est = convergence_order_estimate(rk_solver("rk4"),
+        est = convergence_order_estimate(partial(trajectory, "rk4"),
                                          named_problem("linear", a=1.0), self.HS)
         assert 3.6 <= est.slope <= 4.4
 
     def test_filter_q1_tracks_euler(self):
         prob = named_problem("linear", a=1.0)
-        euler = convergence_order_estimate(rk_solver("euler"), prob, self.HS)
-        filt = convergence_order_estimate(filter_solver(q=1), prob, self.HS)
+        euler = convergence_order_estimate(partial(trajectory, "euler"), prob, self.HS)
+        filt = convergence_order_estimate(partial(trajectory, "filter-q1"), prob, self.HS)
         assert abs(filt.slope - euler.slope) <= 0.1
 
     def test_filter_q2_second_order(self):
-        est = convergence_order_estimate(filter_solver(q=2),
+        est = convergence_order_estimate(partial(trajectory, "filter-q2"),
                                          named_problem("linear", a=1.0), self.HS)
         assert 1.5 <= est.slope <= 2.5
 
     def test_zero_error_flagged(self):
         prob = IVProblem(f=lambda x, t: np.zeros_like(x), x0=[1.0], t0=0.0,
                          t_end=1.0, exact=lambda t: np.array([1.0]))
-        est = convergence_order_estimate(rk_solver("euler"), prob, self.HS)
+        est = convergence_order_estimate(partial(trajectory, "euler"), prob, self.HS)
         assert est.slope is None
 
     def test_requires_geometric_progression(self):
         with pytest.raises(ValueError):
-            convergence_order_estimate(rk_solver("euler"),
+            convergence_order_estimate(partial(trajectory, "euler"),
                                        named_problem("linear"),
                                        (0.1, 0.05, 0.03, 0.02))
+
+
+class TestTrajectory:
+    @pytest.mark.parametrize("name", ["euler", "midpoint", "rk4"])
+    def test_rk_names_are_rk_reference(self, name):
+        prob = named_problem("lotka-volterra")
+        ts, xs, std = trajectory(name, prob, 0.05)
+        ref_ts, ref = rk_reference(prob, rk_method(name), 0.05)
+        assert np.array_equal(ts, ref_ts) and np.array_equal(xs, ref)
+        assert std.shape == ref.shape and not std.any()
+
+    @pytest.mark.parametrize("name, q", [("filter-q1", 1), ("filter-q2", 2)])
+    def test_filter_names_are_solve_ivp_filter(self, name, q):
+        prob = named_problem("lotka-volterra")
+        ts, mean, std = trajectory(name, prob, 0.05, rho2=2.5)
+        ref = solve_ivp_filter(prob, q=q, h=0.05, rho2=2.5)
+        assert np.array_equal(ts, ref.ts) and np.array_equal(mean, ref.mean)
+        assert np.array_equal(std, ref.std)
 
 
 def runtime_per_steps(problem: IVProblem, q: int, step_counts: Sequence[int],
@@ -453,8 +472,11 @@ class TestLinearCost:
     pytest.param(lambda: solve_ivp_filter(named_problem("linear"), q=2, h=-0.1),
                  ValueError, "step size must be positive", id="negative-step"),
     pytest.param(lambda: convergence_order_estimate(
-        filter_solver(1), named_problem("lotka-volterra"), [0.1, 0.05, 0.025, 0.0125]),
+        partial(trajectory, "filter-q1"), named_problem("lotka-volterra"),
+        [0.1, 0.05, 0.025, 0.0125]),
                  ValueError, "closed-form solution", id="order-without-exact"),
+    pytest.param(lambda: trajectory("filter-q3", named_problem("linear"), 0.1),
+                 ValueError, "unknown RK method 'filter-q3'", id="unknown-solver"),
 ])
 def test_typed_rejections(call, error, message):
     with pytest.raises(error, match=message):

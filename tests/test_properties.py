@@ -31,8 +31,9 @@ from scipy.special import erf
 
 from pnum import (BQState, IVProblem, KernelFamily, LinearOperator,
                   RKMethod, SingularGram, bq_posterior, classic_cg,
-                  exp_quadratic, fit_hyperparameters, gram_matrix,
-                  identity_belief, kernel_embeddings, kernel_eval, linear_spline,
+                  convergence_order_estimate, exp_quadratic,
+                  fit_hyperparameters, gram_matrix, identity_belief,
+                  kernel_embeddings, kernel_eval, linear_spline,
                   log_marginal_likelihood, named_problem, odefilter,
                   posterior_mean_apply, random_spd, rk_method, rk_reference,
                   sample_path, solve_ivp_filter, solve_probabilistic,
@@ -632,9 +633,18 @@ def textbook_rk(problem, method, h):
 
 
 kutta_three_eighths = RKMethod(
-    "kutta-3/8", a=[[0.0, 0.0, 0.0, 0.0], [1 / 3, 0.0, 0.0, 0.0],
-                    [-1 / 3, 1.0, 0.0, 0.0], [1.0, -1.0, 1.0, 0.0]],
+    a=[[0.0, 0.0, 0.0, 0.0], [1 / 3, 0.0, 0.0, 0.0],
+       [-1 / 3, 1.0, 0.0, 0.0], [1.0, -1.0, 1.0, 0.0]],
     b=[1 / 8, 3 / 8, 3 / 8, 1 / 8], c=[0.0, 1 / 3, 2 / 3, 1.0])
+
+
+def test_user_tableau_runs_through_the_order_estimate():
+    # a user RKMethod reaches convergence_order_estimate through rk_reference:
+    # Kutta's 3/8 rule is fourth order
+    est = convergence_order_estimate(
+        lambda p, h: rk_reference(p, kutta_three_eighths, h),
+        named_problem("linear", a=1.0), (0.1, 0.05, 0.025, 0.0125))
+    assert 3.6 <= est.slope <= 4.4
 
 
 @checks

@@ -264,9 +264,11 @@ class TestNodeSelection:
         sel = select_node_active(st)
         assert sel < 0.0
 
-    def test_matches_exhaustive_refactorization_oracle(self):
+    @pytest.mark.parametrize("k", [linear_spline(0.9, 1.4), exp_quadratic(1.0, 0.8)],
+                             ids=["spline", "eq"])
+    def test_matches_exhaustive_refactorization_oracle(self, k):
+        # the spline scores candidates in closed form, EQ through its Gram
         rng = np.random.default_rng(4)
-        k = linear_spline(0.9, 1.4)
         st = state_with(k, [-2.0, 0.5, 2.4], rng.standard_normal(3))
         candidates = np.linspace(-3, 3, 41)
         keep = np.all(np.abs(candidates[:, None] - st.node_array) > 1e-9, axis=1)
@@ -463,6 +465,10 @@ class TestProductKernel:
     pytest.param(lambda: trapezoid([-3.0, np.nan, 3.0], [1.0, 2.0, 3.0]),
                  ValueError, r"trapezoid nodes must be finite, got \[nan\]",
                  id="trapezoid-nonfinite-nodes"),
+    # finite values whose pairwise sum overflows
+    pytest.param(lambda: trapezoid([0.0, 1.0], [1.7e308, 1.7e308]),
+                 ValueError, r"values \[1\.7e\+308, 1\.7e\+308\] overflow the sum",
+                 id="trapezoid-overflow"),
     pytest.param(lambda: warped_bq_integrate(lambda x: 1.0, [(0.0, 1.0)] * 5, 5, seed=0),
                  ValueError, "dimension <= 4", id="warped-5d"),
     pytest.param(lambda: bq_posterior(state_with(linear_spline(), [1.0, -2.0, 1.0],
