@@ -12,13 +12,15 @@ covariance over H is summarized by the scalar scale sigma calibrated from
 quantities already produced by the run.
 
 During a solve the belief is updated one observation at a time: after m
-steps an iteration costs O(N m + m^2) on top of its matvec.  The Cholesky
-factor of the diagonally scaled S'Y is grown by bordering; its jitter climbs
-the ladder 0, 1e-14, 1e-12, 1e-10, 1e-8 and never comes back down, and past
-the last rung an eigenvalue-clipped solve takes over.  The triangular
-solves call LAPACK ``dtrtrs`` directly.  The belief a solve ends with is
-conditioned on its observations each time ``SolveReport.belief`` is read;
-a solve whose belief is never read never pays for it.
+steps an iteration costs O(N m + m^2) on top of its matvec.  S'Y and Y'D
+are symmetric, so each is bordered from one product per step.  The Cholesky
+factor of the diagonally scaled S'Y grows by bordering in a capacity buffer
+that LAPACK ``dtrtrs`` reads with lda = capacity, never above its diagonal.
+Its jitter climbs the ladder 0, 1e-14, 1e-12, 1e-10, 1e-8 and never comes
+back down, and past the last rung an eigenvalue-clipped solve takes over.
+The belief a solve ends with is conditioned on its observations each time
+``SolveReport.belief`` is read; a solve whose belief is never read never
+pays for it.
 """
 
 from __future__ import annotations
@@ -147,9 +149,9 @@ class _BorderedCholesky:
         self.eig_fallback = False
         self._dd = np.empty(_INITIAL_CAPACITY)
         self._ns = np.empty((_INITIAL_CAPACITY,) * 2)
-        # kept C-contiguous at its exact size, so L' is the Fortran-ordered
-        # upper factor LAPACK takes without a copy
-        self._l = np.empty((0, 0))
+        # rows of L in a C-ordered capacity buffer: _l[:m].T is the upper factor
+        # LAPACK reads with lda = capacity; above the diagonal is never read
+        self._l = np.empty((_INITIAL_CAPACITY,) * 2)
         self._eig: Optional[Tuple[np.ndarray, np.ndarray]] = None
 
     @property
@@ -161,6 +163,7 @@ class _BorderedCholesky:
         m = self.size
         self._dd = _reserve(self._dd, m, (0,))
         self._ns = _reserve(self._ns, m, (0, 1))
+        self._l = _reserve(self._l, m, (0, 1))
         dd = np.sqrt(max(col[m], 1e-300))
         self._dd[m] = dd
         c = col[:m] / self._dd[:m] / dd
@@ -174,11 +177,8 @@ class _BorderedCholesky:
         lrow = self._trsv(c, trans=1)
         pivot = self._ns[m, m] + self.jitter - lrow @ lrow
         if pivot > 0.0:
-            L = np.zeros((m + 1, m + 1))
-            L[:m, :m] = self._l
-            L[m, :m] = lrow
-            L[m, m] = np.sqrt(pivot)
-            self._l = L
+            self._l[m, :m] = lrow
+            self._l[m, m] = np.sqrt(pivot)
         else:
             self._refactor()
 
@@ -189,7 +189,7 @@ class _BorderedCholesky:
         for rung in range(self.rung + 1, len(_JITTER_LADDER)):
             self.rung = rung
             try:
-                self._l = np.linalg.cholesky(ns + self.jitter * eye)
+                self._l[:m, :m] = np.linalg.cholesky(ns + self.jitter * eye)
                 return
             except np.linalg.LinAlgError:
                 continue
@@ -212,9 +212,7 @@ class _BorderedCholesky:
 
     def _trsv(self, v: np.ndarray, trans: int) -> np.ndarray:
         """L^-1 v (trans=1) or L^-T v (trans=0), by LAPACK on the upper factor L'."""
-        if not v.size:   # LAPACK rejects a leading dimension of 0
-            return v.copy()
-        x, info = dtrtrs(self._l.T, v, lower=0, trans=trans)
+        x, info = dtrtrs(self._l[:v.size].T, v, lower=0, trans=trans)
         if info:
             raise np.linalg.LinAlgError(f"triangular solve failed, dtrtrs info {info}")
         return x
@@ -423,9 +421,10 @@ def solve_probabilistic(A: LinearOperator, b, belief: Optional[MatrixBelief] = N
 
     After m steps the direction costs O(N m + m^2): S, Y and D = S - H0 Y
     sit in column blocks whose capacity doubles when full, S'Y and Y'D gain
-    one row and column per step, and the Cholesky factor of the scaled S'Y
-    is grown by bordering (see ``_BorderedCholesky``).  The report records
-    the rung of its jitter ladder and whether its eigenvalue-clipped solve ran.
+    one row and column per step from one product each (S'y and Y'd), and
+    the Cholesky factor of the scaled S'Y grows in place by bordering (see
+    ``_BorderedCholesky``).  The report records the rung of its jitter
+    ladder and whether its eigenvalue-clipped solve ran.
 
     It stops, converges and raises Breakdown as ``classic_cg`` does.
     """
@@ -456,9 +455,8 @@ def solve_probabilistic(A: LinearOperator, b, belief: Optional[MatrixBelief] = N
         ytd = _reserve(ytd, m, (0, 1))
         obs[:, m] = s, y, s - _mean_apply(belief, y)
         S, Y, D = obs[:, :m + 1]
-        factor.append(0.5 * (S @ y + Y @ s))
-        ytd[:m + 1, m] = Y @ D[m]
-        ytd[m, :m] = D[:m] @ y
+        factor.append(S @ y)
+        ytd[:m + 1, m] = ytd[m, :m + 1] = Y @ D[m]
         m += 1
 
     x0 = None if belief.w is None else _mean_apply(belief, b)

@@ -396,7 +396,7 @@ _FILTER_ORDERS = {"filter-q1": 1, "filter-q2": 2}    # other names are RK method
 def trajectory(name: str, problem: IVProblem, h: float, rho2: float = 1.0):
     """(ts, mean, std) of the named solver on the problem at step h; the
     states of an RK method have std 0."""
-    q = _FILTER_ORDERS.get(name)
+    q = _FILTER_ORDERS.get(name.lower())
     if q:
         result = solve_ivp_filter(problem, q=q, h=h, rho2=rho2)
         return result.ts, result.mean, result.std

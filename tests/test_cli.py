@@ -369,6 +369,15 @@ class TestOdeCommand:
         assert list(rows[0].keys()) == ["t", "mean_0", "std_0"]
         assert len(rows) == 21
 
+    def test_solver_names_are_case_insensitive(self, tmp_path):
+        config = {"mode": "trajectory", "problem": "logistic", "h": 0.1}
+        _, lower = run_cli(tmp_path, "ode", {**config, "solver": "filter-q1"},
+                           name="a.csv")
+        code, mixed = run_cli(tmp_path, "ode", {**config, "solver": "Filter-Q1"},
+                              name="b.csv")
+        assert code == 0
+        assert mixed.read_bytes() == lower.read_bytes()
+
     def test_rk_trajectory_has_zero_std(self, tmp_path):
         code, out = run_cli(tmp_path, "ode", {
             "mode": "trajectory",

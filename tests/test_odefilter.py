@@ -431,7 +431,9 @@ class TestTrajectory:
         assert np.array_equal(ts, ref_ts) and np.array_equal(xs, ref)
         assert std.shape == ref.shape and not std.any()
 
-    @pytest.mark.parametrize("name, q", [("filter-q1", 1), ("filter-q2", 2)])
+    # names are case-insensitive, as rk_method's are
+    @pytest.mark.parametrize("name, q", [("filter-q1", 1), ("filter-q2", 2),
+                                         ("Filter-Q1", 1)])
     def test_filter_names_are_solve_ivp_filter(self, name, q):
         prob = named_problem("lotka-volterra")
         ts, mean, std = trajectory(name, prob, 0.05, rho2=2.5)

@@ -2,7 +2,9 @@
 
 Linear solver: each example draws a dimension, a condition number and a seed
 for a ``random_spd`` operator and a right-hand side, and for the warm solves
-a rank and the size of a perturbation of the operator.  Quadrature: each
+a rank and the size of a perturbation of the operator.  Bordered factor:
+each example draws a Gram size, a rank, a relative lowering of the diagonal
+past the rank and a seed.  Quadrature: each
 example draws a linear-spline kernel, an interval, nodes and values, or a
 random SPD joint covariance of nodes and candidate nodes.  Prior
 draws: each example draws a linear-spline kernel, an interval, a grid in it
@@ -25,7 +27,7 @@ forcing term in t is added, a step and a built-in tableau.
 import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
-from scipy.linalg import cho_factor, cho_solve
+from scipy.linalg import cho_factor, cho_solve, solve_triangular
 from scipy.linalg.lapack import dpotrf, dpotrs
 from scipy.special import erf
 
@@ -38,6 +40,7 @@ from pnum import (BQState, IVProblem, KernelFamily, LinearOperator,
                   posterior_mean_apply, random_spd, rk_method, rk_reference,
                   sample_path, solve_ivp_filter, solve_probabilistic,
                   trapezoid, truncate_belief)
+from pnum.linalg import _BorderedCholesky
 from pnum.gp import (JITTER_REL_MAX, JITTER_REL_START, _factorize,
                      _profiled_likelihood, _spline_draw, default_bounds)
 from pnum.quadrature import (_candidate_grid, _default_candidates, _pair_embed,
@@ -177,6 +180,54 @@ def test_truncation_error_bounded_by_discarded_spectrum(system, rank):
     for v in V / np.linalg.norm(V, axis=1, keepdims=True):
         diff = posterior_mean_apply(belief, v) - posterior_mean_apply(trunc, v)
         assert np.linalg.norm(diff) <= discarded + 1e-12 * (1.0 + magnitudes.sum())
+
+
+bordered_grams = st.tuples(
+    st.integers(1, 80),                                # size, past capacity 16, 32, 64
+    st.floats(0.0, 1.0),                               # rank / size
+    st.sampled_from([0.0, 1e-13, 1e-11, 1e-9]),        # diagonal lowering past the rank
+    st.integers(0, 2**31 - 1))
+
+
+@checks
+@given(bordered_grams)
+@example((80, 0.1, 1e-9, 0))
+@example((70, 0.5, 0.0, 1))
+def test_bordered_factor_grows_in_place(draw):
+    # columns past the rank are dependent and their diagonal is lowered, so
+    # bordering fails and the factor is refactored higher up the ladder; the
+    # top rung 1e-8 exceeds every lowering, so no draw needs the eigen solve.
+    # Past such a tail the block's condition number reaches ~1e14, so the
+    # factor is checked by L L' rather than entrywise against a fresh one
+    size, frac, delta, seed = draw
+    rank = max(1, int(np.ceil(frac * size)))
+    rng = np.random.default_rng(seed)
+    X = rng.standard_normal((rank, size)) * rng.uniform(0.5, 3.0, size)
+    G = X.T @ X
+    tail = np.arange(rank, size)
+    G[tail, tail] -= delta * G[tail, tail]
+    factor = _BorderedCholesky()
+    for m in range(1, size + 1):
+        rung = factor.rung
+        factor.append(G[:m, m - 1])
+        assert not factor.eig_fallback
+        dd = np.sqrt(np.diag(G[:m, :m]))
+        N = np.triu(G[:m, :m] / dd[:, None] / dd)   # scaled as the factor does
+        N = N + np.triu(N, 1).T + factor.jitter * np.eye(m)
+        L = np.tril(factor._l[:m, :m])
+        v = rng.standard_normal(m)
+        for trans in (0, 1):
+            ref = solve_triangular(L, v, lower=True, trans=1 - trans,
+                                   check_finite=False)
+            assert factor._trsv(v, trans).tobytes() == ref.tobytes()
+        z = solve_triangular(L, v / dd, lower=True, check_finite=False)
+        ref = solve_triangular(L, z, lower=True, trans="T", check_finite=False) / dd
+        assert factor.solve(v).tobytes() == ref.tobytes()
+        if factor.rung != rung:
+            assert L.tobytes() == np.linalg.cholesky(N).tobytes()
+        assert np.all(np.diag(L) > 0)
+        assert np.abs(L @ L.T - N).max() <= 1e-12
+    assert factor.rung > 0 or delta == 0.0 or rank == size
 
 
 quad_rules = st.tuples(
