@@ -1,5 +1,7 @@
 """Exception types shared across the library."""
 
+import numpy as np
+
 
 class PnumError(Exception):
     """Base class for all library-specific failures."""
@@ -47,3 +49,11 @@ class CovarianceBreakdown(PnumError):
 
 class ConfigError(PnumError):
     """Experiment configuration is malformed (CLI exit code 2)."""
+
+
+def _require_finite(what: str, values) -> np.ndarray:
+    """``values`` as floats; ValueError naming ``what`` and any non-finite entries."""
+    arr = np.asarray(values, dtype=float)
+    if not np.isfinite(arr).all():
+        raise ValueError(f"{what} must be finite, got {arr[~np.isfinite(arr)].tolist()}")
+    return arr

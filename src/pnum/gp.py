@@ -32,7 +32,7 @@ from typing import Dict, Optional, Tuple
 import numpy as np
 from scipy.linalg.lapack import dpotrf, dpotrs
 
-from .exceptions import SingularGram
+from .exceptions import SingularGram, _require_finite
 
 # Jitter policy: start at 1e-10 * mean(diag), escalate x10 up to 1e-6, then
 # give up.  Exact conditioning is assumed by the model; finite precision
@@ -228,7 +228,7 @@ def _profiled_scan(K1s: np.ndarray, y: np.ndarray, m_lo: float):
 def log_marginal_likelihood(kernel: Kernel, nodes, values) -> float:
     """Gaussian log evidence of (nodes, values) under the kernel prior."""
     L, _ = _factorize(gram_matrix(kernel, nodes))
-    return _profiled_likelihood(L, np.asarray(values, dtype=float), 1.0, 1.0)[0]
+    return _profiled_likelihood(L, _require_finite("values", values), 1.0, 1.0)[0]
 
 
 @dataclass(frozen=True)
@@ -248,9 +248,9 @@ def _make_kernel(family: KernelFamily, mult: float, shape, domain) -> Kernel:
 
 def default_bounds(family: KernelFamily, nodes, values) -> Dict[str, Tuple[float, float]]:
     """Log-grid search bounds derived from data scale and node spacing.
-    Values whose spread overflows raise ValueError."""
-    nodes = np.asarray(nodes, dtype=float)
-    values = np.asarray(values, dtype=float)
+    Non-finite nodes or values, or values whose spread overflows, raise ValueError."""
+    nodes = _require_finite("nodes", nodes)
+    values = _require_finite("values", values)
     width = float(nodes.max() - nodes.min())
     with np.errstate(over="ignore", invalid="ignore"):
         spread = float(np.std(values))
@@ -286,12 +286,8 @@ def fit_hyperparameters(family: KernelFamily, nodes, values,
     square, raise ValueError; SingularGram is raised when no shape yields a
     finite likelihood.
     """
-    nodes = np.asarray(nodes, dtype=float)
-    values = np.asarray(values, dtype=float)
-    for name, arr in (("nodes", nodes), ("values", values)):
-        if not np.isfinite(arr).all():
-            raise ValueError(f"{name} to fit must be finite, got "
-                             f"{arr[~np.isfinite(arr)].tolist()}")
+    nodes = _require_finite("nodes to fit", nodes)
+    values = _require_finite("values to fit", values)
     if nodes.size < 3:
         raise ValueError("need at least 3 nodes to fit hyperparameters")
     if domain is None:

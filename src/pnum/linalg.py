@@ -34,7 +34,7 @@ from scipy.linalg import block_diag
 from scipy.linalg.lapack import dtrtrs
 
 from .exceptions import (BeliefDimensionMismatch, Breakdown, DimensionMismatch,
-                         InsufficientTrace)
+                         InsufficientTrace, _require_finite)
 
 _SPD_PROBE_COUNT = 20
 
@@ -56,7 +56,7 @@ class LinearOperator:
 
     @classmethod
     def from_dense(cls, A, check: bool = True) -> "LinearOperator":
-        A = np.asarray(A, dtype=float)
+        A = _require_finite("dense operator", A)
         if A.ndim != 2 or A.shape[0] != A.shape[1]:
             raise ValueError("dense operator must be a square matrix")
         op = cls(dim=A.shape[0], matvec=lambda v: A @ v, dense=A)
@@ -107,7 +107,7 @@ def _mean_apply(belief: MatrixBelief, v: np.ndarray) -> np.ndarray:
 
 def posterior_mean_apply(belief: MatrixBelief, v) -> np.ndarray:
     """Apply the mean H of the belief to a vector in O(N * rank)."""
-    v = np.asarray(v, dtype=float)
+    v = _require_finite("v", v)
     if v.shape != (belief.dim,):
         raise DimensionMismatch(
             f"vector of shape {v.shape} does not match belief dim {belief.dim}")
@@ -232,8 +232,8 @@ def condition_on_observations(belief: MatrixBelief, S, Y) -> MatrixBelief:
     H_M - I = [W0 S D] blockdiag(C0, C) [W0 S D]', so the rank grows by at
     most 2M and nothing is factorized but the M x M matrix N.
     """
-    S = np.atleast_2d(np.asarray(S, dtype=float))
-    Y = np.atleast_2d(np.asarray(Y, dtype=float))
+    S = np.atleast_2d(_require_finite("S", S))
+    Y = np.atleast_2d(_require_finite("Y", Y))
     if S.shape[0] != belief.dim:
         S, Y = S.T, Y.T
     if S.shape != Y.shape or S.shape[0] != belief.dim:
@@ -352,7 +352,10 @@ def _conjugate_directions(A: LinearOperator, b: np.ndarray, x0, tol: float,
         x, r, matvecs = np.zeros(A.dim), b.copy(), 0
     else:
         x, r, matvecs = x0, b - A(x0), 1
-    nb = float(np.linalg.norm(b))
+    with np.errstate(over="ignore"):
+        nb = float(np.linalg.norm(b))
+    if not np.isfinite(nb):
+        raise ValueError("rhs norm overflows")
     res = [float(np.linalg.norm(r))]
     iterates = [x.copy()]
     rayleigh: List[float] = []
@@ -394,7 +397,7 @@ def classic_cg(A: LinearOperator, b, tol: float = 1e-8,
     floating point.  Raises Breakdown if a non-zero direction has
     <d, Ad> <= 0, which signals a non-SPD operator.
     """
-    b = np.asarray(b, dtype=float)
+    b = _require_finite("rhs", b)
     if b.shape != (A.dim,):
         raise DimensionMismatch("rhs does not match operator dimension")
     last = None   # ||r||^2 and the direction of the previous step
@@ -428,7 +431,7 @@ def solve_probabilistic(A: LinearOperator, b, belief: Optional[MatrixBelief] = N
 
     It stops, converges and raises Breakdown as ``classic_cg`` does.
     """
-    b = np.asarray(b, dtype=float)
+    b = _require_finite("rhs", b)
     if belief is None:
         belief = identity_belief(len(b))
     if b.shape != (belief.dim,):

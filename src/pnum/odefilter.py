@@ -30,7 +30,7 @@ from typing import Callable, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .exceptions import CovarianceBreakdown, NonFiniteField
+from .exceptions import CovarianceBreakdown, NonFiniteField, _require_finite
 
 PSD_SLACK_REL = 1e-8
 
@@ -51,7 +51,7 @@ class IVProblem:
     exact: Optional[Callable[[float], np.ndarray]] = None
 
     def __post_init__(self):
-        object.__setattr__(self, "x0", np.atleast_1d(np.asarray(self.x0, dtype=float)))
+        object.__setattr__(self, "x0", np.atleast_1d(_require_finite("x0", self.x0)))
         if not self.t_end > self.t0:
             raise ValueError("t_end must exceed t0")
         self.eval_field(self.x0, self.t0)

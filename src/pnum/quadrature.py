@@ -25,7 +25,7 @@ from scipy.linalg.lapack import dpotrs
 from scipy.special import erf
 
 from .exceptions import (NoCandidates, NonPositiveEvaluation, SingularGram,
-                         UnsortedNodes)
+                         UnsortedNodes, _require_finite)
 from .gp import (Kernel, KernelFamily, _as_box, _factorize, _make_kernel,
                  _points, _profiled_scan, _solve_refined, _unit_kernel,
                  gram_matrix, kernel_eval)
@@ -55,14 +55,10 @@ def trapezoid(nodes, values) -> float:
     """Trapezoid-rule estimate sum_i (f_i + f_{i-1})/2 * (x_i - x_{i-1}).
     Non-finite nodes or values, and finite ones whose sum overflows, raise
     ValueError."""
-    nodes = np.asarray(nodes, dtype=float)
-    values = np.asarray(values, dtype=float)
+    nodes = _require_finite("trapezoid nodes", nodes)
+    values = _require_finite("trapezoid values", values)
     if nodes.ndim != 1 or nodes.size < 2 or nodes.shape != values.shape:
         raise ValueError("need >= 2 nodes with matching values")
-    for name, arr in (("nodes", nodes), ("values", values)):
-        if not np.isfinite(arr).all():
-            raise ValueError(f"trapezoid {name} must be finite, got "
-                             f"{arr[~np.isfinite(arr)].tolist()}")
     with np.errstate(over="ignore", invalid="ignore"):
         dx = np.diff(nodes)
         total = _trapezoid_sum(dx, values)
@@ -170,11 +166,10 @@ def bq_posterior(state: BQState) -> QuadratureEstimate:
     z_func, z0 = kernel_embeddings(state.kernel)
     if not state.nodes:
         return QuadratureEstimate(mean=0.0, variance=z0)
-    if not np.isfinite(state.values).all():
-        raise ValueError(f"BQ values must be finite, got {state.values}")
+    values = _require_finite("BQ values", state.values)
     if state.kernel.family is KernelFamily.LINEAR_SPLINE:
         x, order, h, beta = _spline_nodes(state.kernel, state.node_array)
-        y = np.asarray(state.values)[order]
+        y = values[order]
         w1, wn, v_ends = _spline_ends(state.kernel, beta, x[0], x[-1])
         with np.errstate(over="ignore", invalid="ignore"):
             mean = float(_trapezoid_sum(h, y) + (w1 * y[0] + wn * y[-1]))
@@ -185,7 +180,7 @@ def bq_posterior(state: BQState) -> QuadratureEstimate:
         L, _ = _factorize(K)
         zvec = z_func(nodes)
         with np.errstate(over="ignore", invalid="ignore"):
-            mean = float(zvec @ _solve_refined(L, K, np.array(state.values)))
+            mean = float(zvec @ _solve_refined(L, K, values))
         variance = float(z0 - zvec @ _solve_refined(L, K, zvec))
     if not np.isfinite(mean):
         raise ValueError(f"BQ values {state.values} overflow the posterior mean")

@@ -263,7 +263,8 @@ class TestLinsolveCommand:
     def test_rejected_config_exit_code(self, tmp_path, capsys):
         # an unknown operator kind, a list rhs of the wrong length, an rhs
         # the operator cannot supply, an unknown rhs, a non-object operator,
-        # negative convolution indices and keys an operator kind does not read
+        # negative convolution indices, keys an operator kind does not read,
+        # and a NaN in the rhs or in the operator
         spd = {"kind": "random_spd", "dim": 4}
         for config, message in [
                 ({"operator": {"kind": "nope"}}, "unknown operator kind"),
@@ -281,7 +282,11 @@ class TestLinsolveCommand:
                 ({"operator": {"kind": "diagonal", "entries": [1, 2, 3],
                                "dim": 9}}, "unknown diagonal operator keys: ['dim']"),
                 ({"operator": {"kind": "convolution", "dimm": 16}},
-                 "unknown convolution operator keys: ['dimm']")]:
+                 "unknown convolution operator keys: ['dimm']"),
+                ({"operator": {"kind": "diagonal", "entries": [1.0, 2.0, 3.0]},
+                  "rhs": [1.0, np.nan, 1.0]}, "rhs must be finite, got [nan]"),
+                ({"operator": {"kind": "diagonal", "entries": [1.0, np.nan, 3.0]},
+                  "rhs": "ones"}, "dense operator must be finite, got [nan]")]:
             code, _ = run_cli(tmp_path, "linsolve", config)
             assert code == 2
             err = capsys.readouterr().err
@@ -451,6 +456,8 @@ class TestOdeCommand:
           "solvers": ["filter-q1", "filter-q12"]}, "unknown RK method 'filter-q12'"),
         ({"mode": "order-study", "problem": "linear", "solvers": ["filter-qq1"]},
          "unknown RK method 'filter-qq1'"),
+        ({"mode": "trajectory", "problem": "linear", "problem_params": {"x0": np.nan}},
+         "x0 must be finite, got [nan]"),
     ])
     def test_rejected_step_sizes_exit_code(self, tmp_path, capsys, config,
                                            message):

@@ -321,6 +321,12 @@ class TestSamplePath:
         [1e153, -1e153, 1e153, 1e153]),
                  ValueError, r"values \[1e\+153, -1e\+153, 1e\+153, 1e\+153\] "
                  "overflow the squared theta bound", id="fit-values-overflow-theta-bound"),
+    pytest.param(lambda: log_marginal_likelihood(exp_quadratic(), [-1.0, 0.0, 1.0],
+                                                 [1.0, np.nan, 2.0]),
+                 ValueError, r"^values must be finite, got \[nan\]", id="lml-nan-values"),
+    pytest.param(lambda: default_bounds(KernelFamily.EXP_QUADRATIC, [-1.0, np.nan, 1.0],
+                                        [1.0, 2.0, 3.0]),
+                 ValueError, r"^nodes must be finite, got \[nan\]", id="bounds-nan-nodes"),
 ])
 def test_typed_rejections(call, error, message):
     with pytest.raises(error, match=message):

@@ -529,6 +529,23 @@ class TestOperatorLoading:
     pytest.param(lambda: classic_cg(LinearOperator.from_dense(np.eye(3)), np.ones(4)),
                  DimensionMismatch, "rhs does not match operator dimension",
                  id="cg-rhs-length"),
+    pytest.param(lambda: LinearOperator.from_dense(np.diag([1.0, np.nan, 2.0])),
+                 ValueError, r"^dense operator must be finite, got \[nan\]",
+                 id="nan-operator"),
+    pytest.param(lambda: classic_cg(LinearOperator.from_dense(np.eye(3)), [1.0, np.nan, 1.0]),
+                 ValueError, r"^rhs must be finite, got \[nan\]", id="cg-nan-rhs"),
+    pytest.param(lambda: solve_probabilistic(LinearOperator.from_dense(np.eye(3)),
+                                             [1.0, np.nan, 1.0]),
+                 ValueError, r"^rhs must be finite, got \[nan\]", id="prob-nan-rhs"),
+    pytest.param(lambda: posterior_mean_apply(identity_belief(3), [1.0, np.nan, 1.0]),
+                 ValueError, r"^v must be finite, got \[nan\]", id="nan-v"),
+    pytest.param(lambda: condition_on_observations(identity_belief(3), [[1.0], [np.nan], [0.0]],
+                                                   [[1.0], [1.0], [0.0]]),
+                 ValueError, r"^S must be finite, got \[nan\]", id="nan-s"),
+    # ||b|| overflows, so ||r|| <= tol * ||b|| would hold at once, at x = 0
+    pytest.param(lambda: solve_probabilistic(
+        LinearOperator.from_dense(np.diag([1.0, 1e308, 1e308])), [1.0, 1e308, 1e308]),
+                 ValueError, "^rhs norm overflows", id="rhs-norm-overflows"),
 ])
 def test_typed_rejections(call, error, message):
     with pytest.raises(error, match=message):

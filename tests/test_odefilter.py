@@ -479,6 +479,10 @@ class TestLinearCost:
                  ValueError, "closed-form solution", id="order-without-exact"),
     pytest.param(lambda: trajectory("filter-q3", named_problem("linear"), 0.1),
                  ValueError, "unknown RK method 'filter-q3'", id="unknown-solver"),
+    # the field ignores x, so nothing downstream would see the NaN
+    pytest.param(lambda: IVProblem(f=lambda x, t: np.zeros(1), x0=[np.nan], t0=0.0,
+                                   t_end=1.0),
+                 ValueError, r"^x0 must be finite, got \[nan\]", id="nan-x0"),
 ])
 def test_typed_rejections(call, error, message):
     with pytest.raises(error, match=message):

@@ -21,7 +21,9 @@ or Lotka-Volterra problem, a step and a diffusion scale for the q = 1 Euler
 identity, or two vector fields of one dimension, or a prior order, a step,
 a step count and a dimension for the covariance pass.  Runge-Kutta: each
 example draws a linear, logistic or Lotka-Volterra problem, to which a
-forcing term in t is added, a step and a built-in tableau.
+forcing term in t is added, a step and a built-in tableau.  Finite-value
+guard: each example plants NaN, +inf or -inf at a drawn position of a valid
+input to one public entry.
 """
 
 import numpy as np
@@ -33,7 +35,7 @@ from scipy.special import erf
 
 from pnum import (BQState, IVProblem, KernelFamily, LinearOperator,
                   RKMethod, SingularGram, bq_posterior, classic_cg,
-                  convergence_order_estimate, exp_quadratic,
+                  condition_on_observations, convergence_order_estimate, exp_quadratic,
                   fit_hyperparameters, gram_matrix, identity_belief,
                   kernel_embeddings, kernel_eval, linear_spline,
                   log_marginal_likelihood, named_problem, odefilter,
@@ -817,3 +819,56 @@ def test_stationary_covariance_pass_accepts_a_two_cycle():
     assert start < 1000
     assert np.array_equal(rest[start], rest[start - 2])
     assert not np.array_equal(rest[start], rest[start - 1])
+
+
+GUARD_OP = random_spd(5, 0)
+GUARD_NODES = np.linspace(-2.0, 2.0, 5)
+GUARD_VALUES = np.sin(GUARD_NODES)
+GUARD_S = np.eye(5)[:, :2]
+GUARD_BELIEF = condition_on_observations(identity_belief(5), GUARD_S, GUARD_OP @ GUARD_S)
+EQ = KernelFamily.EXP_QUADRATIC
+
+
+@checks
+@given(plant=st.sampled_from((np.nan, np.inf, -np.inf)), data=st.data())
+@pytest.mark.parametrize("what, valid, call", [
+    # the name the message starts with, a valid input, the entry called on it
+    pytest.param("trapezoid nodes", GUARD_NODES, lambda a: trapezoid(a, GUARD_VALUES),
+                 id="trapezoid-nodes"),
+    pytest.param("trapezoid values", GUARD_VALUES, lambda a: trapezoid(GUARD_NODES, a),
+                 id="trapezoid-values"),
+    pytest.param("BQ values", GUARD_VALUES, lambda a: bq_posterior(
+        BQState(linear_spline(), tuple(GUARD_NODES), tuple(a))), id="bq-values"),
+    pytest.param("nodes to fit", GUARD_NODES,
+                 lambda a: fit_hyperparameters(EQ, a, GUARD_VALUES), id="fit-nodes"),
+    pytest.param("values to fit", GUARD_VALUES,
+                 lambda a: fit_hyperparameters(EQ, GUARD_NODES, a), id="fit-values"),
+    pytest.param("nodes", GUARD_NODES, lambda a: default_bounds(EQ, a, GUARD_VALUES),
+                 id="bounds-nodes"),
+    pytest.param("values", GUARD_VALUES, lambda a: default_bounds(EQ, GUARD_NODES, a),
+                 id="bounds-values"),
+    pytest.param("values", GUARD_VALUES, lambda a: log_marginal_likelihood(
+        exp_quadratic(), GUARD_NODES, a), id="lml-values"),
+    pytest.param("dense operator", GUARD_OP, LinearOperator.from_dense, id="operator"),
+    pytest.param("rhs", GUARD_VALUES, lambda a: classic_cg(
+        LinearOperator.from_dense(GUARD_OP), a), id="cg-rhs"),
+    pytest.param("rhs", GUARD_VALUES, lambda a: solve_probabilistic(
+        LinearOperator.from_dense(GUARD_OP), a, belief=GUARD_BELIEF), id="prob-rhs"),
+    pytest.param("v", GUARD_VALUES, lambda a: posterior_mean_apply(GUARD_BELIEF, a),
+                 id="mean-apply-v"),
+    pytest.param("S", GUARD_S, lambda a: condition_on_observations(
+        GUARD_BELIEF, a, GUARD_OP @ GUARD_S), id="condition-s"),
+    pytest.param("Y", GUARD_OP @ GUARD_S, lambda a: condition_on_observations(
+        GUARD_BELIEF, GUARD_S, a), id="condition-y"),
+    pytest.param("x0", GUARD_VALUES[:2], lambda a: IVProblem(
+        f=lambda x, t: -x, x0=a, t0=0.0, t_end=1.0), id="ivp-x0"),
+])
+def test_non_finite_input_is_rejected_by_name(what, valid, call, plant, data):
+    # the valid input returns; one planted entry raises the one message
+    call(valid)
+    bad = valid.copy()
+    bad.flat[data.draw(st.integers(0, valid.size - 1))] = plant
+    with pytest.raises(ValueError) as info:
+        call(bad)
+    assert str(info.value).startswith(f"{what} must be finite")
+    assert str(info.value).endswith(f"got [{plant}]")
