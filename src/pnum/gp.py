@@ -248,12 +248,15 @@ def _make_kernel(family: KernelFamily, mult: float, shape, domain) -> Kernel:
 
 def default_bounds(family: KernelFamily, nodes, values) -> Dict[str, Tuple[float, float]]:
     """Log-grid search bounds derived from data scale and node spacing.
-    Non-finite nodes or values, or values whose spread overflows, raise ValueError."""
+    Non-finite nodes or values, nodes whose span overflows, or values whose
+    spread overflows, raise ValueError."""
     nodes = _require_finite("nodes", nodes)
     values = _require_finite("values", values)
-    width = float(nodes.max() - nodes.min())
     with np.errstate(over="ignore", invalid="ignore"):
+        width = float(nodes.max() - nodes.min())
         spread = float(np.std(values))
+    if not np.isfinite(width):
+        raise ValueError(f"nodes {nodes.tolist()} overflow their span")
     if not np.isfinite(spread):
         raise ValueError(f"values {values.tolist()} overflow their spread")
     scale_ref = max(spread, 1e-8)
@@ -282,9 +285,9 @@ def fit_hyperparameters(family: KernelFamily, nodes, values,
 
     All-identical values leave the scale unidentifiable; in that case the
     scale is pinned to its lower bound and ``degenerate`` is flagged.
-    Non-finite nodes or values, and values whose scale bound overflows its
-    square, raise ValueError; SingularGram is raised when no shape yields a
-    finite likelihood.
+    Non-finite nodes or values, nodes whose span overflows, and values whose
+    scale bound overflows its square, raise ValueError; SingularGram is
+    raised when no shape yields a finite likelihood.
     """
     nodes = _require_finite("nodes to fit", nodes)
     values = _require_finite("values to fit", values)

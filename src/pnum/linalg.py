@@ -9,13 +9,15 @@ with is the prior of the next, related solve (warm starting / subspace
 recycling).  Conditioning on M observations appends at most 2M columns to W;
 ``truncate_belief`` alone eigendecomposes H - I and caps the rank.  The
 covariance over H is summarized by the scalar scale sigma calibrated from
-quantities already produced by the run.
+quantities already produced by the run.  A dense operator is checked for
+symmetry once and applied by BLAS ``dsymv`` on one triangle.
 
 During a solve the belief is updated one observation at a time: after m
 steps an iteration costs O(N m + m^2) on top of its matvec.  S'Y and Y'D
 are symmetric, so each is bordered from one product per step.  The Cholesky
 factor of the diagonally scaled S'Y grows by bordering in a capacity buffer
-that LAPACK ``dtrtrs`` reads with lda = capacity, never above its diagonal.
+that LAPACK ``dtrtrs`` reads with lda = capacity, never above its diagonal,
+so the scaled S'Y itself sits above it.
 Its jitter climbs the ladder 0, 1e-14, 1e-12, 1e-10, 1e-8 and never comes
 back down, and past the last rung an eigenvalue-clipped solve takes over.
 The belief a solve ends with is conditioned on its observations each time
@@ -26,11 +28,13 @@ pays for it.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
+from functools import partial
 from pathlib import Path
 from typing import Callable, List, Optional, Sequence, Tuple
 
 import numpy as np
 from scipy.linalg import block_diag
+from scipy.linalg.blas import dsymv
 from scipy.linalg.lapack import dtrtrs
 
 from .exceptions import (BeliefDimensionMismatch, Breakdown, DimensionMismatch,
@@ -44,7 +48,11 @@ class LinearOperator:
     """Symmetric positive definite operator given by a matvec.
 
     SPD-ness is a contract; on construction it is spot-checked with 20 seeded
-    random unit vectors unless ``check=False`` (useful for large N).
+    random unit vectors unless ``check=False`` (useful for large N).  A dense
+    operator is checked for symmetry, max|A - A'| <= 1e-12 max|A|, whatever
+    ``check`` says, and is applied by BLAS ``dsymv`` on one triangle, read
+    in place for a C-ordered A.  Calling the operator on a vector of another
+    shape than (dim,) raises DimensionMismatch; ``matvec`` is unchecked.
     """
 
     dim: int
@@ -52,14 +60,26 @@ class LinearOperator:
     dense: Optional[np.ndarray] = None
 
     def __call__(self, v: np.ndarray) -> np.ndarray:
+        if np.shape(v) != (self.dim,):
+            raise DimensionMismatch(
+                f"vector of shape {np.shape(v)} does not match operator dim {self.dim}")
         return self.matvec(v)
 
     @classmethod
     def from_dense(cls, A, check: bool = True) -> "LinearOperator":
         A = _require_finite("dense operator", A)
-        if A.ndim != 2 or A.shape[0] != A.shape[1]:
-            raise ValueError("dense operator must be a square matrix")
-        op = cls(dim=A.shape[0], matvec=lambda v: A @ v, dense=A)
+        if A.ndim != 2 or A.shape[0] != A.shape[1] or A.size == 0:
+            raise ValueError(f"dense operator must be a square matrix of dim >= 1, "
+                             f"got shape {A.shape}")
+        scale = float(np.abs(A).max())
+        asym = A - A.T
+        asym = float(np.abs(asym, out=asym).max())
+        if asym > 1e-12 * scale:
+            raise ValueError(f"dense operator must be symmetric, got max|A - A'| = "
+                             f"{asym:.3e} against max|A| = {scale:.3e}")
+        # for a C-ordered A, the F-ordered A' is A's own memory: nothing is copied
+        op = cls(dim=A.shape[0], matvec=partial(dsymv, 1.0, np.asfortranarray(A.T), lower=1),
+                 dense=A)
         if check:
             op.spd_probe()
         return op
@@ -148,9 +168,10 @@ class _BorderedCholesky:
         self.rung = 0
         self.eig_fallback = False
         self._dd = np.empty(_INITIAL_CAPACITY)
-        self._ns = np.empty((_INITIAL_CAPACITY,) * 2)
+        self._nd = np.empty(_INITIAL_CAPACITY)   # the diagonal of the scaled N
         # rows of L in a C-ordered capacity buffer: _l[:m].T is the upper factor
-        # LAPACK reads with lda = capacity; above the diagonal is never read
+        # LAPACK reads with lda = capacity, so above the diagonal is never read
+        # and holds the strict upper triangle of the scaled N instead
         self._l = np.empty((_INITIAL_CAPACITY,) * 2)
         self._eig: Optional[Tuple[np.ndarray, np.ndarray]] = None
 
@@ -162,34 +183,43 @@ class _BorderedCholesky:
         """Border N with its new last column ``col`` (length size + 1)."""
         m = self.size
         self._dd = _reserve(self._dd, m, (0,))
-        self._ns = _reserve(self._ns, m, (0, 1))
+        self._nd = _reserve(self._nd, m, (0,))
         self._l = _reserve(self._l, m, (0, 1))
         dd = np.sqrt(max(col[m], 1e-300))
         self._dd[m] = dd
         c = col[:m] / self._dd[:m] / dd
-        self._ns[:m, m] = c
-        self._ns[m, :m] = c
-        self._ns[m, m] = col[m] / dd / dd
+        self._l[:m, m] = c
+        self._nd[m] = col[m] / dd / dd
         self.size = m + 1
         if self.eig_fallback:
             self._eigen()
             return
         lrow = self._trsv(c, trans=1)
-        pivot = self._ns[m, m] + self.jitter - lrow @ lrow
+        pivot = self._nd[m] + self.jitter - lrow @ lrow
         if pivot > 0.0:
             self._l[m, :m] = lrow
             self._l[m, m] = np.sqrt(pivot)
         else:
             self._refactor()
 
+    def _scaled_n(self) -> np.ndarray:
+        """The scaled N, rebuilt from its strict upper triangle and diagonal."""
+        m = self.size
+        upper = self._l[:m, :m]
+        ns = np.where(np.tri(m, k=-1, dtype=bool), upper.T, upper)
+        np.fill_diagonal(ns, self._nd[:m])
+        return ns
+
     def _refactor(self) -> None:
         m = self.size
-        ns = self._ns[:m, :m]
+        ns = self._scaled_n()
         eye = np.eye(m)
+        lower = np.tri(m, dtype=bool)
         for rung in range(self.rung + 1, len(_JITTER_LADDER)):
             self.rung = rung
             try:
-                self._l[:m, :m] = np.linalg.cholesky(ns + self.jitter * eye)
+                np.copyto(self._l[:m, :m], np.linalg.cholesky(ns + self.jitter * eye),
+                          where=lower)
                 return
             except np.linalg.LinAlgError:
                 continue
@@ -197,8 +227,7 @@ class _BorderedCholesky:
         self._eigen()
 
     def _eigen(self) -> None:
-        m = self.size
-        lam, P = np.linalg.eigh(self._ns[:m, :m])
+        lam, P = np.linalg.eigh(self._scaled_n())
         self._eig = (np.where(lam > 1e-12 * lam.max(), lam, np.inf), P)
 
     def solve(self, v: np.ndarray) -> np.ndarray:

@@ -260,6 +260,19 @@ class TestLinsolveCommand:
         })
         assert code == 3
 
+    @pytest.mark.parametrize("check", [True, False])
+    def test_asymmetric_operator_exit_code(self, tmp_path, capsys, check):
+        # the operator passes the SPD probe, but only a symmetric one is
+        # applied from one triangle; the symmetry check ignores "check"
+        path = tmp_path / "asym.csv"
+        np.savetxt(path, [[2.0, 1.0], [0.0, 2.0]], delimiter=",")
+        code, _ = run_cli(tmp_path, "linsolve", {
+            "operator": {"kind": "csv", "path": str(path), "check": check},
+            "rhs": [1.0, 1.0]})
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error:") and "dense operator must be symmetric" in err
+
     def test_rejected_config_exit_code(self, tmp_path, capsys):
         # an unknown operator kind, a list rhs of the wrong length, an rhs
         # the operator cannot supply, an unknown rhs, a non-object operator,

@@ -321,6 +321,11 @@ class TestSamplePath:
         [1e153, -1e153, 1e153, 1e153]),
                  ValueError, r"values \[1e\+153, -1e\+153, 1e\+153, 1e\+153\] "
                  "overflow the squared theta bound", id="fit-values-overflow-theta-bound"),
+    # the nodes are finite, but their span max - min overflows
+    pytest.param(lambda: fit_hyperparameters(
+        KernelFamily.EXP_QUADRATIC, [-1e308, 0.0, 1e308], [1.0, 2.0, 3.0]),
+                 ValueError, r"nodes \[-1e\+308, 0\.0, 1e\+308\] overflow their span",
+                 id="fit-nodes-overflow-span"),
     pytest.param(lambda: log_marginal_likelihood(exp_quadratic(), [-1.0, 0.0, 1.0],
                                                  [1.0, np.nan, 2.0]),
                  ValueError, r"^values must be finite, got \[nan\]", id="lml-nan-values"),

@@ -521,6 +521,21 @@ class TestOperatorLoading:
 @pytest.mark.parametrize("call, error, message", [
     pytest.param(lambda: LinearOperator.from_dense(np.ones((2, 3))),
                  ValueError, "must be a square matrix", id="non-square-operator"),
+    # dsymv rejects an empty vector with an untyped error
+    pytest.param(lambda: LinearOperator.from_dense(np.zeros((0, 0)), check=False),
+                 ValueError, r"must be a square matrix of dim >= 1, got shape \(0, 0\)",
+                 id="empty-operator"),
+    # SPD by the probe, but not symmetric; check=False skips only the probe
+    pytest.param(lambda: LinearOperator.from_dense([[2.0, 1.0], [0.0, 2.0]]),
+                 ValueError, r"^dense operator must be symmetric, "
+                 r"got max\|A - A'\| = 1\.000e\+00", id="asymmetric-operator"),
+    pytest.param(lambda: LinearOperator.from_dense([[2.0, 1.0], [0.0, 2.0]], check=False),
+                 ValueError, "^dense operator must be symmetric",
+                 id="asymmetric-operator-unchecked"),
+    # dsymv itself would read the first 3 entries of the longer vector
+    pytest.param(lambda: LinearOperator.from_dense(np.eye(3))(np.ones(4)),
+                 DimensionMismatch, r"^vector of shape \(4,\) does not match operator dim 3",
+                 id="operator-vector-length"),
     pytest.param(lambda: condition_on_observations(identity_belief(3), np.ones((3, 2)),
                                                    np.ones((3, 1))),
                  BeliefDimensionMismatch, "observations of shape", id="s-y-shapes-differ"),

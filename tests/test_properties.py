@@ -4,9 +4,10 @@ Linear solver: each example draws a dimension, a condition number and a seed
 for a ``random_spd`` operator and a right-hand side, and for the warm solves
 a rank and the size of a perturbation of the operator.  Bordered factor:
 each example draws a Gram size, a rank, a relative lowering of the diagonal
-past the rank and a seed.  Quadrature: each
-example draws a linear-spline kernel, an interval, nodes and values, or a
-random SPD joint covariance of nodes and candidate nodes.  Prior
+past the rank and a seed.  Dense operator: each example draws a dimension
+up to 300, a condition number and a seed.  Quadrature: each example draws
+a linear-spline kernel, an interval, nodes and values, or a random SPD
+joint covariance of nodes and candidate nodes.  Prior
 draws: each example draws a linear-spline kernel, an interval, a grid in it
 and a seed.  Kernel:
 each example draws an exponentiated-quadratic kernel on a box of dimension
@@ -182,6 +183,23 @@ def test_truncation_error_bounded_by_discarded_spectrum(system, rank):
     for v in V / np.linalg.norm(V, axis=1, keepdims=True):
         diff = posterior_mean_apply(belief, v) - posterior_mean_apply(trunc, v)
         assert np.linalg.norm(diff) <= discarded + 1e-12 * (1.0 + magnitudes.sum())
+
+
+@checks
+@given(st.integers(1, 300), st.floats(1.0, 1e4), st.integers(0, 2**31 - 1))
+def test_dense_matvec_is_the_matrix_product(n, cond, seed):
+    # the operator applies one triangle of A by dsymv, whatever A's layout;
+    # a C-ordered A is read in place, through its F-ordered transpose
+    A = random_spd(n, seed, cond=cond)
+    v = np.random.default_rng(seed + 1).standard_normal(n)
+    bound = 4 * n * np.finfo(float).eps * np.linalg.norm(A, 2) * np.linalg.norm(v)
+    wide = np.zeros((2 * n, 2 * n))
+    wide[::2, ::2] = A
+    for layout in (A, np.asfortranarray(A), wide[::2, ::2]):
+        op = LinearOperator.from_dense(layout, check=False)
+        assert op.dense is layout
+        assert np.linalg.norm(op.matvec(v) - A @ v) <= bound
+    assert np.shares_memory(A, LinearOperator.from_dense(A).matvec.args[1])
 
 
 bordered_grams = st.tuples(
