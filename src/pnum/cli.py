@@ -242,7 +242,7 @@ def cmd_quad(cfg: dict, seeds: List[int]) -> _Table:
             for n in budgets:
                 start = time.perf_counter()
                 est = float(fd[:n].mean()) * width
-                spread = float(np.std(fd[:n] - fd[0], ddof=1) / np.sqrt(n)) * width if n > 1 else ""
+                spread = float(np.std(fd[:n] - fd[0], ddof=1) / np.sqrt(n)) * width
                 rows.append(dict(method="smc", integrand=integrand, seed=seed,
                                  budget=n, estimate=est, oracle=oracle,
                                  abs_error=abs(est - oracle), spread=spread,

@@ -33,7 +33,6 @@ from pathlib import Path
 from typing import Callable, List, Optional, Sequence, Tuple
 
 import numpy as np
-from scipy.linalg import block_diag
 from scipy.linalg.blas import dsymv
 from scipy.linalg.lapack import dtrtrs
 
@@ -290,14 +289,15 @@ def condition_on_observations(belief: MatrixBelief, S, Y) -> MatrixBelief:
     kcount = int(lam_n.size)
     D = S - _mean_apply(belief, Y)
     inv = 1.0 / lam_n
-    Ninv = np.diag(inv)
-    C = np.block([[-(inv[:, None] * (Y.T @ D) * inv), Ninv],
-                  [Ninv, np.zeros((kcount, kcount))]])
-    C = 0.5 * (C + C.T)
-    W = np.hstack([S, D])
+    B = -(inv[:, None] * (Y.T @ D) * inv)
+    k0 = belief.rank
+    C = np.zeros((k0 + 2 * kcount,) * 2)
     if belief.w is not None:
-        C = block_diag(belief.c, C)
-        W = np.hstack([belief.w, W])
+        C[:k0, :k0] = belief.c
+    r = np.arange(k0, k0 + kcount)
+    C[k0:k0 + kcount, k0:k0 + kcount] = 0.5 * (B + B.T)
+    C[r, r + kcount] = C[r + kcount, r] = inv
+    W = np.hstack([S, D] if belief.w is None else [belief.w, S, D])
     return replace(belief, w=W, c=C)
 
 

@@ -8,7 +8,7 @@ embeddings are products of one-dimensional erf forms.  The warped
 variance is evaluated per dimension, in O(d (33^2 + 33 n) + n^2) memory for
 n nodes, so the dimension cap is a policy choice, not a memory limit; only
 the grid contraction that takes over for ill-conditioned Grams holds
-33^d + 33^(d-1) n values (12 MB at d = 4, n = 10).
+3 * 33^d + 2 * 33^(d-1) n values (a traced 34 MB at d = 4, n = 10).
 
 Given the nodes, the linear-spline prior splits into Brownian bridges and
 one end piece, so its posterior is closed-form in O(n): on an endpoint grid
@@ -161,9 +161,11 @@ def bq_posterior(state: BQState) -> QuadratureEstimate:
     variance (beta / 6) h^3 on a gap h, and the end pieces of
     :func:`_spline_ends`; EQ solves the dense Gram.  A variance below
     -1e-8 * Z0 raises; a slightly negative one becomes 0 with ``clamped`` set.
-    Non-finite values, ones that overflow the mean, and NaN or out-of-box
-    nodes raise ValueError; repeated spline nodes raise UnsortedNodes."""
+    Values not one per node, non-finite or overflowing the mean, and NaN or
+    out-of-box nodes raise ValueError; repeated spline nodes UnsortedNodes."""
     z_func, z0 = kernel_embeddings(state.kernel)
+    if len(state.values) != len(state.nodes):
+        raise ValueError(f"{len(state.values)} BQ values do not match {len(state.nodes)} nodes")
     if not state.nodes:
         return QuadratureEstimate(mean=0.0, variance=z0)
     values = _require_finite("BQ values", state.values)
@@ -382,7 +384,7 @@ def _warped_moments(kern: Kernel, L: np.ndarray, X: np.ndarray,
     theta = kern.scale
     kk = np.ones((n, n))
     kx = np.ones((n, n))
-    Es, ws, As = [], [], []
+    Es, WEs, As = [], [], []
     for j, ((lo, hi), lam) in enumerate(zip(kern.box, kern.shape)):
         ax = np.linspace(lo, hi, VAR_GRID)
         wq = np.full(VAR_GRID, (hi - lo) / (VAR_GRID - 1))
@@ -393,7 +395,7 @@ def _warped_moments(kern: Kernel, L: np.ndarray, X: np.ndarray,
         kk *= WE.T @ A @ WE
         kx *= E.T @ WE
         Es.append(E)
-        ws.append(wq)
+        WEs.append(WE)
         As.append(A)
     quad_kk = theta ** 6 * float(w @ kk @ w)
     t2 = theta ** 4 * (kx @ w)
@@ -405,30 +407,26 @@ def _warped_moments(kern: Kernel, L: np.ndarray, X: np.ndarray,
         theta ** 6 * float(aw @ kk @ aw)
         + 2.0 * theta ** 4 * float(np.abs(s) @ kx @ aw))
     if bound > SEPARABLE_REL_TOL * quad_kk:
-        quad_kk, t2 = _grid_terms(theta, Es, ws, As, w)
+        quad_kk, t2 = _grid_terms(theta, Es, WEs, As, w)
         s = dpotrs(L, t2, lower=1)[0]
     return mean, quad_kk - float(t2 @ s), w, P
 
 
-def _grid_terms(theta: float, Es, ws, As, w: np.ndarray):
+def _grid_terms(theta: float, Es, WEs, As, w: np.ndarray):
     """theta^2 v' K_GG v and K_GX' v with the mean m = K_GX w formed first.
 
-    The product over all but the last dimension, T[g', i] =
-    prod_{j<d} E_j[g'_j, i], is the largest array: VAR_GRID^(d-1) x n.
-    The grid Gram K_GG is applied through its Kronecker factors.
+    v = u * m is one product of the weighted axis factors W_j E_j, so the
+    weights u are never built; the E_j serve only K_GX' v.  T and TW, their
+    products over all but the last axis, are VAR_GRID^(d-1) x n.  K_GG is
+    applied by its Kronecker factors, A_j as a stack of products: no transpose.
     """
-    n = w.size
-    T = np.ones((1, n))
-    for E in Es[:-1]:
-        T = (T[:, None, :] * E[None, :, :]).reshape(-1, n)
-    m = theta ** 2 * ((T * w) @ Es[-1].T)
-    u = ws[0]
-    for wq in ws[1:]:
-        u = np.multiply.outer(u, wq)
-    v = u.reshape(m.shape) * m
-    t = v.reshape(u.shape)
+    T = TW = np.ones((1, w.size))
+    for E, WE in zip(Es[:-1], WEs[:-1]):
+        T = (T[:, None, :] * E[None, :, :]).reshape(-1, w.size)
+        TW = (TW[:, None, :] * WE[None, :, :]).reshape(-1, w.size)
+    t = v = theta ** 2 * ((TW * w) @ WEs[-1].T)
     for j, A in enumerate(As):
-        t = np.moveaxis(np.tensordot(A, t, axes=([1], [j])), 0, j)
+        t = A @ t.reshape(VAR_GRID ** j, VAR_GRID, -1)
     quad_kk = theta ** 2 * float(v.reshape(-1) @ t.reshape(-1))
     t2 = theta ** 2 * np.sum(T * (v @ Es[-1]), axis=0)
     return quad_kk, t2

@@ -30,7 +30,7 @@ input to one public entry.
 import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
-from scipy.linalg import cho_factor, cho_solve, solve_triangular
+from scipy.linalg import block_diag, cho_factor, cho_solve, solve_triangular
 from scipy.linalg.lapack import dpotrf, dpotrs
 from scipy.special import erf
 
@@ -153,6 +153,42 @@ def test_posterior_mean_is_symmetric(system, warm):
     for _, _, rep in cold_and_warm_solves(system, warm):
         H = np.column_stack([posterior_mean_apply(rep.belief, e) for e in np.eye(n)])
         assert np.abs(H - H.T).max() <= 1e-10 * np.abs(H).max()
+
+
+def block_conditioned(belief, S, Y):
+    """W and C of ``condition_on_observations`` as assembled by np.block,
+    the full-core symmetrization and block_diag: the reference for its
+    direct fill of the final arrays."""
+    norms = np.linalg.norm(S, axis=0)
+    norms = np.where(norms > 0, norms, 1.0)
+    S, Y = S / norms, Y / norms
+    N = S.T @ Y
+    lam_n, P_n = np.linalg.eigh(0.5 * (N + N.T))
+    keep = lam_n > 1e-12 * max(lam_n.max(), 0.0)
+    S, Y, inv = S @ P_n[:, keep], Y @ P_n[:, keep], 1.0 / lam_n[keep]
+    HY = Y.copy() if belief.w is None else Y + belief.w @ (belief.c @ (belief.w.T @ Y))
+    D = S - HY
+    Ninv = np.diag(inv)
+    C = np.block([[-(inv[:, None] * (Y.T @ D) * inv), Ninv],
+                  [Ninv, np.zeros((inv.size, inv.size))]])
+    C = 0.5 * (C + C.T)
+    W = np.hstack([S, D])
+    if belief.w is not None:
+        C = block_diag(belief.c, C)
+        W = np.hstack([belief.w, W])
+    return W, C
+
+
+@checks
+@given(systems, warm_starts)
+def test_conditioning_fills_the_block_assembly_bitwise(system, warm):
+    # 0.5 (x + x) = x, so symmetrizing only the B block leaves the N^-1
+    # blocks, the zero block and the prior core exactly as they were
+    for _, _, rep in cold_and_warm_solves(system, warm):
+        belief = condition_on_observations(rep.prior, *rep.observations)
+        W, C = block_conditioned(rep.prior, *rep.observations)
+        assert belief.w.shape == W.shape and belief.c.shape == C.shape
+        assert np.array_equal(belief.w, W) and np.array_equal(belief.c, C)
 
 
 @checks

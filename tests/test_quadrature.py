@@ -419,6 +419,35 @@ class TestWarpedMoments:
             _, ref_var, quad_kk = grid_warped_moments(kern, factor, X, g, 0.1)
             assert abs(var - ref_var) <= 1e-9 * quad_kk
 
+    @pytest.mark.parametrize("d", [1, 2, 3, 4])
+    def test_grid_contraction_matches_grid(self, d, monkeypatch):
+        # a negative tolerance sends every input through _grid_terms
+        monkeypatch.setattr(quadrature, "SEPARABLE_REL_TOL", -1.0)
+        rng = np.random.default_rng(300 + d)
+        for _ in range(4):
+            kern, X, K, g = draw_warped_inputs(rng, d, (1.0, 1e4), False)
+            factor, _ = _factorize(K)
+            _, var, _, _ = _warped_moments(kern, factor, X, g, 0.1)
+            _, ref_var, quad_kk = grid_warped_moments(kern, factor, X, g, 0.1)
+            assert abs(var - ref_var) <= 1e-9 * quad_kk
+
+    def test_4d_grid_contraction_holds_few_grids(self, monkeypatch):
+        # v, the array an axis Gram is applied to and its product: three
+        # 33^4 arrays, plus the 33^3 x n axis products
+        monkeypatch.setattr(quadrature, "SEPARABLE_REL_TOL", -1.0)
+        rng = np.random.default_rng(7)
+        kern = exp_quadratic(theta=1.0, lam=(1.5,) * 4, domain=((-2.0, 2.0),) * 4)
+        X = rng.uniform(-2.0, 2.0, (5, 4))
+        factor, _ = _factorize(gram_matrix(kern, X))
+        g = rng.uniform(0.1, 2.0, 5)
+        tracemalloc.start()
+        try:
+            _warped_moments(kern, factor, X, g, 0.1)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 4 * 8 * 33 ** 4
+
     def test_4d_memory_does_not_grow_with_grid(self):
         mu = np.array([0.3, -0.2, 0.1, 0.4])
         f = lambda x: float(np.exp(-0.5 * np.sum((x - mu) ** 2)))
@@ -490,6 +519,13 @@ class TestProductKernel:
     pytest.param(lambda: select_node_active(state_with(linear_spline(), [0.0], [1.0]),
                                             candidates=[-1.0, 4.0]),
                  ValueError, "NaN or outside the kernel box", id="spline-active-candidate-outside"),
+    pytest.param(lambda: bq_posterior(BQState(linear_spline(), (0.0, 1.0), (1.0, 2.0, 3.0))),
+                 ValueError, "3 BQ values do not match 2 nodes", id="spline-bq-extra-value"),
+    pytest.param(lambda: bq_posterior(BQState(linear_spline(), (0.0, 1.0, 2.0), (1.0, 2.0))),
+                 ValueError, "2 BQ values do not match 3 nodes", id="spline-bq-missing-value"),
+    pytest.param(lambda: bq_posterior(BQState(exp_quadratic(1.0, 1.0, (0.0, 3.0)),
+                                              (0.0, 1.0, 2.0), (1.0, 2.0))),
+                 ValueError, "2 BQ values do not match 3 nodes", id="eq-bq-missing-value"),
 ])
 def test_typed_rejections(call, error, message):
     with pytest.raises(error, match=message):
