@@ -32,6 +32,9 @@ class SequenceConfig:
     def __post_init__(self):
         if self.length < 2:
             raise ValueError("sequence length must be >= 2")
+        if min(self.dim, self.kernel_size) < 1:
+            raise ValueError(f"dim and kernel_size must be >= 1, got {self.dim}, "
+                             f"{self.kernel_size}")
         if not 0.0 <= self.drift <= 0.1:
             raise ValueError("drift magnitude must lie in [0, 0.1]")
 
@@ -45,14 +48,11 @@ class ConvolutionProblem:
 
 
 def _conv_matrix(kernel: np.ndarray, n: int) -> np.ndarray:
-    """Dense same-size convolution matrix for a centered 1-D stencil."""
-    size = kernel.size
-    half = size // 2
+    """Same-size convolution matrix X[i, j] = kernel[j - i + size // 2], 0 off the stencil."""
+    tap = np.arange(n) - np.arange(n)[:, None] + kernel.size // 2
+    inside = (tap >= 0) & (tap < kernel.size)
     X = np.zeros((n, n))
-    for offset in range(size):
-        j = offset - half
-        diag = kernel[offset] * np.ones(n - abs(j))
-        X += np.diag(diag, k=j)
+    X[inside] = kernel[tap[inside]]
     return X
 
 

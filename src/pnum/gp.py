@@ -15,8 +15,8 @@ this profiled likelihood.  Two covariance families are supported:
 Linear-spline prior draws are exact and cost O(n): on an interval the prior
 is the linear interpolation of its two end values plus an independent
 Brownian bridge.  Other draws factor the jittered dense Gram.  Nothing is
-cached between calls.  A Gram factor is the bare lower factor L that LAPACK's
-``dpotrf`` writes (upper triangle unset); solves call ``dpotrs(L, b, lower=1)``.
+cached between calls.  :func:`_factorize`, the one jittered Cholesky, serves
+Grams and S'Y; solves call ``dpotrs(L, b, lower=1)`` on its ``dpotrf`` factor L.
 
 All types are immutable after construction; operations are pure given their
 inputs plus an explicit seed.
@@ -26,7 +26,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
+from itertools import accumulate
 from math import log, pi, sqrt
+from operator import mul
 from typing import Dict, Optional, Tuple
 
 import numpy as np
@@ -34,9 +36,9 @@ from scipy.linalg.lapack import dpotrf, dpotrs
 
 from .exceptions import SingularGram, _require_finite
 
-# Jitter policy: start at 1e-10 * mean(diag), escalate x10 up to 1e-6, then
-# give up.  Exact conditioning is assumed by the model; finite precision
-# requires this small regularization.
+# Jitter policy: start at 1e-10 * mean(diag), escalate x10 up to 1e-6 (five
+# rungs), then give up.  Exact conditioning is assumed by the model; finite
+# precision requires this small regularization.
 JITTER_REL_START = 1e-10
 JITTER_REL_MAX = 1e-6
 
@@ -169,27 +171,26 @@ def _solve_refined(L: np.ndarray, K: np.ndarray, b: np.ndarray) -> np.ndarray:
     return w + dpotrs(L, b - K @ w, lower=1)[0]
 
 
-def _factorize(K: np.ndarray):
-    """Cholesky-factorize K + jitter*I, escalating jitter on failure.
+def _factorize(K: np.ndarray, jitters=None):
+    """Cholesky-factorize K + jitter*I at the first of ``jitters`` that works.
 
-    Returns (L, jitter actually used), L the bare ``dpotrf`` factor: lower
-    triangle set, upper unset.  Raises SingularGram for a non-finite Gram
-    and once the jitter ceiling is passed.
+    ``jitters`` are absolute, by default x10 from JITTER_REL_START to
+    JITTER_REL_MAX times the mean diagonal.  Returns (L, jitter used), L the
+    bare ``dpotrf`` factor; raises SingularGram for a non-finite K or once all fail.
     """
     n = K.shape[0]
     scale = K.trace() / n
     if not (scale > 0 and np.isfinite(K).all()):
         raise SingularGram("Gram is not finite with a positive diagonal")
-    Kj = K.copy()
-    jitter = JITTER_REL_START * scale
-    while jitter <= JITTER_REL_MAX * scale * (1 + 1e-9):
+    if jitters is None:   # lazily, each rung the last times 10
+        jitters = accumulate([JITTER_REL_START * scale] + [10.0] * 4, mul)
+    Kj, jitter = K.copy(), 0.0
+    for jitter in jitters:
         Kj.flat[::n + 1] = K.diagonal() + jitter
         L, info = dpotrf(Kj, lower=1, clean=0)
         if info == 0:
             return L, jitter
-        jitter *= 10.0
-    raise SingularGram(
-        f"Cholesky failed up to jitter {JITTER_REL_MAX * scale:.2e}")
+    raise SingularGram(f"Cholesky failed up to jitter {jitter:.2e}")
 
 
 def _profiled_likelihood(L: np.ndarray, y: np.ndarray, m_lo: float,

@@ -18,7 +18,7 @@ are symmetric, so each is bordered from one product per step.  The Cholesky
 factor of the diagonally scaled S'Y grows by bordering in a capacity buffer
 that LAPACK ``dtrtrs`` reads with lda = capacity, never above its diagonal,
 so the scaled S'Y itself sits above it.
-Its jitter climbs the ladder 0, 1e-14, 1e-12, 1e-10, 1e-8 and never comes
+Its jitter climbs 0, 1e-14, ..., 1e-8 by ``gp._factorize``, never comes
 back down, and past the last rung an eigenvalue-clipped solve takes over.
 The belief a solve ends with is conditioned on its observations each time
 ``SolveReport.belief`` is read; a solve whose belief is never read never
@@ -37,7 +37,8 @@ from scipy.linalg.blas import dsymv
 from scipy.linalg.lapack import dtrtrs
 
 from .exceptions import (BeliefDimensionMismatch, Breakdown, DimensionMismatch,
-                         InsufficientTrace, _require_finite)
+                         InsufficientTrace, SingularGram, _require_finite)
+from .gp import _factorize
 
 _SPD_PROBE_COUNT = 20
 
@@ -158,13 +159,13 @@ class _BorderedCholesky:
     row and column of N costs one triangular solve, O(m^2).  The ladder only
     moves up: a leading block that needs jitter j makes every larger matrix
     need at least j.  When a bordering pivot is <= 0 the whole matrix is
-    refactored at the next rung that succeeds; when every rung fails, an
-    eigenvalue-clipped solve is used from then on.
+    refactored by ``gp._factorize`` at the next rung that succeeds; when
+    every rung fails, an eigenvalue-clipped solve is used from then on.
     """
 
     def __init__(self):
         self.size = 0
-        self.rung = 0
+        self.jitter = 0.0
         self.eig_fallback = False
         self._dd = np.empty(_INITIAL_CAPACITY)
         self._nd = np.empty(_INITIAL_CAPACITY)   # the diagonal of the scaled N
@@ -173,10 +174,6 @@ class _BorderedCholesky:
         # and holds the strict upper triangle of the scaled N instead
         self._l = np.empty((_INITIAL_CAPACITY,) * 2)
         self._eig: Optional[Tuple[np.ndarray, np.ndarray]] = None
-
-    @property
-    def jitter(self) -> float:
-        return _JITTER_LADDER[self.rung]
 
     def append(self, col: np.ndarray) -> None:
         """Border N with its new last column ``col`` (length size + 1)."""
@@ -210,20 +207,12 @@ class _BorderedCholesky:
         return ns
 
     def _refactor(self) -> None:
-        m = self.size
-        ns = self._scaled_n()
-        eye = np.eye(m)
-        lower = np.tri(m, dtype=bool)
-        for rung in range(self.rung + 1, len(_JITTER_LADDER)):
-            self.rung = rung
-            try:
-                np.copyto(self._l[:m, :m], np.linalg.cholesky(ns + self.jitter * eye),
-                          where=lower)
-                return
-            except np.linalg.LinAlgError:
-                continue
-        self.eig_fallback = True
-        self._eigen()
+        try:   # dpotrf leaves the scaled N's strict upper triangle as it was
+            self._l[:self.size, :self.size], self.jitter = _factorize(
+                self._scaled_n(), [j for j in _JITTER_LADDER if j > self.jitter])
+        except SingularGram:
+            self.eig_fallback = True
+            self._eigen()
 
     def _eigen(self) -> None:
         lam, P = np.linalg.eigh(self._scaled_n())

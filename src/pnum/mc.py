@@ -61,7 +61,8 @@ def make_evidence_problem(name: str, **params) -> EvidenceProblem:
     Z = prod_j (Phi((hi - mu)/sigma) - Phi((lo - mu)/sigma)) / volume.
     ``constant``: likelihood identically ``value`` > 0 (Z = value) on the
     unit box of dimension ``dim`` >= 1.  Other values, a ``mu`` that leaves
-    the box no prior mass in floating point, and a parameter the problem does
+    the box no prior mass in floating point, a ``sigma`` under which the
+    log-likelihood overflows on the box, and a parameter the problem does
     not read, raise ValueError.
     """
     if name in ("gaussian-1d", "gaussian-2d"):
@@ -81,6 +82,10 @@ def make_evidence_problem(name: str, **params) -> EvidenceProblem:
         mass = (ndtr((half - mu) / sigma) - ndtr((-half - mu) / sigma)) ** d
         if not mass > 0.0:
             raise ValueError(f"{name} with mu = {mu} leaves no prior mass in the box")
+        with np.errstate(over="ignore", divide="ignore"):   # at the corner farthest from mu
+            if not np.isfinite(log_likelihood(np.full(d, -half if mu >= 0 else half))[0]):
+                raise ValueError(f"{name} with sigma = {sigma} has a log-likelihood "
+                                 "that is not finite on the box")
         vol = (2 * half) ** d
         problem = EvidenceProblem(name=name, log_likelihood=log_likelihood,
                                   box=box, true_log_z=float(np.log(mass / vol)))
@@ -119,7 +124,7 @@ def smc_integrate(problem: EvidenceProblem, n: int,
     The running estimate and its standard error are recorded at every
     power-of-two sample count (plus n itself).  The error is the two-pass
     sample deviation of the likelihoods less the first one, which is exactly
-    0 when every likelihood is equal.
+    0 when every likelihood is equal.  A sum that overflows raises ValueError.
     """
     if n < 1:
         raise ValueError("need at least one sample")
@@ -127,7 +132,10 @@ def smc_integrate(problem: EvidenceProblem, n: int,
     theta = problem.sample_prior(rng, n)
     lik = np.exp(problem.log_likelihood(theta))
     record = ConvergenceRecord()
-    csum = np.cumsum(lik)
+    with np.errstate(over="ignore"):
+        csum = np.cumsum(lik)
+    if csum[-1] == np.inf:
+        raise ValueError(f"{problem.name}: the sum of {n} likelihoods overflows")
     for m in _power_of_two_budgets(n):
         stderr = np.std(lik[:m] - lik[0], ddof=1) / np.sqrt(m) if m > 1 else np.inf
         record.append(budget=m, estimate=float(csum[m - 1] / m), spread=float(stderr))

@@ -42,7 +42,7 @@ PSD_SLACK_REL = 1e-8
 
 @dataclass(frozen=True)
 class IVProblem:
-    """Initial value problem dx/dt = f(x, t), x(t0) = x0."""
+    """Initial value problem dx/dt = f(x, t), x(t0) = x0; f(x0, t0) has x0's size."""
 
     f: Callable[[np.ndarray, float], np.ndarray]
     x0: np.ndarray
@@ -54,7 +54,8 @@ class IVProblem:
         object.__setattr__(self, "x0", np.atleast_1d(_require_finite("x0", self.x0)))
         if not self.t_end > self.t0:
             raise ValueError("t_end must exceed t0")
-        self.eval_field(self.x0, self.t0)
+        if (size := np.size(self.eval_field(self.x0, self.t0))) != self.dim:
+            raise ValueError(f"field value has {size} entries, x0 has {self.dim}")
 
     @property
     def dim(self) -> int:

@@ -332,11 +332,19 @@ class TestRecycleCommand:
                                                 "noise": 0.01})
         assert code == 0
 
+    def test_stencil_wider_than_the_signal_runs(self, tmp_path):
+        code, out = run_cli(tmp_path, "recycle", {"dim": 2, "kernel_size": 9})
+        assert code == 0
+        assert len(read_rows(out)) == 40
+
     def test_rejected_config_exit_code(self, tmp_path, capsys):
-        # a negative rank and a drift the generator rejects: exit 2, no traceback
+        # a negative rank, sizes and a drift the generator rejects: exit 2,
+        # no traceback
         for config, message in [
                 ({"dim": 16, "length": 4, "rank": -1}, "rank must be >= 0"),
                 ({"dim": 16, "length": 4, "drift": 0.5}, "drift magnitude"),
+                ({"dim": 0}, "dim and kernel_size must be >= 1, got 0, 9"),
+                ({"kernel_size": 0}, "dim and kernel_size must be >= 1, got 32, 0"),
                 ({"dim": None}, "NoneType")]:
             code, _ = run_cli(tmp_path, "recycle", config)
             assert code == 2

@@ -107,6 +107,10 @@ class TestRecyclingBenchmark:
 @pytest.mark.parametrize("call, error, message", [
     pytest.param(lambda: SequenceConfig(length=1),
                  ValueError, "sequence length must be >= 2", id="one-system"),
+    pytest.param(lambda: SequenceConfig(dim=0),
+                 ValueError, "dim and kernel_size must be >= 1, got 0, 9", id="empty-signal"),
+    pytest.param(lambda: SequenceConfig(kernel_size=0),
+                 ValueError, "dim and kernel_size must be >= 1, got 32, 0", id="empty-stencil"),
 ])
 def test_typed_rejections(call, error, message):
     with pytest.raises(error, match=message):

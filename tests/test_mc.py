@@ -177,6 +177,13 @@ class TestAIS:
                  ValueError, "must be >= 1", id="ais-no-chains"),
     pytest.param(lambda: ais_evidence(make_evidence_problem("gaussian-1d"), 8, 8, 0, 0),
                  ValueError, "must be >= 1", id="ais-no-mh-steps"),
+    # sigma ** 2 underflows to 0, so every log-likelihood but at mu is -inf
+    pytest.param(lambda: make_evidence_problem("gaussian-1d", sigma=1e-200),
+                 ValueError, "sigma = 1e-200 has a log-likelihood that is not finite",
+                 id="gaussian-tiny-sigma"),
+    pytest.param(lambda: smc_integrate(make_evidence_problem("constant", value=1e308), 4, 0),
+                 ValueError, "constant: the sum of 4 likelihoods overflows",
+                 id="smc-sum-overflows"),
 ])
 def test_typed_rejections(call, error, message):
     with pytest.raises(error, match=message):

@@ -483,6 +483,10 @@ class TestLinearCost:
     pytest.param(lambda: IVProblem(f=lambda x, t: np.zeros(1), x0=[np.nan], t0=0.0,
                                    t_end=1.0),
                  ValueError, r"^x0 must be finite, got \[nan\]", id="nan-x0"),
+    # a length-1 value would broadcast over both coordinates
+    pytest.param(lambda: IVProblem(f=lambda x, t: np.ones(1), x0=[1.0, 2.0], t0=0.0,
+                                   t_end=1.0),
+                 ValueError, "field value has 1 entries, x0 has 2", id="short-field"),
 ])
 def test_typed_rejections(call, error, message):
     with pytest.raises(error, match=message):

@@ -5,7 +5,9 @@ for a ``random_spd`` operator and a right-hand side, and for the warm solves
 a rank and the size of a perturbation of the operator.  Bordered factor:
 each example draws a Gram size, a rank, a relative lowering of the diagonal
 past the rank and a seed.  Dense operator: each example draws a dimension
-up to 300, a condition number and a seed.  Quadrature: each example draws
+up to 300, a condition number and a seed.  Convolution matrix: each example
+draws a stencil size, a signal length, and a stencil width and offset.
+Quadrature: each example draws
 a linear-spline kernel, an interval, nodes and values, or a random SPD
 joint covariance of nodes and candidate nodes.  Prior
 draws: each example draws a linear-spline kernel, an interval, a grid in it
@@ -43,6 +45,7 @@ from pnum import (BQState, IVProblem, KernelFamily, LinearOperator,
                   posterior_mean_apply, random_spd, rk_method, rk_reference,
                   sample_path, solve_ivp_filter, solve_probabilistic,
                   trapezoid, truncate_belief)
+from pnum.deconv import _conv_matrix, _gaussian_stencil
 from pnum.linalg import _BorderedCholesky
 from pnum.gp import (JITTER_REL_MAX, JITTER_REL_START, _factorize,
                      _profiled_likelihood, _spline_draw, default_bounds)
@@ -238,6 +241,29 @@ def test_dense_matvec_is_the_matrix_product(n, cond, seed):
     assert np.shares_memory(A, LinearOperator.from_dense(A).matvec.args[1])
 
 
+def diagonal_sum_conv(kernel, n):
+    """The convolution matrix as a sum of one np.diag matrix per tap; it
+    needs n >= size // 2."""
+    half = kernel.size // 2
+    X = np.zeros((n, n))
+    for offset in range(kernel.size):
+        j = offset - half
+        X += np.diag(kernel[offset] * np.ones(n - abs(j)), k=j)
+    return X
+
+
+@checks
+@given(st.integers(1, 15), st.integers(1, 80), st.floats(0.6, 3.0), st.floats(-2.0, 2.0))
+def test_conv_matrix_is_the_diagonal_sum(size, n, width, center):
+    # a stencil wider than the signal drops its off-edge taps as every edge
+    # row does, so the matrix is the top-left n x n block of a larger one
+    kernel = _gaussian_stencil(width, center, size)
+    X = _conv_matrix(kernel, n)
+    assert X.tobytes() == diagonal_sum_conv(kernel, n + size)[:n, :n].tobytes()
+    if n >= size // 2:
+        assert X.tobytes() == diagonal_sum_conv(kernel, n).tobytes()
+
+
 bordered_grams = st.tuples(
     st.integers(1, 80),                                # size, past capacity 16, 32, 64
     st.floats(0.0, 1.0),                               # rank / size
@@ -264,7 +290,7 @@ def test_bordered_factor_grows_in_place(draw):
     G[tail, tail] -= delta * G[tail, tail]
     factor = _BorderedCholesky()
     for m in range(1, size + 1):
-        rung = factor.rung
+        jitter = factor.jitter
         factor.append(G[:m, m - 1])
         assert not factor.eig_fallback
         dd = np.sqrt(np.diag(G[:m, :m]))
@@ -279,11 +305,11 @@ def test_bordered_factor_grows_in_place(draw):
         z = solve_triangular(L, v / dd, lower=True, check_finite=False)
         ref = solve_triangular(L, z, lower=True, trans="T", check_finite=False) / dd
         assert factor.solve(v).tobytes() == ref.tobytes()
-        if factor.rung != rung:
-            assert L.tobytes() == np.linalg.cholesky(N).tobytes()
+        if factor.jitter != jitter:
+            assert L.tobytes() == np.tril(dpotrf(N, lower=1)[0]).tobytes()
         assert np.all(np.diag(L) > 0)
         assert np.abs(L @ L.T - N).max() <= 1e-12
-    assert factor.rung > 0 or delta == 0.0 or rank == size
+    assert factor.jitter > 0 or delta == 0.0 or rank == size
 
 
 quad_rules = st.tuples(
