@@ -15,8 +15,11 @@ this profiled likelihood.  Two covariance families are supported:
 Linear-spline prior draws are exact and cost O(n): on an interval the prior
 is the linear interpolation of its two end values plus an independent
 Brownian bridge.  Other draws factor the jittered dense Gram.  Nothing is
-cached between calls.  :func:`_factorize`, the one jittered Cholesky, serves
-Grams and S'Y; solves call ``dpotrs(L, b, lower=1)`` on its ``dpotrf`` factor L.
+cached between calls.  :func:`_factorize`, the one jittered Cholesky ladder,
+serves Grams and S'Y; solves call ``dpotrs(L, b, lower=1)`` on its ``dpotrf``
+factor L.  :func:`_profiled_scan` factors a stack of unit Grams in one
+``np.linalg.cholesky`` call at each slice's first rung, and sends the stack
+through :func:`_factorize` one slice at a time only when that fails.
 
 All types are immutable after construction; operations are pure given their
 inputs plus an explicit seed.
@@ -32,7 +35,7 @@ from operator import mul
 from typing import Dict, Optional, Tuple
 
 import numpy as np
-from scipy.linalg.lapack import dpotrf, dpotrs
+from scipy.linalg.lapack import dpotrf, dpotrs, dtrtrs
 
 from .exceptions import SingularGram, _require_finite
 
@@ -212,8 +215,33 @@ def _profiled_likelihood(L: np.ndarray, y: np.ndarray, m_lo: float,
 
 def _profiled_scan(K1s: np.ndarray, y: np.ndarray, m_lo: float):
     """(index, log evidence, m, factor) of the first best unit Gram of a stack
-    under :func:`_profiled_likelihood`, each factorized by :func:`_factorize`.
-    A slice that raises SingularGram is skipped; raises it if every one does."""
+    under :func:`_profiled_likelihood`.
+
+    The stack is factored in one call, each slice with :func:`_factorize`'s
+    first jitter; q = |L^-1 y|^2 comes from forward substitution alone, and
+    the log-determinant from the diagonals.  If that call fails, or a Gram or
+    a score is not finite, each slice climbs :func:`_factorize`'s ladder on
+    its own, and a slice that raises SingularGram is skipped; raises it if
+    every one does.
+    """
+    n = y.size
+    if np.isfinite(K1s).all():
+        with np.errstate(over="ignore", invalid="ignore"):
+            jitters = JITTER_REL_START * (np.trace(K1s, axis1=1, axis2=2) / n)
+            try:
+                Ls = np.linalg.cholesky(K1s + jitters[:, None, None] * np.eye(n))
+            except np.linalg.LinAlgError:
+                pass
+            else:   # L^-1 y as the transposed solve with L': no F-order copy
+                z = np.array([dtrtrs(L.T, y, lower=0, trans=1)[0] for L in Ls])
+                q = np.sum(z * z, axis=1)
+                m = np.maximum(q / n, m_lo)
+                ll = (-0.5 * q / m - 0.5 * n * np.log(m)
+                      - np.sum(np.log(np.diagonal(Ls, axis1=1, axis2=2)), axis=1)
+                      - 0.5 * n * log(2 * pi))
+                if np.isfinite(ll).all():
+                    i = int(np.argmax(ll))
+                    return i, float(ll[i]), float(m[i]), Ls[i]
     fits = []
     for i, K1 in enumerate(K1s):
         try:

@@ -60,10 +60,10 @@ def make_evidence_problem(name: str, **params) -> EvidenceProblem:
     at ``mu`` with scale ``sigma`` > 0 on the box [-half_width, half_width]^d, so
     Z = prod_j (Phi((hi - mu)/sigma) - Phi((lo - mu)/sigma)) / volume.
     ``constant``: likelihood identically ``value`` > 0 (Z = value) on the
-    unit box of dimension ``dim`` >= 1.  Other values, a ``mu`` that leaves
-    the box no prior mass in floating point, a ``sigma`` under which the
-    log-likelihood overflows on the box, and a parameter the problem does
-    not read, raise ValueError.
+    unit box of dimension ``dim`` >= 1.  Other values, a ``mu`` or a
+    too-wide ``sigma`` that leaves the box no prior mass in floating point,
+    a ``sigma`` under which the log-likelihood overflows on the box, and a
+    parameter the problem does not read, raise ValueError.
     """
     if name in ("gaussian-1d", "gaussian-2d"):
         d = 1 if name.endswith("1d") else 2
@@ -79,9 +79,12 @@ def make_evidence_problem(name: str, **params) -> EvidenceProblem:
             return (-0.5 * ((theta - mu) ** 2).sum(axis=1) / sigma ** 2
                     - d * np.log(sigma * np.sqrt(2 * np.pi)))
 
-        mass = (ndtr((half - mu) / sigma) - ndtr((-half - mu) / sigma)) ** d
-        if not mass > 0.0:
-            raise ValueError(f"{name} with mu = {mu} leaves no prior mass in the box")
+        z_lo, z_hi = (-half - mu) / sigma, (half - mu) / sigma
+        mass = (ndtr(z_hi) - ndtr(z_lo)) ** d
+        if not mass > 0.0:   # a box within one sigma of mu lost its mass to rounding
+            blame = (f"sigma = {sigma} over half_width = {half}"
+                     if max(abs(z_lo), abs(z_hi)) < 1.0 else f"mu = {mu}")
+            raise ValueError(f"{name} with {blame} leaves no prior mass in the box")
         with np.errstate(over="ignore", divide="ignore"):   # at the corner farthest from mu
             if not np.isfinite(log_likelihood(np.full(d, -half if mu >= 0 else half))[0]):
                 raise ValueError(f"{name} with sigma = {sigma} has a log-likelihood "
@@ -124,20 +127,24 @@ def smc_integrate(problem: EvidenceProblem, n: int,
     The running estimate and its standard error are recorded at every
     power-of-two sample count (plus n itself).  The error is the two-pass
     sample deviation of the likelihoods less the first one, which is exactly
-    0 when every likelihood is equal.  A sum that overflows raises ValueError.
+    0 when every likelihood is equal.  A sum or a spread that overflows raises
+    ValueError.
     """
     if n < 1:
         raise ValueError("need at least one sample")
     rng = np.random.default_rng(seed)
     theta = problem.sample_prior(rng, n)
     lik = np.exp(problem.log_likelihood(theta))
-    record = ConvergenceRecord()
+    budgets = _power_of_two_budgets(n)
     with np.errstate(over="ignore"):
         csum = np.cumsum(lik)
-    if csum[-1] == np.inf:
-        raise ValueError(f"{problem.name}: the sum of {n} likelihoods overflows")
-    for m in _power_of_two_budgets(n):
-        stderr = np.std(lik[:m] - lik[0], ddof=1) / np.sqrt(m) if m > 1 else np.inf
+        if csum[-1] == np.inf:
+            raise ValueError(f"{problem.name}: the sum of {n} likelihoods overflows")
+        stderrs = [np.std(lik[:m] - lik[0], ddof=1) / np.sqrt(m) for m in budgets[1:]]
+    if np.isinf(stderrs).any():
+        raise ValueError(f"{problem.name}: the spread of {n} likelihoods overflows")
+    record = ConvergenceRecord()
+    for m, stderr in zip(budgets, [np.inf] + stderrs):
         record.append(budget=m, estimate=float(csum[m - 1] / m), spread=float(stderr))
     return float(csum[-1] / n), record
 
@@ -167,25 +174,25 @@ def ais_evidence(problem: EvidenceProblem, n_temps: int, n_chains: int,
     if n_temps < 1 or mh_steps < 1 or n_chains < 1:
         raise ValueError("n_temps, n_chains and mh_steps must be >= 1")
     rng = np.random.default_rng(seed)
-    box = problem.box
-    widths = box[:, 1] - box[:, 0]
+    lo, hi = problem.box.T
+    widths = hi - lo
     betas = np.concatenate([[0.0], np.geomspace(AIS_BETA_MIN, 1.0, n_temps)])
     theta = problem.sample_prior(rng, n_chains)
     log_w = np.zeros(n_chains)
     scale = 0.5 * widths / np.sqrt(n_temps)
     log_lik = problem.log_likelihood(theta)
     n_evals = n_chains
-    for j in range(1, betas.size):
-        log_w += (betas[j] - betas[j - 1]) * log_lik
+    for beta_prev, beta in zip(betas[:-1], betas[1:]):
+        log_w += (beta - beta_prev) * log_lik
+        n_evals += mh_steps * n_chains
         for _ in range(mh_steps):
             prop = theta + rng.standard_normal(theta.shape) * scale
-            inside = np.all((prop >= box[:, 0]) & (prop <= box[:, 1]), axis=1)
+            inside = ((prop >= lo) & (prop <= hi)).all(axis=1)
             log_lik_prop = problem.log_likelihood(prop)
-            n_evals += n_chains
-            log_acc = betas[j] * (log_lik_prop - log_lik)
+            log_acc = beta * (log_lik_prop - log_lik)
             accept = inside & (np.log(rng.uniform(size=n_chains)) < log_acc)
-            theta[accept] = prop[accept]
-            log_lik[accept] = log_lik_prop[accept]
+            theta = np.where(accept[:, None], prop, theta)
+            log_lik = np.where(accept, log_lik_prop, log_lik)
     record = ConvergenceRecord()
     for m in _power_of_two_budgets(n_chains):
         est = float(logsumexp(log_w[:m]) - np.log(m))

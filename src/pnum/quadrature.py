@@ -50,6 +50,9 @@ VAR_GRID = 33
 # The warp offset alpha is this fraction of the smallest observed value.
 WARP_ALPHA_FACTOR = 0.8
 
+# Warped-BQ lengthscales, as multiples of the box widths, that the fit scans.
+WARP_LENGTH_MULTS = np.geomspace(0.05, 2.0, 16)
+
 
 def trapezoid(nodes, values) -> float:
     """Trapezoid-rule estimate sum_i (f_i + f_{i-1})/2 * (x_i - x_{i-1}).
@@ -338,17 +341,20 @@ def _profile_theta_fit(X: np.ndarray, g: np.ndarray, box: np.ndarray):
     """Fit an exponentiated-quadratic kernel on the box to g by profiled
     marginal likelihood.
 
-    The lengthscales are a common multiple of the box widths on a 16-point
-    log grid, each with its closed-form theta, in one stack of unit Grams.
-    Returns the kernel and its Gram's jittered factor (theta times K1's).
+    The lengthscales are the box widths times each of ``WARP_LENGTH_MULTS``,
+    each with its closed-form theta, in one stack of unit Grams.
+    :func:`_profiled_scan` factors the stack in one call at each Gram's first
+    jitter rung, and climbs the jitter ladder one Gram at a time only if
+    that fails.  Returns the kernel and its Gram's jittered factor (theta
+    times K1's).
     """
     widths = box[:, 1] - box[:, 0]
     S = X / widths
     D = np.sum((S[:, None, :] - S[None, :, :]) ** 2, axis=-1)
-    mults = np.geomspace(0.05, 2.0, 16)
     i, _, theta2, L1 = _profiled_scan(
-        np.exp(-D / mults[:, None, None] ** 2), g, 1e-16)
-    kern = _make_kernel(KernelFamily.EXP_QUADRATIC, theta2, mults[i] * widths, box)
+        np.exp(-D / WARP_LENGTH_MULTS[:, None, None] ** 2), g, 1e-16)
+    kern = _make_kernel(KernelFamily.EXP_QUADRATIC, theta2,
+                        WARP_LENGTH_MULTS[i] * widths, box)
     return kern, kern.scale * L1
 
 

@@ -1,3 +1,4 @@
+import hashlib
 import subprocess
 import sys
 from pathlib import Path
@@ -167,6 +168,26 @@ class TestAIS:
         result = ais_evidence(p, n_temps=8, n_chains=4, mh_steps=3, seed=0)
         assert result.n_likelihood_evals == 4 * (1 + 8 * 3)
 
+    # (seed, n_temps): float.hex of log_z, and the first 16 hex digits of the
+    # sha256 of the record's estimates then spreads as float.hex, on
+    # gaussian-2d with 32 chains and 5 Metropolis steps per rung
+    PINNED = {(0, 8): ("-0x1.498dad71fb7abp+2", "869b56eae2f2a888"),
+              (1, 8): ("-0x1.1b49ba0cd4e4bp+2", "f7bf3e17a9767cfa"),
+              (2, 8): ("-0x1.27c74481d0a38p+2", "02f8231d14c63566"),
+              (0, 64): ("-0x1.2a0c60325c4b8p+2", "3ecb02d7dcaaa94e"),
+              (1, 64): ("-0x1.21bb481328273p+2", "f9b9e3d845d330c6"),
+              (2, 64): ("-0x1.2c4a199481025p+2", "fa15595757ab324e")}
+
+    @pytest.mark.parametrize("seed, n_temps", sorted(PINNED))
+    def test_pinned_bits(self, seed, n_temps):
+        # the Metropolis step draws the same random stream and keeps the same
+        # arithmetic, so its estimates stay the same to the bit
+        p = make_evidence_problem("gaussian-2d")
+        result = ais_evidence(p, n_temps, 32, 5, seed)
+        record = result.record.estimates + result.record.spreads
+        digest = hashlib.sha256(" ".join(map(float.hex, record)).encode())
+        assert (result.log_z.hex(), digest.hexdigest()[:16]) == self.PINNED[seed, n_temps]
+
 
 @pytest.mark.parametrize("call, error, message", [
     pytest.param(lambda: smc_integrate(make_evidence_problem("gaussian-1d"), 0, 0),
@@ -184,6 +205,17 @@ class TestAIS:
     pytest.param(lambda: smc_integrate(make_evidence_problem("constant", value=1e308), 4, 0),
                  ValueError, "constant: the sum of 4 likelihoods overflows",
                  id="smc-sum-overflows"),
+    # likelihoods near 1e200 sum finitely, but their squared spread overflows;
+    # RuntimeWarning is an error in this suite, so no warning may escape either
+    pytest.param(lambda: smc_integrate(EvidenceProblem(
+                     name="hot", box=[[0.0, 1.0]],
+                     log_likelihood=lambda t: 460.0 + np.atleast_2d(t)[:, 0]), 64, 0),
+                 ValueError, "hot: the spread of 64 likelihoods overflows",
+                 id="smc-spread-overflows"),
+    # Phi(5e-200) - Phi(-5e-200) rounds to 0: the width of sigma, not mu, is at fault
+    pytest.param(lambda: make_evidence_problem("gaussian-1d", sigma=1e200),
+                 ValueError, r"sigma = 1e\+200 over half_width = 5.0 leaves no prior mass",
+                 id="gaussian-huge-sigma"),
 ])
 def test_typed_rejections(call, error, message):
     with pytest.raises(error, match=message):

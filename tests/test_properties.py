@@ -33,7 +33,7 @@ import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 from scipy.linalg import block_diag, cho_factor, cho_solve, solve_triangular
-from scipy.linalg.lapack import dpotrf, dpotrs
+from scipy.linalg.lapack import dpotrf, dpotrs, dtrtrs
 from scipy.special import erf
 
 from pnum import (BQState, IVProblem, KernelFamily, LinearOperator,
@@ -48,8 +48,10 @@ from pnum import (BQState, IVProblem, KernelFamily, LinearOperator,
 from pnum.deconv import _conv_matrix, _gaussian_stencil
 from pnum.linalg import _BorderedCholesky
 from pnum.gp import (JITTER_REL_MAX, JITTER_REL_START, _factorize,
-                     _profiled_likelihood, _spline_draw, default_bounds)
-from pnum.quadrature import (_candidate_grid, _default_candidates, _pair_embed,
+                     _profiled_likelihood, _profiled_scan, _spline_draw,
+                     default_bounds)
+from pnum.quadrature import (WARP_LENGTH_MULTS, _candidate_grid,
+                             _default_candidates, _pair_embed,
                              _profile_theta_fit, _spline_reductions,
                              _variance_reductions)
 
@@ -654,7 +656,7 @@ def test_axis_embeddings_are_the_candidate_embeddings(draw):
                           _pair_embed(kern, candidates, X))
 
 
-def per_slice_fit(K1s, g):
+def ladder_fit(K1s, g):
     """The lengthscale scan one slice at a time, each through the jitter
     ladder: (index, log evidence, m, factor) of the first best slice."""
     best = None
@@ -667,6 +669,29 @@ def per_slice_fit(K1s, g):
         if best is None or fit[1] > best[1]:
             best = fit
     return best
+
+
+def per_slice_fit(K1s, g):
+    """The lengthscale scan one slice at a time: each factored by
+    np.linalg.cholesky at its first jitter rung, q = |L^-1 g|^2 by forward
+    substitution.  (index, m, factor) of the first best slice; the ladder
+    scan if any slice fails its first rung."""
+    fits = []
+    for K1 in K1s:
+        n = len(K1)
+        try:
+            factor = np.linalg.cholesky(
+                K1 + JITTER_REL_START * (K1.trace() / n) * np.eye(n))
+        except np.linalg.LinAlgError:
+            i, _, m, factor = ladder_fit(K1s, g)
+            return i, m, factor
+        z = dtrtrs(factor.T, g, lower=0, trans=1)[0]
+        q = np.sum(z * z)
+        m = max(q / n, 1e-16)
+        fits.append((-0.5 * q / m - 0.5 * n * np.log(m)
+                     - np.sum(np.log(np.diag(factor))), m, factor))
+    i = max(range(len(fits)), key=lambda i: fits[i][0])
+    return i, *fits[i][1:]
 
 
 @checks
@@ -682,11 +707,53 @@ def test_stacked_scan_is_the_per_slice_scan(draw, gap_exp):
     g = np.array([v for _, v in pairs])
     S = X / widths
     D = np.sum((S[:, None, :] - S[None, :, :]) ** 2, axis=-1)
-    mults = np.geomspace(0.05, 2.0, 16)
-    i, _, theta2, L1 = per_slice_fit([np.exp(-D / m ** 2) for m in mults], g)
+    i, theta2, L1 = per_slice_fit([np.exp(-D / m ** 2) for m in WARP_LENGTH_MULTS], g)
     kern, L = _profile_theta_fit(X, g, box)
-    assert kern == exp_quadratic(np.sqrt(theta2), mults[i] * widths, box)
+    assert kern == exp_quadratic(np.sqrt(theta2), WARP_LENGTH_MULTS[i] * widths, box)
     assert np.array_equal(L, kern.scale * L1)
+
+
+@checks
+@given(st.integers(2, 12), st.integers(0, 2**31 - 1), st.permutations(range(3)))
+def test_scan_falls_back_to_the_jitter_ladder(n, seed, order):
+    # a Gram with an eigenvalue of -3e-9 times its mean diagonal fails the
+    # first two jitter rungs and factors at a higher one; beside it a sound
+    # Gram and one with a NaN entry.  A stack that is not finite, or whose
+    # stacked factorization raises, climbs _factorize's ladder slice by
+    # slice: the scan is the ladder scan, the failing Gram gets _factorize's
+    # jitter and factor, and the NaN Gram is skipped
+    rng = np.random.default_rng(seed)
+    Q = np.linalg.qr(rng.standard_normal((n, n)))[0]
+    eig = rng.uniform(0.5, 1.5, n)
+
+    def gram(low):   # Q diag(eig) Q' with its first eigenvalue low * mean(eig)
+        K = (Q * np.concatenate(([low * eig.mean()], eig[1:]))) @ Q.T
+        return 0.5 * (K + K.T)
+
+    failing = gram(-3e-9)
+    sound = random_spd(n, seed, cond=1e3)
+    nan = sound.copy()
+    nan[tuple(rng.integers(n, size=2))] = np.nan
+    g = rng.standard_normal(n)
+    stack = np.stack([(failing, sound, nan)[k] for k in order])
+
+    factor, jitter = _factorize(failing)
+    assert jitter > JITTER_REL_START * failing.trace() / n
+    i, ll, m, L = _profiled_scan(stack, g, 1e-16)
+    ref = ladder_fit(stack, g)
+    assert (i, ll, m) == ref[:3] and np.array_equal(L, ref[3])
+    assert order[i] != 2
+    finite = np.stack([failing, sound])
+    i, ll, m, L = _profiled_scan(finite, g, 1e-16)
+    ref = ladder_fit(finite, g)
+    assert (i, ll, m) == ref[:3] and np.array_equal(L, ref[3])
+    for sub in (stack[[order.index(0), order.index(2)]], failing[None]):
+        i, ll, m, L = _profiled_scan(sub, g, 1e-16)
+        assert i == 0 and np.array_equal(L, factor)
+        assert (ll, m) == _profiled_likelihood(factor, g, 1e-16)
+    for doomed in ([gram(-1e-3), nan], [gram(-1e-3)]):   # past the last rung
+        with pytest.raises(SingularGram):
+            _profiled_scan(np.stack(doomed), g, 1e-16)
 
 
 filter_runs = st.tuples(
