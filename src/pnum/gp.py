@@ -17,9 +17,10 @@ is the linear interpolation of its two end values plus an independent
 Brownian bridge.  Other draws factor the jittered dense Gram.  Nothing is
 cached between calls.  :func:`_factorize`, the one jittered Cholesky ladder,
 serves Grams and S'Y; solves call ``dpotrs(L, b, lower=1)`` on its ``dpotrf``
-factor L.  :func:`_profiled_scan` factors a stack of unit Grams in one
-``np.linalg.cholesky`` call at each slice's first rung, and sends the stack
-through :func:`_factorize` one slice at a time only when that fails.
+factor L.  :func:`_profiled_scan` is the one place that factors and scores a
+unit Gram under the profiled likelihood: each slice of a stack by a bare
+``dpotrf`` at the first rung, and through :func:`_factorize` only when that
+fails.  Both kernel fits and :func:`log_marginal_likelihood` call it.
 
 All types are immutable after construction; operations are pure given their
 inputs plus an explicit seed.
@@ -196,68 +197,52 @@ def _factorize(K: np.ndarray, jitters=None):
     raise SingularGram(f"Cholesky failed up to jitter {jitter:.2e}")
 
 
-def _profiled_likelihood(L: np.ndarray, y: np.ndarray, m_lo: float,
-                         m_hi: float = np.inf):
-    """Log evidence of y under m * K1 at its maximizer m = clip(y' K1^-1 y / n),
-    given the jittered factor L of the unit Gram K1: (log evidence, m).
-    sqrt(m) L is the factor of m * K1.  Raises SingularGram if the quadratic
-    form is not finite."""
-    with np.errstate(over="ignore", invalid="ignore"):
-        q = float(y @ dpotrs(L, y, lower=1)[0])
-    if not np.isfinite(q):
-        raise SingularGram(f"profiled quadratic form y' K1^-1 y = {q}")
-    n = y.size
-    m = min(max(q / n, m_lo), m_hi)
-    logdet = 2.0 * float(np.sum(np.log(np.diag(L))))
-    ll = -0.5 * q / m - 0.5 * n * log(m) - 0.5 * logdet - 0.5 * n * log(2 * pi)
-    return ll, m
+def _profiled_scan(K1s: np.ndarray, y: np.ndarray, m_lo: float,
+                   m_hi: float = np.inf):
+    """(index, log evidence, m, factor) of the first best unit Gram K1 of a
+    stack, each scored by the Gaussian log evidence of y under m * K1 at its
+    maximizer m = clip(y' K1^-1 y / n, m_lo, m_hi); sqrt(m) L is the factor
+    of m * K1.
 
-
-def _profiled_scan(K1s: np.ndarray, y: np.ndarray, m_lo: float):
-    """(index, log evidence, m, factor) of the first best unit Gram of a stack
-    under :func:`_profiled_likelihood`.
-
-    The stack is factored in one call, each slice with :func:`_factorize`'s
-    first jitter; q = |L^-1 y|^2 comes from forward substitution alone, and
-    the log-determinant from the diagonals.  If that call fails, or a Gram or
-    a score is not finite, each slice climbs :func:`_factorize`'s ladder on
-    its own, and a slice that raises SingularGram is skipped; raises it if
-    every one does.
+    Each slice gets :func:`_factorize`'s first jitter and is factored in
+    place by a bare ``dpotrf`` that reads its lower triangle, which gives
+    :func:`_factorize`'s factor; only a slice that fails, or is not finite,
+    climbs the ladder, and one that raises SingularGram is skipped.
+    q = |L^-1 y|^2 is one forward substitution (Rasmussen & Williams 2006,
+    Algorithm 2.1).  Raises SingularGram if no slice scores finite.
     """
-    n = y.size
-    if np.isfinite(K1s).all():
-        with np.errstate(over="ignore", invalid="ignore"):
-            jitters = JITTER_REL_START * (np.trace(K1s, axis1=1, axis2=2) / n)
+    k, n = len(K1s), y.size
+    # slice i of Ls, transposed, is K1s[i] in F order: dpotrf works in place
+    Ls = np.swapaxes(K1s, 1, 2).copy()
+    Z = np.full((k, n), np.nan)
+    with np.errstate(over="ignore", invalid="ignore"):
+        Ls.reshape(k, -1)[:, ::n + 1] += (
+            JITTER_REL_START * (np.trace(K1s, axis1=1, axis2=2) / n))[:, None]
+    for i, (L, finite) in enumerate(zip(np.swapaxes(Ls, 1, 2),
+                                        np.isfinite(K1s).all(axis=(1, 2)))):
+        if not (finite and dpotrf(L, lower=1, clean=0, overwrite_a=1)[1] == 0):
             try:
-                Ls = np.linalg.cholesky(K1s + jitters[:, None, None] * np.eye(n))
-            except np.linalg.LinAlgError:
-                pass
-            else:   # L^-1 y as the transposed solve with L': no F-order copy
-                z = np.array([dtrtrs(L.T, y, lower=0, trans=1)[0] for L in Ls])
-                q = np.sum(z * z, axis=1)
-                m = np.maximum(q / n, m_lo)
-                ll = (-0.5 * q / m - 0.5 * n * np.log(m)
-                      - np.sum(np.log(np.diagonal(Ls, axis1=1, axis2=2)), axis=1)
-                      - 0.5 * n * log(2 * pi))
-                if np.isfinite(ll).all():
-                    i = int(np.argmax(ll))
-                    return i, float(ll[i]), float(m[i]), Ls[i]
-    fits = []
-    for i, K1 in enumerate(K1s):
-        try:
-            L, _ = _factorize(K1)
-            fits.append((i, *_profiled_likelihood(L, y, m_lo), L))
-        except SingularGram:
-            pass
-    if not fits:
-        raise SingularGram("no unit Gram of the stack factorized")
-    return max(fits, key=lambda fit: fit[1])
+                L[...] = _factorize(K1s[i])[0]
+            except SingularGram:
+                continue
+        Z[i] = dtrtrs(L, y, lower=1)[0]
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        q = np.sum(Z * Z, axis=1)
+        m = np.clip(q / n, m_lo, m_hi)
+        ll = (-0.5 * q / m - 0.5 * n * np.log(m)
+              - np.sum(np.log(np.diagonal(Ls, axis1=1, axis2=2)), axis=1)
+              - 0.5 * n * log(2 * pi))
+    ll[~np.isfinite(ll)] = -np.inf
+    i = int(np.argmax(ll))
+    if ll[i] == -np.inf:
+        raise SingularGram(f"no Gram of the stack of {k} gave a finite likelihood")
+    return i, float(ll[i]), float(m[i]), Ls[i].T
 
 
 def log_marginal_likelihood(kernel: Kernel, nodes, values) -> float:
     """Gaussian log evidence of (nodes, values) under the kernel prior."""
-    L, _ = _factorize(gram_matrix(kernel, nodes))
-    return _profiled_likelihood(L, _require_finite("values", values), 1.0, 1.0)[0]
+    return _profiled_scan(gram_matrix(kernel, nodes)[None],
+                          _require_finite("values", values), 1.0, 1.0)[1]
 
 
 @dataclass(frozen=True)
@@ -351,19 +336,22 @@ def fit_hyperparameters(family: KernelFamily, nodes, values,
     diff = nodes[:, None] - nodes[None, :]
     best = (-np.inf, m_lo, h_lo)
 
-    def neg_profiled(shape):
+    def neg_profiled(shapes):
+        """(-log evidence, index) of the first best of the shapes."""
         nonlocal best
         try:
-            L, _ = _factorize(_unit_kernel(family, (shape,), (diff,)))
-            ll, m = _profiled_likelihood(L, values, m_lo, m_hi)
+            i, ll, m, _ = _profiled_scan(
+                _unit_kernel(family, (shapes[:, None, None],), (diff,)),
+                values, m_lo, m_hi)
         except SingularGram:
-            return np.inf
-        best = max(best, (ll, m, shape))
-        return -ll
+            return np.inf, 0
+        best = max(best, (ll, m, float(shapes[i])))
+        return -ll, i
 
     shapes = np.geomspace(h_lo, h_hi, 16)
-    i = int(np.argmin([neg_profiled(h) for h in shapes]))
-    minimize_scalar(lambda t: neg_profiled(float(np.exp(t))), method="bounded",
+    i = neg_profiled(shapes)[1]
+    minimize_scalar(lambda t: neg_profiled(np.atleast_1d(np.exp(t)))[0],
+                    method="bounded",
                     bounds=np.log(shapes[[max(i - 1, 0), min(i + 1, 15)]]))
     if best[0] == -np.inf:
         raise SingularGram(f"no {h_name} in [{h_lo}, {h_hi}] gave a finite likelihood")

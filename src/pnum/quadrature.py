@@ -342,11 +342,9 @@ def _profile_theta_fit(X: np.ndarray, g: np.ndarray, box: np.ndarray):
     marginal likelihood.
 
     The lengthscales are the box widths times each of ``WARP_LENGTH_MULTS``,
-    each with its closed-form theta, in one stack of unit Grams.
-    :func:`_profiled_scan` factors the stack in one call at each Gram's first
-    jitter rung, and climbs the jitter ladder one Gram at a time only if
-    that fails.  Returns the kernel and its Gram's jittered factor (theta
-    times K1's).
+    each with its closed-form theta, in one stack of unit Grams that
+    :func:`_profiled_scan` factors and scores.  Returns the kernel and its
+    Gram's jittered factor (theta times K1's).
     """
     widths = box[:, 1] - box[:, 0]
     S = X / widths
@@ -449,7 +447,8 @@ def warped_bq_integrate(f: Callable, domain, budget: int,
     integral variance over a fixed equidistant candidate scan.
 
     Returns the final estimate and a per-evaluation convergence record.
-    Raises NonPositiveEvaluation as soon as f returns a value <= 0.
+    Raises NonPositiveEvaluation as soon as f returns a value <= 0, and
+    ValueError when values past about 1e103 overflow the moments.
     """
     if budget < 3:
         raise ValueError("budget must be >= 3")
@@ -485,7 +484,11 @@ def warped_bq_integrate(f: Callable, domain, budget: int,
         alpha_w = WARP_ALPHA_FACTOR * float(fa.min())
         g = np.sqrt(2.0 * (fa - alpha_w))
         kern, L = _profile_theta_fit(Xa, g, box)
-        mean, variance, w, P = _warped_moments(kern, L, Xa, g, alpha_w)
+        try:
+            mean, variance, w, P = _warped_moments(kern, L, Xa, g, alpha_w)
+        except OverflowError:   # theta ** 4 or ** 6, theta ~ sqrt(f)
+            raise ValueError(f"integrand values up to {max(fv)!r} overflow the "
+                             "warped moments") from None
         clamped = variance < 0.0
         variance = max(variance, 0.0)
         record.append(budget=it + 1, estimate=mean, spread=np.sqrt(variance))

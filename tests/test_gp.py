@@ -224,11 +224,11 @@ class TestFit:
 
     @pytest.mark.parametrize("family", list(KernelFamily))
     def test_no_finite_likelihood_raises(self, family, monkeypatch):
-        # every shape fails the profiled likelihood: no kernel to return
+        # every shape fails the profiled scan: no kernel to return
         def singular(*args, **kwargs):
-            raise SingularGram("profiled quadratic form is not finite")
+            raise SingularGram("no Gram of the stack gave a finite likelihood")
 
-        monkeypatch.setattr(gp, "_profiled_likelihood", singular)
+        monkeypatch.setattr(gp, "_profiled_scan", singular)
         nodes = np.linspace(-3.0, 3.0, 8)
         with pytest.raises(SingularGram, match="finite likelihood"):
             fit_hyperparameters(family, nodes, np.sin(nodes))

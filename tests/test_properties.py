@@ -18,7 +18,8 @@ scale and shape, nodes on [-3, 3] and a 1-D or n x m right-hand side, or
 a family, its scale and shape, an interval on which a linear-spline kernel
 may be indefinite and nodes on it, for the jitter ladder.
 Hyperparameter fit: each example draws a kernel family, an interval, nodes
-and values.  ODE filter: each example draws a
+and values, or a family, a node count up to 129, a box width or a
+linear-spline grid shape and jitter rung that set one, and a seed.  ODE filter: each example draws a
 prior order, a problem, a step and a diffusion scale, or a linear, logistic
 or Lotka-Volterra problem, a step and a diffusion scale for the q = 1 Euler
 identity, or two vector fields of one dimension, or a prior order, a step,
@@ -28,6 +29,8 @@ forcing term in t is added, a step and a built-in tableau.  Finite-value
 guard: each example plants NaN, +inf or -inf at a drawn position of a valid
 input to one public entry.
 """
+
+from math import log, pi
 
 import numpy as np
 import pytest
@@ -47,8 +50,8 @@ from pnum import (BQState, IVProblem, KernelFamily, LinearOperator,
                   trapezoid, truncate_belief)
 from pnum.deconv import _conv_matrix, _gaussian_stencil
 from pnum.linalg import _BorderedCholesky
-from pnum.gp import (JITTER_REL_MAX, JITTER_REL_START, _factorize,
-                     _profiled_likelihood, _profiled_scan, _spline_draw,
+from pnum.gp import (_PARAMS, JITTER_REL_MAX, JITTER_REL_START, _factorize,
+                     _make_kernel, _profiled_scan, _spline_draw, _unit_kernel,
                      default_bounds)
 from pnum.quadrature import (WARP_LENGTH_MULTS, _candidate_grid,
                              _default_candidates, _pair_embed,
@@ -229,18 +232,23 @@ def test_truncation_error_bounded_by_discarded_spectrum(system, rank):
 @checks
 @given(st.integers(1, 300), st.floats(1.0, 1e4), st.integers(0, 2**31 - 1))
 def test_dense_matvec_is_the_matrix_product(n, cond, seed):
-    # the operator applies one triangle of A by dsymv, whatever A's layout;
-    # a C-ordered A is read in place, through its F-ordered transpose
+    # the operator applies A's upper triangle by dsymv, whatever A's layout:
+    # the columns it returns for the unit vectors are those of that triangle
+    # mirrored, bit for bit.  A C-ordered A is read in place through its
+    # F-ordered transpose, an F-ordered A as itself
     A = random_spd(n, seed, cond=cond)
     v = np.random.default_rng(seed + 1).standard_normal(n)
     bound = 4 * n * np.finfo(float).eps * np.linalg.norm(A, 2) * np.linalg.norm(v)
+    upper = np.triu(A) + np.triu(A, 1).T
     wide = np.zeros((2 * n, 2 * n))
     wide[::2, ::2] = A
     for layout in (A, np.asfortranarray(A), wide[::2, ::2]):
         op = LinearOperator.from_dense(layout, check=False)
         assert op.dense is layout
         assert np.linalg.norm(op.matvec(v) - A @ v) <= bound
-    assert np.shares_memory(A, LinearOperator.from_dense(A).matvec.args[1])
+        assert np.array_equal(np.column_stack([op.matvec(e) for e in np.eye(n)]), upper)
+    for layout in (A, np.asfortranarray(A)):
+        assert np.shares_memory(layout, LinearOperator.from_dense(layout).matvec.args[1])
 
 
 def diagonal_sum_conv(kernel, n):
@@ -656,14 +664,30 @@ def test_axis_embeddings_are_the_candidate_embeddings(draw):
                           _pair_embed(kern, candidates, X))
 
 
-def ladder_fit(K1s, g):
-    """The lengthscale scan one slice at a time, each through the jitter
+def profiled_likelihood(L, y, m_lo, m_hi=np.inf):
+    """Log evidence of y under m * K1 at its maximizer m = clip(y' K1^-1 y / n,
+    m_lo, m_hi), given the jittered factor L of the unit Gram K1, with
+    q = |L^-1 y|^2 by forward substitution: (log evidence, m).  Raises
+    SingularGram if the log evidence is not finite."""
+    z = dtrtrs(L, y, lower=1)[0]
+    q = np.sum(z * z)
+    n = y.size
+    m = min(max(q / n, m_lo), m_hi)
+    ll = (-0.5 * q / m - 0.5 * n * np.log(m) - np.sum(np.log(np.diag(L)))
+          - 0.5 * n * log(2 * pi))
+    if not np.isfinite(ll):
+        raise SingularGram(f"profiled log evidence {ll}")
+    return ll, m
+
+
+def ladder_fit(K1s, g, m_lo=1e-16, m_hi=np.inf):
+    """The profiled scan one slice at a time, each through the jitter
     ladder: (index, log evidence, m, factor) of the first best slice."""
     best = None
     for i, K1 in enumerate(K1s):
         try:
             factor = _factorize(K1)[0]
-            fit = (i, *_profiled_likelihood(factor, g, 1e-16), factor)
+            fit = (i, *profiled_likelihood(factor, g, m_lo, m_hi), factor)
         except SingularGram:
             continue
         if best is None or fit[1] > best[1]:
@@ -672,20 +696,19 @@ def ladder_fit(K1s, g):
 
 
 def per_slice_fit(K1s, g):
-    """The lengthscale scan one slice at a time: each factored by
-    np.linalg.cholesky at its first jitter rung, q = |L^-1 g|^2 by forward
-    substitution.  (index, m, factor) of the first best slice; the ladder
-    scan if any slice fails its first rung."""
+    """The lengthscale scan one slice at a time: each factored by dpotrf at
+    its first jitter rung, q = |L^-1 g|^2 by forward substitution.
+    (index, m, factor) of the first best slice; the ladder scan if any slice
+    fails its first rung."""
     fits = []
     for K1 in K1s:
         n = len(K1)
-        try:
-            factor = np.linalg.cholesky(
-                K1 + JITTER_REL_START * (K1.trace() / n) * np.eye(n))
-        except np.linalg.LinAlgError:
+        factor, info = dpotrf(K1 + JITTER_REL_START * (K1.trace() / n) * np.eye(n),
+                              lower=1, clean=0)
+        if info != 0:
             i, _, m, factor = ladder_fit(K1s, g)
             return i, m, factor
-        z = dtrtrs(factor.T, g, lower=0, trans=1)[0]
+        z = dtrtrs(factor, g, lower=1)[0]
         q = np.sum(z * z)
         m = max(q / n, 1e-16)
         fits.append((-0.5 * q / m - 0.5 * n * np.log(m)
@@ -696,7 +719,7 @@ def per_slice_fit(K1s, g):
 
 @checks
 @given(warped_inputs, st.integers(9, 15))
-def test_stacked_scan_is_the_per_slice_scan(draw, gap_exp):
+def test_scan_is_the_per_slice_scan(draw, gap_exp):
     # node 1 sits 10^-gap_exp box widths from node 0; the warped fit over one
     # stack of unit Grams equals the loop over Grams built one at a time, in
     # kernel and in factor bits
@@ -713,14 +736,62 @@ def test_stacked_scan_is_the_per_slice_scan(draw, gap_exp):
     assert np.array_equal(L, kern.scale * L1)
 
 
+fit_stacks = st.tuples(
+    st.sampled_from(tuple(KernelFamily)),
+    st.integers(3, 129),                               # nodes
+    st.one_of(st.sampled_from([4.0, 9.0]),             # box width, or the grid
+              st.tuples(st.integers(0, 15), st.integers(1, 4))),  # b and rung
+    st.integers(0, 2**32 - 1))                         # seed of gaps and values
+
+
+@checks
+@given(fit_stacks)
+@example((KernelFamily.EXP_QUADRATIC, 129, 9.0, 0))
+@example((KernelFamily.LINEAR_SPLINE, 129, (7, 2), 0))
+def test_fit_grid_scan_is_the_ladder_scan(draw):
+    # the 16 shapes of fit_hyperparameters' grid, on default bounds.  The
+    # linear-spline kernel is indefinite for b > 6 / (width - 6), so on a box
+    # 1.5e-10 * 10^e (1 + b) / 2b wider than that for grid point b, that Gram
+    # climbs to rung e of the jitter ladder and the larger b fail it.  The
+    # scan equals the ladder scan one slice at a time in index, log evidence,
+    # m and factor bits, and log_marginal_likelihood is the reference scorer
+    # on _factorize's factor of the chosen kernel's Gram
+    family, n, width, seed = draw
+    if isinstance(width, tuple):
+        j, e = width
+        b = np.geomspace(1e-2, 1e2, 16)[j]
+        width = 6.0 + 6.0 / b + 1.5e-10 * 10.0 ** e * (1.0 + b) / (2.0 * b)
+    rng = np.random.default_rng(seed)
+    nodes = np.concatenate(([0.0], np.cumsum(rng.uniform(0.05, 1.0, n - 1))))
+    nodes = width * nodes / nodes[-1]
+    nodes[-1] = width
+    values = rng.standard_normal(n)
+    s_name, h_name, power = _PARAMS[family]
+    bounds = default_bounds(family, nodes, values)
+    m_lo, m_hi = (s ** power for s in bounds[s_name])
+    shapes = np.geomspace(*bounds[h_name], 16)
+    K1s = _unit_kernel(family, (shapes[:, None, None],),
+                       (nodes[:, None] - nodes[None, :],))
+    ref = ladder_fit(K1s, values, m_lo, m_hi)
+    if ref is None:
+        with pytest.raises(SingularGram):
+            _profiled_scan(K1s, values, m_lo, m_hi)
+        return
+    i, ll, m, L = _profiled_scan(K1s, values, m_lo, m_hi)
+    assert (i, ll, m) == ref[:3] and np.array_equal(L, ref[3])
+    kern = _make_kernel(family, m, shapes[i], (0.0, width))
+    assert log_marginal_likelihood(kern, nodes, values) == profiled_likelihood(
+        _factorize(gram_matrix(kern, nodes))[0], values, 1.0, 1.0)[0]
+
+
 @checks
 @given(st.integers(2, 12), st.integers(0, 2**31 - 1), st.permutations(range(3)))
 def test_scan_falls_back_to_the_jitter_ladder(n, seed, order):
     # a Gram with an eigenvalue of -3e-9 times its mean diagonal fails the
     # first two jitter rungs and factors at a higher one; beside it a sound
-    # Gram and one with a NaN entry.  A stack that is not finite, or whose
-    # stacked factorization raises, climbs _factorize's ladder slice by
-    # slice: the scan is the ladder scan, the failing Gram gets _factorize's
+    # Gram and one with a NaN entry.  A slice that is not finite, or whose
+    # first-rung factorization fails, climbs _factorize's ladder on its own:
+    # the scan is the ladder scan, the failing Gram gets _factorize's
     # jitter and factor, and the NaN Gram is skipped
     rng = np.random.default_rng(seed)
     Q = np.linalg.qr(rng.standard_normal((n, n)))[0]
@@ -750,7 +821,7 @@ def test_scan_falls_back_to_the_jitter_ladder(n, seed, order):
     for sub in (stack[[order.index(0), order.index(2)]], failing[None]):
         i, ll, m, L = _profiled_scan(sub, g, 1e-16)
         assert i == 0 and np.array_equal(L, factor)
-        assert (ll, m) == _profiled_likelihood(factor, g, 1e-16)
+        assert (ll, m) == profiled_likelihood(factor, g, 1e-16)
     for doomed in ([gram(-1e-3), nan], [gram(-1e-3)]):   # past the last rung
         with pytest.raises(SingularGram):
             _profiled_scan(np.stack(doomed), g, 1e-16)

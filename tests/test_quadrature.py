@@ -1,3 +1,4 @@
+import re
 import tracemalloc
 
 import numpy as np
@@ -328,6 +329,19 @@ class TestWarped:
     def test_nonpositive_integrand_rejected(self):
         with pytest.raises(NonPositiveEvaluation):
             warped_bq_integrate(lambda x: -1.0, (0.0, 1.0), 4, seed=0)
+
+    @pytest.mark.parametrize("c", [1e100, 1e120, 1e200, 1e300])
+    def test_huge_constant_integrand(self, c):
+        # theta grows as sqrt(f) and the moments take theta^4 and theta^6,
+        # which overflow once f passes about 1e103: a ValueError that names
+        # the largest value
+        box = [(0.0, 1.0), (0.0, 1.0)]
+        if c < 1e103:
+            est, _ = warped_bq_integrate(lambda x: c, box, 5, seed=0)
+            assert np.isfinite(est.mean) and np.isfinite(est.variance)
+            return
+        with pytest.raises(ValueError, match=re.escape(f"values up to {c!r} overflow")):
+            warped_bq_integrate(lambda x: c, box, 5, seed=0)
 
     def test_2d_box(self):
         f = lambda x: float(np.exp(-0.5 * (x[0] ** 2 + x[1] ** 2)) / (2 * np.pi))
