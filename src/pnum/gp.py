@@ -212,7 +212,10 @@ def _profiled_scan(K1s: np.ndarray, y: np.ndarray, m_lo: float,
     Algorithm 2.1).  Raises SingularGram if no slice scores finite.
     """
     k, n = len(K1s), y.size
-    # slice i of Ls, transposed, is K1s[i] in F order: dpotrf works in place
+    # slice i of Ls, transposed, is K1s[i] in F order: dpotrf works in place.
+    # The first rung is _factorize's, inline: _factorize per slice copies
+    # each Gram twice and made quadrature's wall time 5 % longer
+    # (0.0925 -> 0.0970 s, median of 10 pairs on a 2-vCPU VM)
     Ls = np.swapaxes(K1s, 1, 2).copy()
     Z = np.full((k, n), np.nan)
     with np.errstate(over="ignore", invalid="ignore"):

@@ -50,10 +50,9 @@ class LinearOperator:
     SPD-ness is a contract; on construction it is spot-checked with 20 seeded
     random unit vectors unless ``check=False`` (useful for large N).  A dense
     operator is checked for symmetry, max|A - A'| <= 1e-12 max|A|, whatever
-    ``check`` says, and is applied by BLAS ``dsymv`` on its upper triangle,
-    read in place for a C- or F-ordered A.  Calling the operator on a vector
-    of another shape than (dim,) raises DimensionMismatch; ``matvec`` is
-    unchecked.
+    ``check`` says, and is applied by BLAS ``dsymv`` on one triangle, read
+    in place for a C-ordered A.  Calling the operator on a vector of another
+    shape than (dim,) raises DimensionMismatch; ``matvec`` is unchecked.
     """
 
     dim: int
@@ -78,11 +77,9 @@ class LinearOperator:
         if asym > 1e-12 * scale:
             raise ValueError(f"dense operator must be symmetric, got max|A - A'| = "
                              f"{asym:.3e} against max|A| = {scale:.3e}")
-        # dsymv reads A's upper triangle: an F-ordered A in place, a C-ordered
-        # one as the lower triangle of A', which is A's own memory in F order
-        F = A.flags.f_contiguous
-        op = cls(dim=A.shape[0], dense=A, matvec=partial(
-            dsymv, 1.0, A if F else np.asfortranarray(A.T), lower=0 if F else 1))
+        # for a C-ordered A, the F-ordered A' is A's own memory: nothing is copied
+        op = cls(dim=A.shape[0], matvec=partial(dsymv, 1.0, np.asfortranarray(A.T), lower=1),
+                 dense=A)
         if check:
             op.spd_probe()
         return op
